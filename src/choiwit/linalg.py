@@ -5,7 +5,9 @@ and length-9 vectors, 3x3 and 9x9 matrices.  The tensor-product index (i, j)
 of a bipartite object always maps to the flat index 3*i + j, i.e. row-major
 with the first factor outermost.  All functions are pure and accept anything
 ``np.asarray`` can turn into the right shape; NaN or infinite entries are
-rejected.
+rejected.  partial_transpose_second, lu_det, rank_with_tol and
+quadratic_forms also take stacks of matrices along leading axes, and give
+each matrix of a stack the result it gets alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -23,22 +25,39 @@ DEFAULT_RANK_TOL = 1e-8
 HERMITICITY_TOL = 1e-12
 
 
+def _finite(arr, name):
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} contains NaN or infinite entries")
+    return arr
+
+
 def _as_complex(x, shape, name):
     arr = np.asarray(x, dtype=complex)
     if arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains NaN or infinite entries")
-    return arr
+    return _finite(arr, name)
 
 
-def _as_square(x, name):
+def _as_stack(x, shape, name):
+    """Like _as_complex, but any axes in front of ``shape`` are batch axes."""
     arr = np.asarray(x, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if arr.shape[arr.ndim - len(shape) :] != shape:
+        raise ValueError(f"{name} must have trailing shape {shape}, got {arr.shape}")
+    return _finite(arr, name)
+
+
+def _as_square(x, name, batched=False):
+    """A square matrix; with ``batched``, a stack of them along leading axes."""
+    arr = np.asarray(x, dtype=complex)
+    if (arr.ndim < 2 if batched else arr.ndim != 2) or arr.shape[-2] != arr.shape[-1]:
         raise ValueError(f"{name} must be a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains NaN or infinite entries")
-    return arr
+    return _finite(arr, name)
+
+
+def _require_hermitian(m, tol):
+    """Raise NotHermitianError unless every matrix of the stack m is Hermitian within tol."""
+    if float(np.abs(m - np.swapaxes(m, -1, -2).conj()).max()) > tol:
+        raise NotHermitianError(f"matrix is not Hermitian within {tol:g}")
 
 
 def kron_vec(u, v):
@@ -54,49 +73,74 @@ def conj_vec(v):
 
 
 def partial_transpose_second(m):
-    """Transpose the second tensor factor of a 9x9 matrix.
+    """Transpose the second tensor factor of a 9x9 matrix, or of each in a stack.
 
     Viewing the matrix as a 3x3 grid of 3x3 blocks, each block is replaced
     by its own transpose.  The operation is a linear involution and maps
     Hermitian matrices to Hermitian matrices.
     """
-    mm = _as_complex(m, (9, 9), "m")
-    return mm.reshape(3, 3, 3, 3).transpose(0, 3, 2, 1).reshape(9, 9)
+    mm = _as_stack(m, (9, 9), "m")
+    return mm.reshape(mm.shape[:-2] + (3, 3, 3, 3)).swapaxes(-3, -1).reshape(mm.shape)
 
 
 def lu_det(m):
     """Determinant via LU factorization with partial pivoting.
 
-    Row swaps are tracked explicitly so the sign of the result is exact.
-    Singular input does not raise; it simply yields a value at roundoff
-    distance from zero.
+    Accepts one matrix, giving a complex, or a stack along leading axes,
+    giving an array of determinants.  The elimination runs on the whole
+    stack at once with the arithmetic of the one-matrix case, so each
+    determinant is bit-for-bit the one its matrix gives alone.  Row swaps
+    are tracked explicitly so the sign of the result is exact.  Singular
+    input does not raise: an exact zero pivot yields 0, and other singular
+    input a value at roundoff distance from zero.
     """
-    a = _as_square(m, "m").copy()
-    n = a.shape[0]
-    det = complex(1.0)
+    stack = _as_square(m, "m", batched=True)
+    n = stack.shape[-1]
+    a = stack.reshape(-1, n, n).copy()
+    idx = np.arange(len(a))
+    re = np.ones(len(a))
+    im = np.zeros(len(a))
+    singular = np.zeros(len(a), dtype=bool)
     for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if a[p, k] == 0:
-            return complex(0.0)
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            det = -det
-        det *= a[k, k]
+        p = k + np.argmax(np.abs(a[:, k:, k]), axis=1)
+        hit = a[idx, p, k] == 0
+        if hit.any():
+            # An identity in place of a singular matrix rides along without
+            # dividing by zero; its determinant is set to 0 at the end.
+            singular |= hit
+            a[hit] = np.eye(n)
+            p[hit] = k
+        row_k = a[:, k].copy()
+        a[:, k] = a[idx, p]
+        a[idx, p] = row_k
+        swap = p != k
+        re[swap], im[swap] = -re[swap], -im[swap]
+        # Pivot products use the plain complex formula with one rounding per
+        # real operation, like the product of two complex scalars; numpy's
+        # vectorized complex multiply differs from it in the last bits.
+        pr, pi = a[:, k, k].real, a[:, k, k].imag
+        re, im = re * pr - im * pi, re * pi + im * pr
         if k < n - 1:
-            a[k + 1 :, k] /= a[k, k]
-            a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k], a[k, k + 1 :])
-    return complex(det)
+            a[:, k + 1 :, k] /= a[:, k, k, None]
+            a[:, k + 1 :, k + 1 :] -= a[:, k + 1 :, k, None] * a[:, None, k, k + 1 :]
+    det = np.empty(len(a), dtype=complex)
+    det.real, det.imag = re, im
+    det[singular] = 0.0
+    return complex(det[0]) if stack.ndim == 2 else det.reshape(stack.shape[:-2])
 
 
 def rank_with_tol(m, tol):
-    """Numerical rank: number of singular values above tol * (largest one)."""
+    """Numerical rank: number of singular values above tol * (largest one).
+
+    A stack of matrices along leading axes gives an integer array of ranks
+    from one stacked singular value decomposition.
+    """
     if not (tol > 0):
         raise ValueError("tol must be positive")
-    a = _as_square(m, "m")
+    a = _as_square(m, "m", batched=True)
     svals = np.linalg.svd(a, compute_uv=False)
-    if svals[0] == 0:
-        return 0
-    return int(np.count_nonzero(svals > tol * svals[0]))
+    ranks = np.count_nonzero(svals > tol * svals[..., :1], axis=-1)
+    return int(ranks) if a.ndim == 2 else ranks
 
 
 def herm_eig_min(m, tol=HERMITICITY_TOL):
@@ -108,8 +152,7 @@ def herm_eig_min(m, tol=HERMITICITY_TOL):
     makes the result deterministic.
     """
     a = _as_square(m, "m")
-    if float(np.abs(a - a.conj().T).max()) > tol:
-        raise NotHermitianError(f"matrix is not Hermitian within {tol:g}")
+    _require_hermitian(a, tol)
     a = (a + a.conj().T) / 2.0
     n = a.shape[0]
     skip = tol / (4.0 * n)
@@ -140,21 +183,36 @@ def herm_eig_min(m, tol=HERMITICITY_TOL):
     return float(np.min(np.diag(a).real))
 
 
-def expectation(w, v):
-    """Real quadratic form <v|W|v> of a Hermitian matrix.
+def quadratic_forms(w, v):
+    """Real quadratic forms <v_k|W|v_k> for a stack of Hermitian matrices.
 
-    W must be Hermitian within 1e-12.  The imaginary part of the raw
-    result is checked against a scale-aware roundoff bound and then
-    discarded.
+    ``w`` has shape (..., n, n) and ``v`` shape (..., k, n); the result has
+    shape (..., k), one form per row of v against the matrix in front of it.
+    Each form is W @ v followed by the conjugated dot product, both as
+    stacked matmuls, so every value is bit-for-bit what one matrix-vector
+    product and np.vdot give.  Every W must be Hermitian within 1e-12.  The
+    imaginary part of each raw form is checked against a scale-aware
+    roundoff bound and then discarded.
     """
+    wm = _as_square(w, "w", batched=True)
+    vv = _as_stack(v, (wm.shape[-1],), "v")
+    _require_hermitian(wm, HERMITICITY_TOL)
+    bra = vv.conj()[..., None, :]
+    ket = vv[..., None]
+    val = np.matmul(bra, np.matmul(wm[..., None, :, :], ket))[..., 0, 0]
+    norm2 = np.matmul(bra, ket)[..., 0, 0].real
+    bound = 1e-10 * (1.0 + norm2 * np.abs(wm).max(axis=(-2, -1))[..., None])
+    bad = np.flatnonzero(np.abs(val.imag) > bound)
+    if bad.size:
+        imag, limit = val.imag.flat[bad[0]], bound.flat[bad[0]]
+        raise ArithmeticError(
+            f"quadratic form has imaginary part {imag:g} beyond roundoff bound {limit:g}"
+        )
+    return val.real
+
+
+def expectation(w, v):
+    """Real quadratic form <v|W|v> of a Hermitian matrix; quadratic_forms for one vector."""
     wm = _as_square(w, "w")
     vv = _as_complex(v, (wm.shape[0],), "v")
-    if float(np.abs(wm - wm.conj().T).max()) > HERMITICITY_TOL:
-        raise NotHermitianError(f"matrix is not Hermitian within {HERMITICITY_TOL:g}")
-    val = complex(np.vdot(vv, wm @ vv))
-    bound = 1e-10 * (1.0 + float(np.vdot(vv, vv).real) * float(np.abs(wm).max()))
-    if abs(val.imag) > bound:
-        raise ArithmeticError(
-            f"quadratic form has imaginary part {val.imag:g} beyond roundoff bound {bound:g}"
-        )
-    return float(val.real)
+    return float(quadratic_forms(wm, vv[None])[0])

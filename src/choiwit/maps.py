@@ -215,15 +215,26 @@ def family_from_alpha(alpha: float) -> FamilyPoint:
     return FamilyPoint(params=params, alpha=alpha, t=t)
 
 
-def on_family_check(p: MapParams, tol: float) -> bool:
-    """True when 0 <= a <= 1, a+b+c = 2 and bc = (1-a)^2 all hold within tol."""
+def family_violation(p: MapParams, tol: float) -> str | None:
+    """The first family condition p breaks at tolerance tol, or None on the family.
+
+    The conditions are a+b+c = 2, a <= 1 and bc = (1-a)^2, checked in that
+    order; the returned text names the failing one with its values.
+    """
     if not (tol > 0):
         raise ValueError("tol must be positive")
-    return (
-        p.a <= 1.0 + tol
-        and abs(p.total - 2.0) <= tol
-        and abs(p.b * p.c - (1.0 - p.a) ** 2) <= tol
-    )
+    if abs(p.total - 2.0) > tol:
+        return f"a+b+c = {p.total!r} differs from 2"
+    if p.a > 1.0 + tol:
+        return f"a = {p.a!r} exceeds 1"
+    if abs(p.b * p.c - (1.0 - p.a) ** 2) > tol:
+        return f"b*c = {p.b * p.c!r} differs from (1-a)^2 = {(1 - p.a) ** 2!r}"
+    return None
+
+
+def on_family_check(p: MapParams, tol: float) -> bool:
+    """True when 0 <= a <= 1, a+b+c = 2 and bc = (1-a)^2 all hold within tol."""
+    return family_violation(p, tol) is None
 
 
 def t_param(p: MapParams) -> float:

@@ -8,6 +8,10 @@ corresponding witness is certified optimal; when both do, the witness is
 certified indecomposable optimal.  The 9x9 matrices collecting the vectors
 as columns have analytic determinants, which serve as a cross-check on the
 assembled matrices.
+
+The whole test runs as one batched kernel, certify_many: all pairs, span
+matrices and witnesses of a batch are stacked along a leading axis and
+checked in stacked numpy calls.  certify is its one-point case.
 """
 
 from __future__ import annotations
@@ -19,15 +23,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import BoundaryCaseError, NonpositiveTError, OffFamilyError
-from .linalg import (
-    conj_vec,
-    expectation,
-    kron_vec,
-    lu_det,
-    partial_transpose_second,
-    rank_with_tol,
-)
-from .maps import BOUNDARY_TOL, MapParams, on_family_check, t_param
+from .linalg import lu_det, partial_transpose_second, quadratic_forms, rank_with_tol
+from .maps import BOUNDARY_TOL, MapParams, family_violation, t_param
 from .witness import witness_matrix
 
 #: Family-membership tolerance used by the guards in this module.
@@ -112,10 +109,14 @@ def _check_t(t) -> float:
     return t
 
 
-def product_vectors(t) -> list[ProductVectorPair]:
-    """The nine product-vector pairs for a given t > 0."""
-    t = _check_t(t)
-    s = math.sqrt(t)
+def _pair_arrays(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """psi and phi of the nine pairs for each entry of t, as (N, 9, 3) arrays.
+
+    Row k - 1 holds pair k.  Every entry is the same complex number the
+    one-point tables give, signed zeros included.
+    """
+    s = np.sqrt(t)
+    mt = -t * 1j
     psi = [
         [1, 1, 1],
         [1, -1, 1],
@@ -132,31 +133,48 @@ def product_vectors(t) -> list[ProductVectorPair]:
         [1, -1, 1],
         [1, -1j, 1j],
         [0, s, t],
-        [0, s, -t * 1j],
+        [0, s, mt],
         [t, 0, s],
-        [-t * 1j, 0, s],
+        [mt, 0, s],
         [s, t, 0],
-        [s, -t * 1j, 0],
+        [s, mt, 0],
     ]
-    return [
-        ProductVectorPair(
-            k=k + 1,
-            psi=np.asarray(psi[k], dtype=complex),
-            phi=np.asarray(phi[k], dtype=complex),
-        )
-        for k in range(9)
-    ]
+    out = np.empty((2, len(t), 9, 3), dtype=complex)
+    for m, table in enumerate((psi, phi)):
+        for k, row in enumerate(table):
+            for j, entry in enumerate(row):
+                out[m, :, k, j] = entry
+    return out[0], out[1]
+
+
+def _products(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Row k - 1 of each 9x9 result is psi_k (x) phi_k, entry 3*i + j = psi_k[i] * phi_k[j]."""
+    outer = psi[..., :, None] * phi[..., None, :]
+    return outer.reshape(outer.shape[:-2] + (9,))
+
+
+def _columns(vectors: np.ndarray) -> np.ndarray:
+    """Span matrices with the given row vectors as columns, C-contiguous.
+
+    The layout matters: column norms of a C-contiguous stack sum in the
+    same order as for a single matrix.
+    """
+    return np.ascontiguousarray(np.swapaxes(vectors, -1, -2))
+
+
+def product_vectors(t) -> list[ProductVectorPair]:
+    """The nine product-vector pairs for a given t > 0."""
+    t = _check_t(t)
+    psi, phi = _pair_arrays(np.array([t]))
+    return [ProductVectorPair(k=k + 1, psi=psi[0, k], phi=phi[0, k]) for k in range(9)]
 
 
 def span_matrix(t, conjugated: bool) -> SpanMatrix:
     """Assemble the 9x9 span matrix for t; columns follow the pair order k = 1..9."""
     t = _check_t(t)
-    pairs = product_vectors(t)
-    cols = [
-        kron_vec(pair.psi, conj_vec(pair.phi) if conjugated else pair.phi)
-        for pair in pairs
-    ]
-    return SpanMatrix(mat=np.column_stack(cols), t=t, conjugated=conjugated)
+    psi, phi = _pair_arrays(np.array([t]))
+    mat = _columns(_products(psi, phi.conj() if conjugated else phi))[0]
+    return SpanMatrix(mat=mat, t=t, conjugated=conjugated)
 
 
 def det_closed_form(t, conjugated: bool) -> complex:
@@ -175,26 +193,19 @@ def det_closed_form(t, conjugated: bool) -> complex:
     return complex(re, im)
 
 
-def _max_abs_expectations(wmat: np.ndarray, t: float) -> ZeroExpectations:
-    wgamma = partial_transpose_second(wmat)
-    max_w = 0.0
-    max_wg = 0.0
-    for pair in product_vectors(t):
-        v = kron_vec(pair.psi, pair.phi)
-        vg = kron_vec(pair.psi, conj_vec(pair.phi))
-        max_w = max(max_w, abs(expectation(wmat, v)))
-        max_wg = max(max_wg, abs(expectation(wgamma, vg)))
-    return ZeroExpectations(max_w=max_w, max_wgamma=max_wg)
+def _family_t(p: MapParams, tol: float) -> float | None:
+    """The family guard: t of p, or None on the a = 1 boundary.
 
-
-def _require_family_interior(p: MapParams) -> float:
-    if not on_family_check(p, ON_FAMILY_TOL):
+    Raises OffFamilyError when p is off the family within tol, and
+    NonpositiveTError when t is not a positive finite real.
+    """
+    if family_violation(p, tol) is not None:
         raise OffFamilyError(
             f"(a,b,c)=({p.a!r},{p.b!r},{p.c!r}) does not satisfy the family conditions"
         )
     if p.a >= 1.0 - BOUNDARY_TOL:
-        raise BoundaryCaseError("the a = 1 boundary has no t parameter")
-    return t_param(p)
+        return None
+    return _check_t(t_param(p))
 
 
 def zero_expectation_check(p: MapParams) -> ZeroExpectations:
@@ -203,16 +214,106 @@ def zero_expectation_check(p: MapParams) -> ZeroExpectations:
     Requires p on the family with a < 1; both maxima are at roundoff level
     there (below 1e-10).
     """
-    t = _require_family_interior(p)
-    return _max_abs_expectations(witness_matrix(p).mat, t)
+    d = certify(p).diagnostics
+    if d.max_abs_expectation_w is None:
+        raise BoundaryCaseError("the a = 1 boundary has no t parameter")
+    return ZeroExpectations(
+        max_w=d.max_abs_expectation_w, max_wgamma=d.max_abs_expectation_wgamma
+    )
 
 
 def _normalize_columns(mat: np.ndarray) -> np.ndarray:
-    return mat / np.linalg.norm(mat, axis=0, keepdims=True)
+    return mat / np.linalg.norm(mat, axis=-2, keepdims=True)
+
+
+_BOUNDARY_DIAGNOSTICS = CertificateDiagnostics(
+    max_abs_expectation_w=None,
+    max_abs_expectation_wgamma=None,
+    det_m=None,
+    det_mprime=None,
+    rank_m=None,
+    rank_mprime=None,
+)
+
+
+def certify_many(params_seq, tol: float = 1e-8) -> list[Certificate]:
+    """Issue the optimality certificates for a sequence of family points.
+
+    The points are certified as one batch, and each certificate is
+    bit-for-bit the one certify gives for its point alone: no result
+    depends on what else is in the batch.  Every point passes the family
+    guard and the t check in sequence order before any numerical work, so
+    an error names the first offending point.  The Hermiticity and
+    roundoff checks then run on the whole batch.
+    """
+    if not (tol > 0):
+        raise ValueError("tol must be positive")
+    points = list(params_seq)
+    ts = [_family_t(p, max(tol, ON_FAMILY_TOL)) for p in points]
+    t = np.array([t for t in ts if t is not None])
+    if len(t):
+        # Axis 0 of every stack below is the side: the plain pairs against W,
+        # then the conjugated pairs against W^Gamma.  Axis 1 runs over the
+        # points off the boundary.
+        psi, phi = _pair_arrays(t)
+        vectors = _products(psi, np.stack([phi, phi.conj()]))
+        w = np.stack([witness_matrix(p).mat for p, t_p in zip(points, ts) if t_p is not None])
+        witnesses = np.stack([w, partial_transpose_second(w)])
+        max_exp = np.abs(quadratic_forms(witnesses, vectors)).max(axis=-1)
+        spans = _normalize_columns(_columns(vectors))
+        ranks = rank_with_tol(spans, tol)
+        dets = lu_det(spans)
+
+    certs = []
+    j = 0
+    for p, t_p in zip(points, ts):
+        if t_p is None:
+            certs.append(
+                Certificate(
+                    params=p,
+                    t=None,
+                    w_optimal=False,
+                    wgamma_optimal=False,
+                    verdict=Verdict.BOUNDARY,
+                    diagnostics=_BOUNDARY_DIAGNOSTICS,
+                )
+            )
+            continue
+        max_w, max_wg = float(max_exp[0, j]), float(max_exp[1, j])
+        rank_m, rank_mp = int(ranks[0, j]), int(ranks[1, j])
+        w_optimal = max_w <= tol and rank_m == 9
+        wgamma_optimal = max_wg <= tol and rank_mp == 9
+        if w_optimal and wgamma_optimal:
+            verdict = Verdict.INDECOMPOSABLE_OPTIMAL
+        elif w_optimal:
+            verdict = Verdict.OPTIMAL_ONLY
+        else:
+            verdict = Verdict.NOT_CERTIFIED
+        note = _T1_NOTE if (abs(t_p - 1.0) <= T_ONE_WINDOW and rank_mp < 9) else None
+        certs.append(
+            Certificate(
+                params=p,
+                t=t_p,
+                w_optimal=w_optimal,
+                wgamma_optimal=wgamma_optimal,
+                verdict=verdict,
+                diagnostics=CertificateDiagnostics(
+                    max_abs_expectation_w=max_w,
+                    max_abs_expectation_wgamma=max_wg,
+                    det_m=complex(dets[0, j]),
+                    det_mprime=complex(dets[1, j]),
+                    rank_m=rank_m,
+                    rank_mprime=rank_mp,
+                    note=note,
+                ),
+            )
+        )
+        j += 1
+    return certs
 
 
 def certify(p: MapParams, tol: float = 1e-8) -> Certificate:
-    """Issue the optimality certificate for a family point.
+    """Issue the optimality certificate for a family point: certify_many of one.
 
     On the a = 1 boundary the verdict is Boundary and no numbers are
     produced.  Otherwise each witness side is certified optimal when its
@@ -222,57 +323,4 @@ def certify(p: MapParams, tol: float = 1e-8) -> Certificate:
     NotCertified, which mean "not certified by this test", never a proof
     of non-optimality.
     """
-    if not (tol > 0):
-        raise ValueError("tol must be positive")
-    if not on_family_check(p, max(tol, ON_FAMILY_TOL)):
-        raise OffFamilyError(
-            f"(a,b,c)=({p.a!r},{p.b!r},{p.c!r}) does not satisfy the family conditions"
-        )
-    if p.a >= 1.0 - BOUNDARY_TOL:
-        return Certificate(
-            params=p,
-            t=None,
-            w_optimal=False,
-            wgamma_optimal=False,
-            verdict=Verdict.BOUNDARY,
-            diagnostics=CertificateDiagnostics(
-                max_abs_expectation_w=None,
-                max_abs_expectation_wgamma=None,
-                det_m=None,
-                det_mprime=None,
-                rank_m=None,
-                rank_mprime=None,
-            ),
-        )
-
-    t = t_param(p)
-    exps = _max_abs_expectations(witness_matrix(p).mat, t)
-    m_norm = _normalize_columns(span_matrix(t, conjugated=False).mat)
-    mp_norm = _normalize_columns(span_matrix(t, conjugated=True).mat)
-    rank_m = rank_with_tol(m_norm, tol)
-    rank_mp = rank_with_tol(mp_norm, tol)
-    w_optimal = exps.max_w <= tol and rank_m == 9
-    wgamma_optimal = exps.max_wgamma <= tol and rank_mp == 9
-    if w_optimal and wgamma_optimal:
-        verdict = Verdict.INDECOMPOSABLE_OPTIMAL
-    elif w_optimal:
-        verdict = Verdict.OPTIMAL_ONLY
-    else:
-        verdict = Verdict.NOT_CERTIFIED
-    note = _T1_NOTE if (abs(t - 1.0) <= T_ONE_WINDOW and rank_mp < 9) else None
-    return Certificate(
-        params=p,
-        t=t,
-        w_optimal=w_optimal,
-        wgamma_optimal=wgamma_optimal,
-        verdict=verdict,
-        diagnostics=CertificateDiagnostics(
-            max_abs_expectation_w=exps.max_w,
-            max_abs_expectation_wgamma=exps.max_wgamma,
-            det_m=lu_det(m_norm),
-            det_mprime=lu_det(mp_norm),
-            rank_m=rank_m,
-            rank_mprime=rank_mp,
-            note=note,
-        ),
-    )
+    return certify_many([p], tol)[0]

@@ -3,7 +3,10 @@
 These deliberately avoid the code paths they check: rank by explicit row
 reduction (the library uses singular values), eigenvalues of Hermitian 3x3
 matrices by solving the characteristic cubic in closed form (the library
-uses Jacobi rotations), traces by explicit double loops.
+uses Jacobi rotations), traces by explicit double loops.  The one
+exception is lu_det_loop, the library's one-matrix elimination loop kept
+verbatim as the reference that the batched determinant must match bit for
+bit.
 """
 
 import math
@@ -32,6 +35,25 @@ def rank_row_reduction(mat, tol=1e-8):
         if row == n:
             break
     return rank
+
+
+def lu_det_loop(m):
+    """Determinant by LU with partial pivoting, one matrix at a time."""
+    a = np.asarray(m, dtype=complex).copy()
+    n = a.shape[0]
+    det = complex(1.0)
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(a[k:, k])))
+        if a[p, k] == 0:
+            return complex(0.0)
+        if p != k:
+            a[[k, p]] = a[[p, k]]
+            det = -det
+        det *= a[k, k]
+        if k < n - 1:
+            a[k + 1 :, k] /= a[k, k]
+            a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k], a[k, k + 1 :])
+    return complex(det)
 
 
 def _det3(b):

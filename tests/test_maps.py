@@ -9,6 +9,7 @@ from choiwit import (
     MapParams,
     OutOfRangeError,
     family_from_alpha,
+    family_violation,
     herm_eig_min,
     identity_residuals,
     is_positive_predicate,
@@ -147,6 +148,20 @@ def test_on_family_check():
     assert on_family_check(MapParams(0, 1, 1), 1e-12)
     assert on_family_check(MapParams(1, 1, 0), 1e-12)
     assert not on_family_check(MapParams(0.5, 1, 0.5), 1e-8)
+
+
+def test_family_violation_names_the_first_failing_condition():
+    assert family_violation(MapParams(0, 1, 1), 1e-12) is None
+    assert family_violation(MapParams(1, 1, 1), 1e-8).startswith("a+b+c = 3.0")
+    assert family_violation(MapParams(1.5, 0.25, 0.25), 1e-8) == "a = 1.5 exceeds 1"
+    assert family_violation(MapParams(0.5, 1, 0.5), 1e-8).startswith("b*c = 0.5")
+    with pytest.raises(ValueError):
+        family_violation(MapParams(0, 1, 1), 0.0)
+
+
+@pytest.mark.xfail(strict=True, reason="c = (2/3)(1 - cos/2 + sqrt(3)/2 sin) cancels to 0 near 5pi/3")
+def test_family_from_alpha_keeps_c_positive_near_upper_end():
+    assert family_from_alpha(5 * PI / 3 - 1e-8).params.c > 0
 
 
 def test_symmetric_triple_is_off_family():
