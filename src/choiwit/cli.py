@@ -62,6 +62,15 @@ def parse_weight(text: str) -> float:
         return float(num) / float(den)
 
 
+def _option_error(tol: float, samples: int = 1) -> str | None:
+    """The usage error in the --tol and --samples values, or None."""
+    if not (math.isfinite(tol) and tol > 0):
+        return "--tol must be a positive finite number"
+    if samples < 1:
+        return "--samples must be at least 1"
+    return None
+
+
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
@@ -123,6 +132,10 @@ def cmd_scan(args) -> int:
     if args.steps < 2:
         print("error: --steps must be at least 2", file=sys.stderr)
         return 2
+    error = _option_error(args.tol)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     if not (ALPHA_MIN - 1e-12 <= start < end <= ALPHA_MAX + 1e-12):
         print(
             "error: need pi/3 <= alpha-start < alpha-end <= 5*pi/3",
@@ -155,6 +168,10 @@ def _certificate_payload(cert: Certificate, sample_min: float, args) -> dict:
 
 
 def cmd_check(args) -> int:
+    error = _option_error(args.tol, args.samples)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     try:
         params = MapParams(args.a, args.b, args.c)
     except ValueError as exc:

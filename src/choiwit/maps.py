@@ -82,16 +82,17 @@ class PositivitySearchResult:
     argmin: np.ndarray
 
 
+def _weight_rows(p: MapParams) -> np.ndarray:
+    """The weight matrix W of p: the diagonal of the map's output is W @ diag(X) / s."""
+    return np.array([[p.a, p.b, p.c], [p.c, p.a, p.b], [p.b, p.c, p.a]])
+
+
 def phi_apply(p: MapParams, x) -> np.ndarray:
     """Apply the map with weights p to a 3x3 matrix."""
     xm = _as_complex(x, (3, 3), "x")
     s = p.total
     out = -xm / s
-    d = np.diag(xm)
-    weights = np.array(
-        [[p.a, p.b, p.c], [p.c, p.a, p.b], [p.b, p.c, p.a]], dtype=complex
-    )
-    out[np.diag_indices(3)] = (weights @ d) / s
+    out[np.diag_indices(3)] = (_weight_rows(p) @ np.diag(xm)) / s
     return out
 
 
@@ -110,40 +111,52 @@ def is_positive_predicate(p: MapParams) -> bool:
     return True
 
 
-def _unit_vectors(angles: np.ndarray) -> np.ndarray:
-    """Map angle rows [theta1, theta2, phi1, phi2] to unit vectors in C^3.
+def _real_unit_vectors(angles: np.ndarray) -> np.ndarray:
+    """Map angle pairs [theta1, theta2] (last axis) to unit vectors in R^3."""
+    t1, t2 = angles[..., 0], angles[..., 1]
+    s1 = np.sin(t1)
+    return np.stack([np.cos(t1), s1 * np.cos(t2), s1 * np.sin(t2)], axis=-1)
 
-    The first component is kept real, which fixes the global phase; the two
-    polar angles set the magnitudes and the two phases are relative.
+
+def _min_eig_on_simplex(w: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of diag(W q + q) - x x^T with q = x^2, over the last axis of q.
+
+    This is (a+b+c) times the map applied to |x><x|.  Its diagonal is W q
+    and the shifted matrix diag(h) - x x^T has the closed-form determinant
+    h0 h1 h2 - sum_i q_i prod_{j != i} h_j, so the characteristic cubic is
+    solved in trigonometric form from q alone.
     """
-    t1, t2, p1, p2 = angles[:, 0], angles[:, 1], angles[:, 2], angles[:, 3]
-    x = np.empty((angles.shape[0], 3), dtype=complex)
-    x[:, 0] = np.cos(t1)
-    x[:, 1] = np.sin(t1) * np.cos(t2) * np.exp(1j * p1)
-    x[:, 2] = np.sin(t1) * np.sin(t2) * np.exp(1j * p2)
-    return x
+    wq = q @ w.T
+    shift = wq.sum(axis=-1, keepdims=True) / 3.0
+    h = wq - shift + q
+    h0, h1, h2 = h[..., 0], h[..., 1], h[..., 2]
+    q0, q1, q2 = q[..., 0], q[..., 1], q[..., 2]
+    spread = ((wq - shift) ** 2).sum(axis=-1) + 2.0 * (q0 * q1 + q0 * q2 + q1 * q2)
+    radius = np.sqrt(spread / 6.0)
+    det = h0 * h1 * h2 - (q0 * h1 * h2 + q1 * h0 * h2 + q2 * h0 * h1)
+    cos3 = np.clip(det / (2.0 * np.where(radius > 0, radius, 1.0) ** 3), -1.0, 1.0)
+    return shift[..., 0] + 2.0 * radius * np.cos(np.arccos(cos3) / 3.0 + 2.0 * math.pi / 3.0)
 
 
-def _min_eig_of_map_on_projectors(p: MapParams, x: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of the map applied to |x><x|, batched over rows of x."""
-    rho = x[:, :, None] * x[:, None, :].conj()
-    s = p.total
-    out = -rho / s
-    d = rho[:, (0, 1, 2), (0, 1, 2)]
-    out[:, 0, 0] = (p.a * d[:, 0] + p.b * d[:, 1] + p.c * d[:, 2]) / s
-    out[:, 1, 1] = (p.c * d[:, 0] + p.a * d[:, 1] + p.b * d[:, 2]) / s
-    out[:, 2, 2] = (p.b * d[:, 0] + p.c * d[:, 1] + p.a * d[:, 2]) / s
-    return np.linalg.eigvalsh(out)[:, 0]
+# Unit moves of the two angles, scored together in each sweep.
+_MOVES = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 
 
 def positivity_search(p: MapParams, budget: int, seed: int) -> PositivitySearchResult:
     """Numerically falsify positivity of the map with weights p.
 
     Minimizes the smallest eigenvalue of the map applied to rank-one
-    projectors |x><x| over unit vectors x in C^3.  Runs ``budget`` seeded
-    random starts in parallel, each refined by coordinate descent on the
-    four free angles of x with a geometrically shrinking step.  The result
-    is deterministic for fixed (budget, seed).
+    projectors |x><x| over unit vectors x in C^3.  The map sends |x><x| to
+    (diag(W q + q) - x x^dagger)/(a+b+c) with q_i = |x_i|^2, which diagonal
+    phase unitaries carry to the same matrix for the phase-free vector
+    sqrt(q); so only the 2-simplex of q is searched, through real
+    nonnegative x.  Runs ``budget`` seeded random starts in parallel, each
+    refined by coordinate descent on the two polar angles of x with a
+    geometrically shrinking step; each sweep scores all four moves of every
+    start at once in closed form and keeps the best improving one.  The
+    result is deterministic for fixed (budget, seed).  ``argmin`` has real
+    nonnegative entries, and ``min_value`` is the smallest eigenvalue of
+    phi_apply(p, |argmin><argmin|) recomputed by np.linalg.eigvalsh.
 
     A warning is emitted when the outcome contradicts the printed
     positivity condition in either direction; the search never decides
@@ -152,31 +165,23 @@ def positivity_search(p: MapParams, budget: int, seed: int) -> PositivitySearchR
     if budget < 1:
         raise ValueError("budget must be at least 1")
     rng = np.random.default_rng(seed)
-    angles = np.concatenate(
-        [
-            rng.uniform(0.0, math.pi / 2, size=(budget, 2)),
-            rng.uniform(0.0, 2 * math.pi, size=(budget, 2)),
-        ],
-        axis=1,
-    )
-    best = _min_eig_of_map_on_projectors(p, _unit_vectors(angles))
+    w = _weight_rows(p)
+    angles = rng.uniform(0.0, math.pi / 2, size=(budget, 2))
+    best = _min_eig_on_simplex(w, _real_unit_vectors(angles) ** 2)
+    starts = np.arange(budget)
     step = 0.4
     for _ in range(30):
-        for coord in range(4):
-            for sign in (1.0, -1.0):
-                trial = angles.copy()
-                trial[:, coord] += sign * step
-                values = _min_eig_of_map_on_projectors(p, _unit_vectors(trial))
-                improved = values < best
-                angles[improved] = trial[improved]
-                best[improved] = values[improved]
+        trials = angles + step * _MOVES[:, None, :]
+        values = _min_eig_on_simplex(w, _real_unit_vectors(trials) ** 2)
+        move = np.argmin(values, axis=0)
+        value = values[move, starts]
+        angles = np.where((value < best)[:, None], trials[move, starts], angles)
+        best = np.minimum(best, value)
         step *= 0.65
-    k = int(np.argmin(best))
-    x = _unit_vectors(angles[k : k + 1])[0]
-    # Canonical gauge: first nonzero entry real and positive.
-    lead = x[np.flatnonzero(np.abs(x) > 1e-15)[0]]
-    x = x * np.conj(lead / abs(lead))
-    min_value = float(best[k])
+    # Descent can carry the angles out of [0, pi/2]; sign flips of entries
+    # do not change the spectrum, so the canonical gauge is |x|.
+    x = np.abs(_real_unit_vectors(angles[int(np.argmin(best))]))
+    min_value = float(np.linalg.eigvalsh(phi_apply(p, np.outer(x, x)))[0])
 
     predicate = is_positive_predicate(p)
     if predicate and min_value < -1e-9:

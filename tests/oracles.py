@@ -3,10 +3,10 @@
 These deliberately avoid the code paths they check: rank by explicit row
 reduction (the library uses singular values), eigenvalues of Hermitian 3x3
 matrices by solving the characteristic cubic in closed form (the library
-uses Jacobi rotations), traces by explicit double loops.  The one
-exception is lu_det_loop, the library's one-matrix elimination loop kept
-verbatim as the reference that the batched determinant must match bit for
-bit.
+uses LAPACK through np.linalg.eigvalsh), traces by explicit double loops.
+The one exception is lu_det_loop, the library's one-matrix elimination
+loop kept verbatim as the reference that the batched determinant must
+match bit for bit.
 """
 
 import math

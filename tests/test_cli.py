@@ -88,6 +88,12 @@ def test_scan_argument_guards(capsys):
     assert run_cli(*base, "--steps", "nope") == 2
 
 
+def test_scan_rejects_bad_tol(capsys):
+    base = ["scan", "--alpha-start", "pi/2", "--alpha-end", "pi", "--steps", "3"]
+    assert run_cli(*base, "--tol", "-1") == 2
+    assert capsys.readouterr().err == "error: --tol must be a positive finite number\n"
+
+
 def test_scan_unwritable_output(tmp_path):
     code = run_cli(
         "scan", "--alpha-start", "pi/3", "--alpha-end", "5pi/3",
@@ -123,6 +129,17 @@ def test_check_rejects_off_family(capsys):
 def test_check_boundary_exits_one(capsys):
     assert run_cli("check", "1", "0", "1") == 1
     assert "Boundary" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_check_rejects_bad_tol(tol, capsys):
+    assert run_cli("check", "0", "1", "1", "--tol", tol) == 2
+    assert capsys.readouterr().err == "error: --tol must be a positive finite number\n"
+
+
+def test_check_rejects_bad_samples(capsys):
+    assert run_cli("check", "0", "1", "1", "--samples", "0") == 2
+    assert capsys.readouterr().err == "error: --samples must be at least 1\n"
 
 
 def test_vectors_output(tmp_path):

@@ -1,8 +1,11 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from choiwit import (
     BoundaryCaseError,
@@ -85,7 +88,7 @@ def test_positivity_search_finds_violation():
     p = MapParams(0.5, 1.45, 0.05)
     result = positivity_search(p, budget=200, seed=0)
     assert result.min_value < -1e-3
-    # Reconfirm the violating vector through the Jacobi eigensolver.
+    # Reconfirm the violating vector through herm_eig_min, outside the search.
     x = result.argmin
     value = herm_eig_min(phi_apply(p, np.outer(x, x.conj())))
     assert value < -1e-3
@@ -98,6 +101,61 @@ def test_positivity_search_probes_predicate_corner():
     with pytest.warns(RuntimeWarning, match="no violation"):
         result = positivity_search(MapParams(2, 0, 0), budget=500, seed=0)
     assert result.min_value >= -1e-9
+
+
+def test_positivity_search_settles_second_predicate_corner():
+    # (1.5, 0.3, 0.3) fails the printed condition (bc < (1-a)^2), yet the map
+    # is positive; the search finds no violation and says so.
+    with pytest.warns(RuntimeWarning, match="no violation"):
+        result = positivity_search(MapParams(1.5, 0.3, 0.3), budget=200, seed=0)
+    assert result.min_value >= -1e-9
+
+
+def test_map_on_projector_ignores_diagonal_phases():
+    # Phi(D x x^dagger D^dagger) = D Phi(x x^dagger) D^dagger for diagonal
+    # unitaries D, so the spectrum depends only on |x_i|^2: the reduction the
+    # falsifier's real search rests on.
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        p = MapParams(*rng.uniform(0.0, 2.0, 3))
+        x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        x /= np.linalg.norm(x)
+        phased = np.exp(1j * rng.uniform(0.0, 2 * PI, 3)) * x
+        real = np.abs(x)
+        base = np.linalg.eigvalsh(phi_apply(p, np.outer(x, x.conj())))[0]
+        for y in (phased, real):
+            value = np.linalg.eigvalsh(phi_apply(p, np.outer(y, y.conj())))[0]
+            assert abs(value - base) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "triple", [(1, 1, 0), (0.5, 1.45, 0.05), (2, 0, 0), (1.5, 0.3, 0.3), (0, 1, 1)]
+)
+def test_positivity_search_argmin_and_value(triple):
+    p = MapParams(*triple)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        result = positivity_search(p, budget=200, seed=0)
+    x = np.asarray(result.argmin)
+    assert np.isrealobj(x) and np.all(x >= 0.0)
+    assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
+    exact = np.linalg.eigvalsh(phi_apply(p, np.outer(x, x.conj())))[0]
+    assert abs(result.min_value - exact) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    a=st.floats(0.0, 1.0),
+    b=st.floats(0.0, 2.5),
+    c=st.floats(0.0, 2.5),
+)
+def test_positivity_search_agrees_with_predicate_for_a_at_most_one(a, b, c):
+    # For a <= 1 the printed condition is the positivity criterion, so away
+    # from bc = (1-a)^2 the sign of the search's minimum must follow it.
+    assume(a + b + c >= 2.0 and abs(b * c - (1.0 - a) ** 2) >= 0.05)
+    p = MapParams(a, b, c)
+    result = positivity_search(p, budget=200, seed=0)
+    assert (result.min_value >= -1e-9) is is_positive_predicate(p)
 
 
 def test_positivity_search_deterministic():
