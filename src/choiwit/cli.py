@@ -62,12 +62,14 @@ def parse_weight(text: str) -> float:
         return float(num) / float(den)
 
 
-def _option_error(tol: float, samples: int = 1) -> str | None:
-    """The usage error in the --tol and --samples values, or None."""
+def _option_error(tol: float, samples: int = 1, seed: int = 0) -> str | None:
+    """The usage error in the --tol, --samples and --seed values, or None."""
     if not (math.isfinite(tol) and tol > 0):
         return "--tol must be a positive finite number"
     if samples < 1:
         return "--samples must be at least 1"
+    if seed < 0:
+        return "--seed must be a nonnegative integer"
     return None
 
 
@@ -168,7 +170,7 @@ def _certificate_payload(cert: Certificate, sample_min: float, args) -> dict:
 
 
 def cmd_check(args) -> int:
-    error = _option_error(args.tol, args.samples)
+    error = _option_error(args.tol, args.samples, args.seed)
     if error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -111,18 +111,20 @@ def separable_sample_check(w: WitnessMatrix, n: int, seed: int) -> float:
     (normalized complex Gaussians from numpy's default PCG64 generator;
     real parts drawn before imaginary parts, x before y) and returns
     min over samples of <x (x) y|W|x (x) y>.  Deterministic for fixed
-    (n, seed).
+    (n, seed).  Evaluating it through the real embedding of W leaves the
+    draws unchanged and the value equal up to roundoff.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    y = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
-    y /= np.linalg.norm(y, axis=1, keepdims=True)
-    v = np.einsum("ni,nj->nij", x, y).reshape(n, 9)
-    values = np.einsum("ni,ij,nj->n", v.conj(), w.mat, v).real
-    return float(values.min())
+    mat = _as_complex(w.mat, (9, 9), "witness")
+    g = np.random.default_rng(seed).standard_normal((2, 2, n, 3))  # [x, y] x [re, im]
+    g /= np.sqrt((g * g).sum(axis=(1, 3), keepdims=True))
+    x, y = g[:, 0] + 1j * g[:, 1]
+    u = (x[:, :, None] * y[:, None, :]).reshape(n, 9).view(float)
+    # Re<v|W|v> = u.(u H), H = [[Re W, -Im W], [Im W, Re W]] interleaved like u.
+    h = np.array([[mat.real, -mat.imag], [mat.imag, mat.real]])
+    h = h.transpose(2, 0, 3, 1).reshape(18, 18)
+    return float(np.einsum("ni,ni->n", u, u @ h).min())
 
 
 def format_complex(z: complex, digits: int | None = None) -> str:

@@ -4,9 +4,10 @@ These deliberately avoid the code paths they check: rank by explicit row
 reduction (the library uses singular values), eigenvalues of Hermitian 3x3
 matrices by solving the characteristic cubic in closed form (the library
 uses LAPACK through np.linalg.eigvalsh), traces by explicit double loops.
-The one exception is lu_det_loop, the library's one-matrix elimination
-loop kept verbatim as the reference that the batched determinant must
-match bit for bit.
+The exceptions are former library routines kept verbatim as references:
+lu_det_loop, the one-matrix elimination loop that the batched determinant
+must match bit for bit, and separable_sample_min_einsum, the complex
+sampler that the real-embedding one must match up to roundoff.
 """
 
 import math
@@ -54,6 +55,22 @@ def lu_det_loop(m):
             a[k + 1 :, k] /= a[k, k]
             a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k], a[k, k + 1 :])
     return complex(det)
+
+
+def separable_sample_min_einsum(w, n, seed):
+    """Minimum of <x (x) y|w|x (x) y> over the documented sampling protocol.
+
+    Four (n, 3) draws (x real, x imaginary, y real, y imaginary), complex
+    norms and one complex three-operand einsum.
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    y = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    y /= np.linalg.norm(y, axis=1, keepdims=True)
+    v = np.einsum("ni,nj->nij", x, y).reshape(n, 9)
+    values = np.einsum("ni,ij,nj->n", v.conj(), np.asarray(w, dtype=complex), v).real
+    return float(values.min())
 
 
 def _det3(b):

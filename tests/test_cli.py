@@ -142,6 +142,11 @@ def test_check_rejects_bad_samples(capsys):
     assert capsys.readouterr().err == "error: --samples must be at least 1\n"
 
 
+def test_check_rejects_bad_seed(capsys):
+    assert run_cli("check", "0", "1", "1", "--seed", "-1") == 2
+    assert capsys.readouterr().err == "error: --seed must be a nonnegative integer\n"
+
+
 def test_vectors_output(tmp_path):
     out = tmp_path / "vectors.txt"
     assert run_cli("vectors", "1", "--out", str(out)) == 0

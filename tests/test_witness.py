@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choiwit import (
     DensityMatrix,
     InvalidStateError,
     MapParams,
+    WitnessMatrix,
     detect,
     family_from_alpha,
     max_ent_projector,
@@ -17,7 +20,7 @@ from choiwit import (
     witness_from_map,
     witness_matrix,
 )
-from oracles import trace_product
+from oracles import random_hermitian, separable_sample_min_einsum, trace_product
 
 FAMILY_ALPHAS = np.linspace(math.pi / 3, 5 * math.pi / 3, 21)
 
@@ -132,6 +135,35 @@ def test_separable_samples_nonnegative_on_family():
 def test_separable_samples_deterministic():
     w = witness_matrix(MapParams(1, 1, 0))
     assert separable_sample_check(w, 500, 3) == separable_sample_check(w, 500, 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([1, 2, 7, 10_000]),
+    alpha=st.floats(math.pi / 3, 5 * math.pi / 3, exclude_min=True, exclude_max=True),
+    complex_witness=st.booleans(),
+)
+def test_separable_samples_match_einsum_oracle(seed, n, alpha, complex_witness):
+    p = family_from_alpha(alpha).params
+    w = witness_matrix(p)
+    if complex_witness:
+        # Family witnesses are real; only a complex W reaches the Im W blocks.
+        # Unit spectral norm keeps the forms, and so their roundoff, of order 1.
+        h = random_hermitian(np.random.default_rng(seed), 9)
+        w = WitnessMatrix(mat=h / np.linalg.norm(h, 2), params=p, scale=w.scale)
+    expected = separable_sample_min_einsum(w.mat, n, seed)
+    assert abs(separable_sample_check(w, n, seed) - expected) <= 1e-14
+
+
+def test_separable_samples_reject_bad_witness():
+    w = witness_matrix(MapParams(1, 1, 0))
+    nan = w.mat.copy()
+    nan[3, 5] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        separable_sample_check(WitnessMatrix(nan, w.params, w.scale), 10, 0)
+    with pytest.raises(ValueError, match="shape"):
+        separable_sample_check(WitnessMatrix(w.mat[:8, :8], w.params, w.scale), 10, 0)
 
 
 def test_state_file_round_trip():
