@@ -47,6 +47,8 @@ def parse_alpha(text: str) -> float:
     if m:
         num = float(m.group(1)) if m.group(1) else 1.0
         den = float(m.group(2)) if m.group(2) else 1.0
+        if den == 0:
+            raise ValueError(f"zero denominator in angle {text!r}")
         return num * math.pi / den
     return float(s)
 
@@ -59,7 +61,10 @@ def parse_weight(text: str) -> float:
         num, sep, den = text.partition("/")
         if not sep:
             raise ValueError(f"cannot parse weight {text!r}") from None
-        return float(num) / float(den)
+        divisor = float(den)
+        if divisor == 0:
+            raise ValueError(f"zero denominator in weight {text!r}")
+        return float(num) / divisor
 
 
 def _option_error(tol: float, samples: int = 1, seed: int = 0) -> str | None:

@@ -104,6 +104,51 @@ def detect(w: WitnessMatrix, rho) -> float:
     return float(value.real)
 
 
+#: Upper off-diagonal positions (0,1), (0,2), (1,2) of a 3x3 matrix.
+_UPPER = ([0, 0, 1], [1, 2, 2])
+
+
+def _hermitian_basis() -> np.ndarray:
+    """Rows are the flattened 3x3 matrices E_a with P = sum_a p_a E_a.
+
+    The coordinates p of a Hermitian P are its diagonal, then Re and Im of
+    P[0,1], P[0,2] and P[1,2].
+    """
+    e = np.zeros((9, 3, 3), dtype=complex)
+    e[[0, 1, 2], [0, 1, 2], [0, 1, 2]] = 1.0
+    for a, (i, k) in enumerate(zip(*_UPPER)):
+        e[3 + a, i, k] = e[3 + a, k, i] = 1.0
+        e[6 + a, i, k], e[6 + a, k, i] = 1j, -1j
+    return e.reshape(9, 9)
+
+
+_HERM_BASIS = _hermitian_basis()
+
+#: Product states per block of separable_sample_check.  Blocks keep the
+#: temporaries small enough to be reused from block to block; whole-n
+#: temporaries cost fresh pages on every call.  Values do not depend on it.
+SAMPLE_BLOCK = 2048
+
+
+def _form_matrix(mat: np.ndarray) -> np.ndarray:
+    """Real 9x9 K with Re<x (x) y|W|x (x) y> = p.(K q).
+
+    p and q are the Hermitian coordinates (see _hermitian_coords) of
+    conj(x) x^T and conj(y) y^T, and W is regrouped as [(i,k), (j,l)].
+    """
+    v = mat.reshape(3, 3, 3, 3).transpose(0, 2, 1, 3).reshape(9, 9)
+    return (_HERM_BASIS @ v @ _HERM_BASIS.T).real
+
+
+def _hermitian_coords(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Coordinates of conj(z) z^T for z = re + i im; components on axis -2."""
+    i, k = _UPPER
+    ri, rk, si, sk = re[..., i, :], re[..., k, :], im[..., i, :], im[..., k, :]
+    return np.concatenate(
+        [re * re + im * im, ri * rk + si * sk, ri * sk - si * rk], axis=-2
+    )
+
+
 def separable_sample_check(w: WitnessMatrix, n: int, seed: int) -> float:
     """Minimum witness expectation over n random pure product states.
 
@@ -111,20 +156,23 @@ def separable_sample_check(w: WitnessMatrix, n: int, seed: int) -> float:
     (normalized complex Gaussians from numpy's default PCG64 generator;
     real parts drawn before imaginary parts, x before y) and returns
     min over samples of <x (x) y|W|x (x) y>.  Deterministic for fixed
-    (n, seed).  Evaluating it through the real embedding of W leaves the
-    draws unchanged and the value equal up to roundoff.
+    (n, seed).  The form is evaluated as p.(K q) on the raw draws, with p
+    and q the 9 real Hermitian coordinates of conj(x) x^T and conj(y) y^T
+    and K a real 9x9 matrix built from W, then divided by |x|^2 |y|^2
+    (the form has degree 2 in x and in y).  The draws are the documented
+    ones, and the value equals the complex evaluation up to roundoff.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    mat = _as_complex(w.mat, (9, 9), "witness")
+    k = _form_matrix(_as_complex(w.mat, (9, 9), "witness"))
     g = np.random.default_rng(seed).standard_normal((2, 2, n, 3))  # [x, y] x [re, im]
-    g /= np.sqrt((g * g).sum(axis=(1, 3), keepdims=True))
-    x, y = g[:, 0] + 1j * g[:, 1]
-    u = (x[:, :, None] * y[:, None, :]).reshape(n, 9).view(float)
-    # Re<v|W|v> = u.(u H), H = [[Re W, -Im W], [Im W, Re W]] interleaved like u.
-    h = np.array([[mat.real, -mat.imag], [mat.imag, mat.real]])
-    h = h.transpose(2, 0, 3, 1).reshape(18, 18)
-    return float(np.einsum("ni,ni->n", u, u @ h).min())
+    low = np.inf
+    for lo in range(0, n, SAMPLE_BLOCK):
+        re, im = g[:, :, lo : lo + SAMPLE_BLOCK].transpose(1, 0, 3, 2)
+        p, q = _hermitian_coords(re, im)  # (9, m) each; p[:3].sum() is |x|^2
+        values = np.einsum("an,an->n", p, k @ q) / (p[:3].sum(axis=0) * q[:3].sum(axis=0))
+        low = min(low, float(values.min()))
+    return low
 
 
 def format_complex(z: complex, digits: int | None = None) -> str:

@@ -7,7 +7,8 @@ uses LAPACK through np.linalg.eigvalsh), traces by explicit double loops.
 The exceptions are former library routines kept verbatim as references:
 lu_det_loop, the one-matrix elimination loop that the batched determinant
 must match bit for bit, and separable_sample_min_einsum, the complex
-sampler that the real-embedding one must match up to roundoff.
+sampler that the library's Hermitian-coordinate one must match up to
+roundoff.
 """
 
 import math

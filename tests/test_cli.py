@@ -22,6 +22,9 @@ def test_parse_alpha():
     assert parse_alpha("1.25") == 1.25
     with pytest.raises(ValueError):
         parse_alpha("three")
+    for text in ("pi/0", "5pi/0.0"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_alpha(text)
 
 
 def test_parse_weight():
@@ -29,6 +32,9 @@ def test_parse_weight():
     assert parse_weight("2/3") == 2 / 3
     with pytest.raises(ValueError):
         parse_weight("x/y")
+    for text in ("1/0", "0/0", "2/0.0"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_weight(text)
 
 
 def test_scan_csv(tmp_path, capsys):
@@ -86,6 +92,18 @@ def test_scan_argument_guards(capsys):
     assert run_cli("scan", "--alpha-start", "0", "--alpha-end", "pi", "--steps", "5") == 2
     assert run_cli("scan", "--alpha-start", "pi", "--alpha-end", "pi", "--steps", "5") == 2
     assert run_cli(*base, "--steps", "nope") == 2
+
+
+def test_zero_denominators_are_usage_errors(tmp_path, capsys):
+    assert run_cli("check", "1/0", "1", "1") == 2
+    assert "invalid parse_weight value: '1/0'" in capsys.readouterr().err
+    state = tmp_path / "state.txt"
+    state.write_text(state_file_text(np.eye(9) / 9))
+    assert run_cli("detect", "1", "1", "0/0", str(state)) == 2
+    assert "invalid parse_weight value: '0/0'" in capsys.readouterr().err
+    code = run_cli("scan", "--alpha-start", "pi/0", "--alpha-end", "5pi/3", "--steps", "3")
+    assert code == 2
+    assert capsys.readouterr().err == "error: zero denominator in angle 'pi/0'\n"
 
 
 def test_scan_rejects_bad_tol(capsys):

@@ -20,6 +20,7 @@ from choiwit import (
     witness_from_map,
     witness_matrix,
 )
+from choiwit.witness import _form_matrix, _hermitian_coords
 from oracles import random_hermitian, separable_sample_min_einsum, trace_product
 
 FAMILY_ALPHAS = np.linspace(math.pi / 3, 5 * math.pi / 3, 21)
@@ -154,6 +155,26 @@ def test_separable_samples_match_einsum_oracle(seed, n, alpha, complex_witness):
         w = WitnessMatrix(mat=h / np.linalg.norm(h, 2), params=p, scale=w.scale)
     expected = separable_sample_min_einsum(w.mat, n, seed)
     assert abs(separable_sample_check(w, n, seed) - expected) <= 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_hermitian_coordinate_form_matches_vdot(seed):
+    # Pins the coordinate order and the sign of the Im coordinates: p.(K q)
+    # must be <x (x) y|W|x (x) y> for complex W and unnormalized x, y.
+    rng = np.random.default_rng(seed)
+    w = random_hermitian(rng, 9)
+    x, y = (
+        rng.uniform(0.1, 10) * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+        for _ in range(2)
+    )
+    p = _hermitian_coords(x.real[:, None], x.imag[:, None])[:, 0]
+    q = _hermitian_coords(y.real[:, None], y.imag[:, None])[:, 0]
+    v = np.kron(x, y)
+    expected = np.vdot(v, w @ v).real
+    scale = np.vdot(x, x).real * np.vdot(y, y).real * np.linalg.norm(w, 2)
+    assert abs(p @ _form_matrix(w) @ q - expected) <= 1e-14 * scale
+    assert p[:3].sum() == pytest.approx(np.vdot(x, x).real, rel=1e-15)
 
 
 def test_separable_samples_reject_bad_witness():
