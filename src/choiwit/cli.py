@@ -37,6 +37,10 @@ CSV_HEADER = (
 #: depend on the block size.
 SCAN_BLOCK = 64
 
+#: Largest accepted --steps and --samples; a larger value is a usage error (exit 2).
+MAX_STEPS = 10**6
+MAX_SAMPLES = 10**6
+
 _PI_EXPR = re.compile(r"^([0-9]*\.?[0-9]*)\*?pi(?:/([0-9]+\.?[0-9]*))?$")
 
 
@@ -67,12 +71,18 @@ def parse_weight(text: str) -> float:
         return float(num) / divisor
 
 
-def _option_error(tol: float, samples: int = 1, seed: int = 0) -> str | None:
-    """The usage error in the --tol, --samples and --seed values, or None."""
+def _option_error(tol: float, samples: int = 1, seed: int = 0, steps: int = 2) -> str | None:
+    """The usage error in the --tol, --samples, --seed and --steps values, or None."""
     if not (math.isfinite(tol) and tol > 0):
         return "--tol must be a positive finite number"
+    if steps < 2:
+        return "--steps must be at least 2"
+    if steps > MAX_STEPS:
+        return f"--steps must be at most {MAX_STEPS}"
     if samples < 1:
         return "--samples must be at least 1"
+    if samples > MAX_SAMPLES:
+        return f"--samples must be at most {MAX_SAMPLES}"
     if seed < 0:
         return "--seed must be a nonnegative integer"
     return None
@@ -136,10 +146,7 @@ def cmd_scan(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.steps < 2:
-        print("error: --steps must be at least 2", file=sys.stderr)
-        return 2
-    error = _option_error(args.tol)
+    error = _option_error(args.tol, steps=args.steps)
     if error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -5,9 +5,9 @@ and length-9 vectors, 3x3 and 9x9 matrices.  The tensor-product index (i, j)
 of a bipartite object always maps to the flat index 3*i + j, i.e. row-major
 with the first factor outermost.  All functions are pure and accept anything
 ``np.asarray`` can turn into the right shape; NaN or infinite entries are
-rejected.  partial_transpose_second, lu_det, rank_with_tol and
-quadratic_forms also take stacks of matrices along leading axes, and give
-each matrix of a stack the result it gets alone, bit for bit.
+rejected.  partial_transpose_second, rank_with_tol and quadratic_forms also
+take stacks of matrices along leading axes, and give each matrix of a stack
+the result it gets alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -82,49 +82,27 @@ def partial_transpose_second(m):
 
 
 def lu_det(m):
-    """Determinant via LU factorization with partial pivoting.
+    """Determinant of one square matrix by LU factorization with partial pivoting.
 
-    Accepts one matrix, giving a complex, or a stack along leading axes,
-    giving an array of determinants.  The elimination runs on the whole
-    stack at once with the arithmetic of the one-matrix case, so each
-    determinant is bit-for-bit the one its matrix gives alone.  Row swaps
-    are tracked explicitly so the sign of the result is exact.  Singular
-    input does not raise: an exact zero pivot yields 0, and other singular
-    input a value at roundoff distance from zero.
+    Row swaps are tracked explicitly so the sign is exact.  An exact zero
+    pivot yields 0, other singular input a value at roundoff distance from
+    zero.  This is the independent cross-check of the closed forms.
     """
-    stack = _as_square(m, "m", batched=True)
-    n = stack.shape[-1]
-    a = stack.reshape(-1, n, n).copy()
-    idx = np.arange(len(a))
-    re = np.ones(len(a))
-    im = np.zeros(len(a))
-    singular = np.zeros(len(a), dtype=bool)
+    a = _as_square(m, "m").copy()
+    n = a.shape[0]
+    det = complex(1.0)
     for k in range(n):
-        p = k + np.argmax(np.abs(a[:, k:, k]), axis=1)
-        hit = a[idx, p, k] == 0
-        if hit.any():
-            # An identity in place of a singular matrix rides along without
-            # dividing by zero; its determinant is set to 0 at the end.
-            singular |= hit
-            a[hit] = np.eye(n)
-            p[hit] = k
-        row_k = a[:, k].copy()
-        a[:, k] = a[idx, p]
-        a[idx, p] = row_k
-        swap = p != k
-        re[swap], im[swap] = -re[swap], -im[swap]
-        # Pivot products use the plain complex formula with one rounding per
-        # real operation, like the product of two complex scalars; numpy's
-        # vectorized complex multiply differs from it in the last bits.
-        pr, pi = a[:, k, k].real, a[:, k, k].imag
-        re, im = re * pr - im * pi, re * pi + im * pr
+        p = k + int(np.argmax(np.abs(a[k:, k])))
+        if a[p, k] == 0:
+            return complex(0.0)
+        if p != k:
+            a[[k, p]] = a[[p, k]]
+            det = -det
+        det *= a[k, k]
         if k < n - 1:
-            a[:, k + 1 :, k] /= a[:, k, k, None]
-            a[:, k + 1 :, k + 1 :] -= a[:, k + 1 :, k, None] * a[:, None, k, k + 1 :]
-    det = np.empty(len(a), dtype=complex)
-    det.real, det.imag = re, im
-    det[singular] = 0.0
-    return complex(det[0]) if stack.ndim == 2 else det.reshape(stack.shape[:-2])
+            a[k + 1 :, k] /= a[k, k]
+            a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k], a[k, k + 1 :])
+    return complex(det)
 
 
 def rank_with_tol(m, tol):

@@ -6,8 +6,8 @@ products psi_k (x) conj(phi_k) have zero expectation in the partially
 transposed witness.  When either set of nine vectors spans C^9 the
 corresponding witness is certified optimal; when both do, the witness is
 certified indecomposable optimal.  The 9x9 matrices collecting the vectors
-as columns have analytic determinants, which serve as a cross-check on the
-assembled matrices.
+as columns have analytic determinants; tests/test_exact.py proves them in
+exact integer arithmetic, and the certificates report them.
 
 The whole test runs as one batched kernel, certify_many: all pairs, span
 matrices and witnesses of a batch are stacked along a leading axis and
@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import BoundaryCaseError, NonpositiveTError, OffFamilyError
-from .linalg import lu_det, partial_transpose_second, quadratic_forms, rank_with_tol
+from .linalg import partial_transpose_second, quadratic_forms, rank_with_tol
 from .maps import BOUNDARY_TOL, MapParams, family_violation, t_param
 from .witness import witness_matrix
 
@@ -78,7 +78,8 @@ class CertificateDiagnostics:
     """Numbers backing a certificate; all None on the a = 1 boundary.
 
     Determinants and ranks refer to the column-normalized span matrices, so
-    they are independent of the overall witness and vector scales.
+    they are independent of the overall witness and vector scales.  The
+    determinants are the closed forms over the product of the column norms.
     """
 
     max_abs_expectation_w: float | None
@@ -177,6 +178,20 @@ def span_matrix(t, conjugated: bool) -> SpanMatrix:
     return SpanMatrix(mat=mat, t=t, conjugated=conjugated)
 
 
+def _det_parts(t, s):
+    """(Re det M, Im det M, Re det M' = Im det M') in closed form at t, given s = sqrt(t).
+
+    Only +, - and * appear: exact on Python integers (tests/test_exact.py),
+    correctly rounded per element on float arrays, whatever the batch.
+    """
+    t2 = t * t
+    t4 = t2 * t2
+    re = 8 * t4 * (t2 - 1) * s * (2 * t - s + 2)
+    im = -8 * t4 * t * (1 + t) * (t - 4 * s + 1)
+    part = -8 * t4 * s * ((t - 1) * (t - 1) * (t - 1))
+    return re, im, part
+
+
 def det_closed_form(t, conjugated: bool) -> complex:
     """Analytic determinant of the span matrix as a function of t.
 
@@ -184,13 +199,8 @@ def det_closed_form(t, conjugated: bool) -> complex:
     the plain variant is nonzero for every t > 0.
     """
     t = _check_t(t)
-    s = math.sqrt(t)
-    if conjugated:
-        part = -8.0 * t**4 * s * (t - 1.0) ** 3
-        return complex(part, part)
-    re = 8.0 * t**4 * (t**2 - 1.0) * s * (2.0 * t - s + 2.0)
-    im = -8.0 * t**5 * (1.0 + t) * (t - 4.0 * s + 1.0)
-    return complex(re, im)
+    re, im, part = _det_parts(t, np.sqrt(t))
+    return complex(part, part) if conjugated else complex(re, im)
 
 
 def _family_t(p: MapParams, tol: float) -> float | None:
@@ -220,10 +230,6 @@ def zero_expectation_check(p: MapParams) -> ZeroExpectations:
     return ZeroExpectations(
         max_w=d.max_abs_expectation_w, max_wgamma=d.max_abs_expectation_wgamma
     )
-
-
-def _normalize_columns(mat: np.ndarray) -> np.ndarray:
-    return mat / np.linalg.norm(mat, axis=-2, keepdims=True)
 
 
 _BOUNDARY_DIAGNOSTICS = CertificateDiagnostics(
@@ -260,9 +266,16 @@ def certify_many(params_seq, tol: float = 1e-8) -> list[Certificate]:
         w = np.stack([witness_matrix(p).mat for p, t_p in zip(points, ts) if t_p is not None])
         witnesses = np.stack([w, partial_transpose_second(w)])
         max_exp = np.abs(quadratic_forms(witnesses, vectors)).max(axis=-1)
-        spans = _normalize_columns(_columns(vectors))
-        ranks = rank_with_tol(spans, tol)
-        dets = lu_det(spans)
+        spans = _columns(vectors)
+        norms = np.linalg.norm(spans, axis=-2, keepdims=True)
+        ranks = rank_with_tol(spans / norms, tol)
+        # det of a column-normalized span matrix = closed form / product of
+        # its column norms, divided as reals.  Below t ~ 1e-108 both underflow
+        # to 0; the determinant, of order t^1.5, is then 0 too.
+        scale = np.prod(norms[..., 0, :], axis=-1)
+        re, im, part = _det_parts(t, np.sqrt(t))
+        num = np.stack([[re, im], [part, part]])
+        dets = np.divide(num, scale[:, None], out=np.zeros_like(num), where=scale[:, None] > 0)
 
     certs = []
     j = 0
@@ -300,8 +313,8 @@ def certify_many(params_seq, tol: float = 1e-8) -> list[Certificate]:
                 diagnostics=CertificateDiagnostics(
                     max_abs_expectation_w=max_w,
                     max_abs_expectation_wgamma=max_wg,
-                    det_m=complex(dets[0, j]),
-                    det_mprime=complex(dets[1, j]),
+                    det_m=complex(dets[0, 0, j], dets[0, 1, j]),
+                    det_mprime=complex(dets[1, 0, j], dets[1, 1, j]),
                     rank_m=rank_m,
                     rank_mprime=rank_mp,
                     note=note,

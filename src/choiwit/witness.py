@@ -48,8 +48,7 @@ class DensityMatrix:
             raise InvalidStateError("state is not Hermitian within 1e-10")
         if abs(complex(np.trace(m)) - 1.0) > STATE_TOL:
             raise InvalidStateError("state trace differs from 1 by more than 1e-10")
-        sym = (m + m.conj().T) / 2.0
-        if herm_eig_min(sym, tol=1e-12) < -STATE_TOL:
+        if herm_eig_min(m, tol=STATE_TOL) < -STATE_TOL:
             raise InvalidStateError("state has an eigenvalue below -1e-10")
         object.__setattr__(self, "mat", m)
 

@@ -4,11 +4,12 @@ These deliberately avoid the code paths they check: rank by explicit row
 reduction (the library uses singular values), eigenvalues of Hermitian 3x3
 matrices by solving the characteristic cubic in closed form (the library
 uses LAPACK through np.linalg.eigvalsh), traces by explicit double loops.
-The exceptions are former library routines kept verbatim as references:
-lu_det_loop, the one-matrix elimination loop that the batched determinant
-must match bit for bit, and separable_sample_min_einsum, the complex
-sampler that the library's Hermitian-coordinate one must match up to
-roundoff.
+The exception is a former library routine kept verbatim as a reference:
+separable_sample_min_einsum, the complex sampler that the library's
+Hermitian-coordinate one must match up to roundoff.  Determinants need no
+oracle here: the library's lu_det is itself the cross-check of the closed
+forms that the certificate uses, and tests/test_exact.py proves those
+closed forms in exact integer arithmetic.
 """
 
 import math
@@ -37,25 +38,6 @@ def rank_row_reduction(mat, tol=1e-8):
         if row == n:
             break
     return rank
-
-
-def lu_det_loop(m):
-    """Determinant by LU with partial pivoting, one matrix at a time."""
-    a = np.asarray(m, dtype=complex).copy()
-    n = a.shape[0]
-    det = complex(1.0)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if a[p, k] == 0:
-            return complex(0.0)
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            det = -det
-        det *= a[k, k]
-        if k < n - 1:
-            a[k + 1 :, k] /= a[k, k]
-            a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k], a[k, k + 1 :])
-    return complex(det)
 
 
 def separable_sample_min_einsum(w, n, seed):

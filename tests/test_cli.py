@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from choiwit import max_ent_projector, state_file_text
-from choiwit.cli import CSV_HEADER, main, parse_alpha, parse_weight
+from choiwit.cli import CSV_HEADER, MAX_SAMPLES, MAX_STEPS, main, parse_alpha, parse_weight
 
 
 def run_cli(*argv):
@@ -92,6 +92,8 @@ def test_scan_argument_guards(capsys):
     assert run_cli("scan", "--alpha-start", "0", "--alpha-end", "pi", "--steps", "5") == 2
     assert run_cli("scan", "--alpha-start", "pi", "--alpha-end", "pi", "--steps", "5") == 2
     assert run_cli(*base, "--steps", "nope") == 2
+    assert run_cli(*base, "--steps", str(MAX_STEPS + 1)) == 2
+    assert capsys.readouterr().err.endswith(f"error: --steps must be at most {MAX_STEPS}\n")
 
 
 def test_zero_denominators_are_usage_errors(tmp_path, capsys):
@@ -158,6 +160,8 @@ def test_check_rejects_bad_tol(tol, capsys):
 def test_check_rejects_bad_samples(capsys):
     assert run_cli("check", "0", "1", "1", "--samples", "0") == 2
     assert capsys.readouterr().err == "error: --samples must be at least 1\n"
+    assert run_cli("check", "0", "1", "1", "--samples", str(MAX_SAMPLES + 1)) == 2
+    assert capsys.readouterr().err == f"error: --samples must be at most {MAX_SAMPLES}\n"
 
 
 def test_check_rejects_bad_seed(capsys):

@@ -1,6 +1,13 @@
-"""Byte-level regression of the CLI outputs against files captured before the
-certificate kernel was batched.  The files are never regenerated: a change
-that alters one digit of these outputs fails here."""
+"""Byte-level regression of the CLI outputs against files in tests/data.
+
+The vectors files date from before the certificate kernel was batched.  The
+scan files were re-captured once, when the certificate's determinants moved
+from LU elimination to the proven closed forms divided by the column norms:
+only the abs_det_M and abs_det_Mprime columns changed, in their last digits
+(largest relative change 1.5e-15 and 7.5e-14, the latter next to t = 1,
+where det M' is O((t-1)^3) and the LU value was mostly roundoff).
+Otherwise the files are not regenerated: a change that alters one digit of
+these outputs fails here."""
 
 from pathlib import Path
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -103,9 +105,27 @@ def test_lu_det_matches_numpy():
     rng = np.random.default_rng(3)
     for _ in range(25):
         a = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-        ours = lu_det(a)
-        ref = np.linalg.det(a)
-        assert abs(ours - ref) <= 1e-9 * abs(ref)
+        # 0/1 matrices give ties in the pivot search and exact zero pivots
+        # (27 of the 50 below end in one); their determinants are integers.
+        z = rng.integers(0, 2, (9, 9)).astype(complex)
+        for m in (a, a[rng.permutation(9)], z, z[rng.permutation(9)]):
+            ours = lu_det(m)
+            ref = np.linalg.det(m)
+            assert abs(ours - ref) <= 1e-9 * max(abs(ref), 1.0)
+
+
+def test_lu_det_exact_zero_pivot():
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    a[:, 2] = 0.0  # the third pivot is an exact zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lu_det(a) == 0
+
+
+def test_lu_det_rejects_stacks():
+    with pytest.raises(ValueError):
+        lu_det(np.stack([np.eye(9), np.eye(9)]))
 
 
 def test_lu_det_multiplicative():

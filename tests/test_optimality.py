@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choiwit import (
     BoundaryCaseError,
@@ -82,6 +85,33 @@ def test_det_closed_form_matches_lu_det():
             numeric = lu_det(span_matrix(float(t), conjugated).mat)
             closed = det_closed_form(float(t), conjugated)
             assert abs(numeric - closed) <= 1e-8 * abs(closed) + 1e-8
+
+
+# t off the window around 1: there det M' is O((t-1)^3) and the LU value is
+# mostly roundoff (1.2e-10 relative at t = 1 + 1e-6).  LU also degrades for
+# t far from 1 (2e-9 for t > 1e6).  The worst agreement seen in range: 5e-14.
+T_OFF_ONE = st.one_of(st.floats(1e-2, 0.99), st.floats(1.01, 1e2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=T_OFF_ONE)
+def test_certificate_determinants_match_lu_det(t):
+    d = t * t - t + 1.0
+    cert = certify(MapParams((t - 1.0) ** 2 / d, 1.0 / d, t * t / d))
+    dets = (cert.diagnostics.det_m, cert.diagnostics.det_mprime)
+    for conjugated, det in zip((False, True), dets):
+        m = span_matrix(cert.t, conjugated).mat
+        ref = lu_det(m / np.linalg.norm(m, axis=0))
+        assert abs(det - ref) <= 1e-12 * abs(ref)
+
+
+def test_certificate_determinants_underflow_to_zero():
+    # c far below the family tolerance gives t ~ 5e-315: the closed form and
+    # the product of the column norms both underflow to 0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = certify(MapParams(1 - 1e-5, 1 + 1e-5, 5e-320)).diagnostics
+    assert d.det_m == 0 and d.det_mprime == 0
 
 
 def test_plain_span_matrix_never_singular():
