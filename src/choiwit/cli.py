@@ -75,6 +75,8 @@ def _option_error(tol: float, samples: int = 1, seed: int = 0, steps: int = 2) -
     """The usage error in the --tol, --samples, --seed and --steps values, or None."""
     if not (math.isfinite(tol) and tol > 0):
         return "--tol must be a positive finite number"
+    if tol >= 1:
+        return "--tol must be less than 1"
     if steps < 2:
         return "--steps must be at least 2"
     if steps > MAX_STEPS:
@@ -93,6 +95,7 @@ def _fmt(x: float) -> str:
 
 
 def _scan_record(alpha: float, cert: Certificate) -> dict:
+    """The record of one grid point; its keys follow CSV_HEADER in order."""
     p = cert.params
     d = cert.diagnostics
     return {
@@ -111,19 +114,18 @@ def _scan_record(alpha: float, cert: Certificate) -> dict:
     }
 
 
-def _record_to_csv_row(rec: dict) -> str:
-    cells = []
-    for key in CSV_HEADER.split(","):
-        value = rec[key]
-        if value is None:
-            cells.append("")
-        elif isinstance(value, str):
-            cells.append(value)
-        elif isinstance(value, int):
-            cells.append(str(value))
-        else:
-            cells.append(_fmt(value))
-    return ",".join(cells)
+#: A CSV row in CSV_HEADER order: floats as _fmt prints them, ranks as integers.
+_CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%d,%.17g,%.17g,%s\n"
+#: The a = 1 boundary row: alpha, a, b, c, seven empty cells, the verdict.
+_CSV_BOUNDARY_ROW = "%.17g,%.17g,%.17g,%.17g,,,,,,,,%s\n"
+
+
+def _csv_row(rec: dict) -> str:
+    """One CSV line for a _scan_record, formatted in a single pass."""
+    values = tuple(rec.values())
+    if rec["t"] is None:  # the boundary: every diagnostic cell is empty
+        return _CSV_BOUNDARY_ROW % (values[:4] + values[-1:])
+    return _CSV_ROW % values
 
 
 def _write_output(text: str, out_path: str | None) -> int:
@@ -156,14 +158,14 @@ def cmd_scan(args) -> int:
             file=sys.stderr,
         )
         return 2
-    alphas = [float(alpha) for alpha in np.linspace(start, end, args.steps)]
+    alphas = np.linspace(start, end, args.steps).tolist()
     records = []
     for i in range(0, len(alphas), SCAN_BLOCK):
         block = alphas[i : i + SCAN_BLOCK]
         certs = certify_many([family_from_alpha(a).params for a in block], tol=args.tol)
         records += [_scan_record(a, cert) for a, cert in zip(block, certs)]
     if args.format == "csv":
-        text = CSV_HEADER + "\n" + "".join(_record_to_csv_row(r) + "\n" for r in records)
+        text = CSV_HEADER + "\n" + "".join(map(_csv_row, records))
     else:
         text = json.dumps({"records": records}, indent=2) + "\n"
     return _write_output(text, args.out)
@@ -224,6 +226,9 @@ def cmd_check(args) -> int:
 def cmd_vectors(args) -> int:
     if not (math.isfinite(args.t) and args.t > 0):
         print("error: t must be a positive finite real", file=sys.stderr)
+        return 2
+    if math.isinf(args.t * math.sqrt(args.t)):  # the largest span entry, t^1.5
+        print("error: t must be below about 3e205, where the span entries overflow", file=sys.stderr)
         return 2
     pairs = product_vectors(args.t)
     span = span_matrix(args.t, conjugated=args.conjugated)

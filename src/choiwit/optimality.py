@@ -25,7 +25,7 @@ import numpy as np
 from .errors import BoundaryCaseError, NonpositiveTError, OffFamilyError
 from .linalg import partial_transpose_second, quadratic_forms, rank_with_tol
 from .maps import BOUNDARY_TOL, MapParams, family_violation, t_param
-from .witness import witness_matrix
+from .witness import witness_stack
 
 #: Family-membership tolerance used by the guards in this module.
 ON_FAMILY_TOL = 1e-8
@@ -263,7 +263,7 @@ def certify_many(params_seq, tol: float = 1e-8) -> list[Certificate]:
         # points off the boundary.
         psi, phi = _pair_arrays(t)
         vectors = _products(psi, np.stack([phi, phi.conj()]))
-        w = np.stack([witness_matrix(p).mat for p, t_p in zip(points, ts) if t_p is not None])
+        w = witness_stack([(p.a, p.b, p.c) for p, t_p in zip(points, ts) if t_p is not None])
         witnesses = np.stack([w, partial_transpose_second(w)])
         max_exp = np.abs(quadratic_forms(witnesses, vectors)).max(axis=-1)
         spans = _columns(vectors)
@@ -276,9 +276,11 @@ def certify_many(params_seq, tol: float = 1e-8) -> list[Certificate]:
         re, im, part = _det_parts(t, np.sqrt(t))
         num = np.stack([[re, im], [part, part]])
         dets = np.divide(num, scale[:, None], out=np.zeros_like(num), where=scale[:, None] > 0)
+        # One tuple per point: max_w, max_wg, rank_m, rank_mp, then the real
+        # and imaginary parts of det M and det M'.
+        results = zip(*max_exp.tolist(), *ranks.tolist(), *dets.reshape(4, -1).tolist())
 
     certs = []
-    j = 0
     for p, t_p in zip(points, ts):
         if t_p is None:
             certs.append(
@@ -292,8 +294,7 @@ def certify_many(params_seq, tol: float = 1e-8) -> list[Certificate]:
                 )
             )
             continue
-        max_w, max_wg = float(max_exp[0, j]), float(max_exp[1, j])
-        rank_m, rank_mp = int(ranks[0, j]), int(ranks[1, j])
+        max_w, max_wg, rank_m, rank_mp, re_m, im_m, re_mp, im_mp = next(results)
         w_optimal = max_w <= tol and rank_m == 9
         wgamma_optimal = max_wg <= tol and rank_mp == 9
         if w_optimal and wgamma_optimal:
@@ -313,15 +314,14 @@ def certify_many(params_seq, tol: float = 1e-8) -> list[Certificate]:
                 diagnostics=CertificateDiagnostics(
                     max_abs_expectation_w=max_w,
                     max_abs_expectation_wgamma=max_wg,
-                    det_m=complex(dets[0, 0, j], dets[0, 1, j]),
-                    det_mprime=complex(dets[1, 0, j], dets[1, 1, j]),
+                    det_m=complex(re_m, im_m),
+                    det_mprime=complex(re_mp, im_mp),
                     rank_m=rank_m,
                     rank_mprime=rank_mp,
                     note=note,
                 ),
             )
         )
-        j += 1
     return certs
 
 

@@ -17,7 +17,11 @@ from .errors import InvalidStateError
 from .linalg import _as_complex, herm_eig_min
 from .maps import MapParams, phi_apply
 
-_OFFDIAG = ((0, 4), (0, 8), (4, 8))
+_DIAG = np.arange(9)
+#: Weight (0 = a, 1 = b, 2 = c) on each diagonal entry of the witness.
+_DIAG_WEIGHT = np.array([0, 1, 2, 2, 0, 1, 1, 2, 0])
+#: The off-diagonal entries (0,4), (0,8), (4,8) and their transposes.
+_OFF_ROWS, _OFF_COLS = np.array([0, 0, 4, 4, 8, 8]), np.array([4, 8, 0, 8, 0, 4])
 
 #: Validation tolerances for density matrices; loose enough to accept
 #: states read back from text files with 12 printed digits.
@@ -60,15 +64,26 @@ def max_ent_projector() -> np.ndarray:
     return np.outer(omega, omega.conj())
 
 
+def witness_stack(weights) -> np.ndarray:
+    """Witnesses for an (N, 3) array of weights (a, b, c), as an (N, 9, 9) stack.
+
+    Each matrix is filled by fancy indexing from its row of weights; the
+    stack holds exactly the values the loop over witness_matrix would give.
+    """
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 2 or w.shape[1] != 3:
+        raise ValueError(f"weights must have shape (N, 3), got {w.shape}")
+    scale = (1.0 / (3.0 * (w[:, 0] + w[:, 1] + w[:, 2])))[:, None]
+    out = np.zeros((len(w), 9, 9), dtype=complex)
+    out[:, _DIAG, _DIAG] = w[:, _DIAG_WEIGHT] * scale
+    out[:, _OFF_ROWS, _OFF_COLS] = -scale
+    return out
+
+
 def witness_matrix(p: MapParams) -> WitnessMatrix:
-    """Build the witness for weights p directly from its entry pattern."""
-    scale = 1.0 / (3.0 * p.total)
-    diag = np.array([p.a, p.b, p.c, p.c, p.a, p.b, p.b, p.c, p.a])
-    mat = np.diag(diag).astype(complex) * scale
-    for i, j in _OFFDIAG:
-        mat[i, j] = -scale
-        mat[j, i] = -scale
-    return WitnessMatrix(mat=mat, params=p, scale=scale)
+    """The witness for weights p: witness_stack of one point."""
+    mat = witness_stack([(p.a, p.b, p.c)])[0]
+    return WitnessMatrix(mat=mat, params=p, scale=float(-mat[0, 4].real))  # W[0,4] = -scale
 
 
 def witness_from_map(p: MapParams) -> WitnessMatrix:

@@ -4,9 +4,12 @@ These deliberately avoid the code paths they check: rank by explicit row
 reduction (the library uses singular values), eigenvalues of Hermitian 3x3
 matrices by solving the characteristic cubic in closed form (the library
 uses LAPACK through np.linalg.eigvalsh), traces by explicit double loops.
-The exception is a former library routine kept verbatim as a reference:
+The exceptions are former library routines kept verbatim as references:
 separable_sample_min_einsum, the complex sampler that the library's
-Hermitian-coordinate one must match up to roundoff.  Determinants need no
+Hermitian-coordinate one must match up to roundoff, and witness_matrix_loop
+and record_to_csv_row, the per-point witness and per-cell CSV row that the
+library's witness_stack and scan row formatter must match bit for bit and
+byte for byte.  Determinants need no
 oracle here: the library's lu_det is itself the cross-check of the closed
 forms that the certificate uses, and tests/test_exact.py proves those
 closed forms in exact integer arithmetic.
@@ -54,6 +57,33 @@ def separable_sample_min_einsum(w, n, seed):
     v = np.einsum("ni,nj->nij", x, y).reshape(n, 9)
     values = np.einsum("ni,ij,nj->n", v.conj(), np.asarray(w, dtype=complex), v).real
     return float(values.min())
+
+
+def witness_matrix_loop(p):
+    """The witness matrix for a MapParams p, one diagonal and three entry pairs at a time."""
+    scale = 1.0 / (3.0 * p.total)
+    diag = np.array([p.a, p.b, p.c, p.c, p.a, p.b, p.b, p.c, p.a])
+    mat = np.diag(diag).astype(complex) * scale
+    for i, j in ((0, 4), (0, 8), (4, 8)):
+        mat[i, j] = -scale
+        mat[j, i] = -scale
+    return mat
+
+
+def record_to_csv_row(rec, header):
+    """One scan CSV line (no newline), one cell at a time in the columns of header."""
+    cells = []
+    for key in header.split(","):
+        value = rec[key]
+        if value is None:
+            cells.append("")
+        elif isinstance(value, str):
+            cells.append(value)
+        elif isinstance(value, int):
+            cells.append(str(value))
+        else:
+            cells.append(f"{value:.17g}")
+    return ",".join(cells)
 
 
 def _det3(b):

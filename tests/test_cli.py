@@ -5,9 +5,22 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from choiwit import max_ent_projector, state_file_text
-from choiwit.cli import CSV_HEADER, MAX_SAMPLES, MAX_STEPS, main, parse_alpha, parse_weight
+from choiwit import Verdict, certify_many, family_from_alpha, max_ent_projector, state_file_text
+from choiwit.cli import (
+    CSV_HEADER,
+    MAX_SAMPLES,
+    MAX_STEPS,
+    _csv_row,
+    _scan_record,
+    main,
+    parse_alpha,
+    parse_weight,
+)
+from choiwit.maps import ALPHA_MAX, ALPHA_MIN
+from oracles import record_to_csv_row
 
 
 def run_cli(*argv):
@@ -114,6 +127,74 @@ def test_scan_rejects_bad_tol(capsys):
     assert capsys.readouterr().err == "error: --tol must be a positive finite number\n"
 
 
+@pytest.mark.parametrize("tol", ["1", "2", "1e301"])
+def test_scan_rejects_tol_of_one_or_more(tol, capsys):
+    base = ["scan", "--alpha-start", "pi/2", "--alpha-end", "pi", "--steps", "3"]
+    assert run_cli(*base, "--tol", tol) == 2
+    assert capsys.readouterr().err == "error: --tol must be less than 1\n"
+    assert run_cli(*base, "--tol", "0.999") == 0
+
+
+def _csv_oracle(rec):
+    return record_to_csv_row(rec, CSV_HEADER) + "\n"
+
+
+def test_scan_records_follow_the_csv_header():
+    certs = certify_many([family_from_alpha(a).params for a in (ALPHA_MIN, math.pi)])
+    for cert in certs:
+        assert ",".join(_scan_record(1.0, cert)) == CSV_HEADER
+
+
+def test_csv_rows_match_the_per_cell_oracle_on_scan_records():
+    # The ends are a = 1 boundary rows with empty cells; pi is t = 1.
+    alphas = [ALPHA_MIN, ALPHA_MIN + 1e-9, 2.0, math.pi, 4.5, ALPHA_MAX - 1e-9, ALPHA_MAX]
+    certs = certify_many([family_from_alpha(a).params for a in alphas])
+    assert certs[0].verdict == certs[-1].verdict == Verdict.BOUNDARY
+    for alpha, cert in zip(alphas, certs):
+        rec = _scan_record(alpha, cert)
+        assert _csv_row(rec) == _csv_oracle(rec)
+
+
+EXTREMES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e300, 1.7976931348623157e308, 1 / 3]
+FLOATS = st.one_of(
+    st.sampled_from(EXTREMES),
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+)
+
+
+def _record(values, ranks, verdict):
+    keys = CSV_HEADER.split(",")
+    rec = dict(zip(keys, values[:7] + ranks + values[7:] + [verdict]))
+    assert list(rec) == keys
+    return rec
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(FLOATS, min_size=9, max_size=9),
+    st.lists(st.integers(0, 9), min_size=2, max_size=2),
+    st.sampled_from([v.value for v in Verdict if v is not Verdict.BOUNDARY]),
+)
+def test_csv_rows_match_the_per_cell_oracle(values, ranks, verdict):
+    rec = _record(values, ranks, verdict)
+    assert _csv_row(rec) == _csv_oracle(rec)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(FLOATS, min_size=4, max_size=4))
+def test_boundary_csv_rows_match_the_per_cell_oracle(values):
+    rec = _record(values + [None] * 5, [None, None], Verdict.BOUNDARY.value)
+    assert _csv_row(rec) == _csv_oracle(rec)
+    assert _csv_row(rec).count(",,,,,,,,") == 1
+
+
+@pytest.mark.parametrize("x", EXTREMES)
+def test_csv_rows_print_extreme_floats_like_the_oracle(x):
+    rec = _record([x] * 9, [0, 9], Verdict.NOT_CERTIFIED.value)
+    assert _csv_row(rec) == _csv_oracle(rec)
+    assert _csv_row(rec).split(",")[7:9] == ["0", "9"]
+
+
 def test_scan_unwritable_output(tmp_path):
     code = run_cli(
         "scan", "--alpha-start", "pi/3", "--alpha-end", "5pi/3",
@@ -157,6 +238,15 @@ def test_check_rejects_bad_tol(tol, capsys):
     assert capsys.readouterr().err == "error: --tol must be a positive finite number\n"
 
 
+@pytest.mark.parametrize("tol", ["1", "2", "1e301"])
+def test_check_rejects_tol_of_one_or_more(tol, capsys):
+    # No singular value exceeds tol * sigma_max once tol >= 1, and a huge tol
+    # used to admit (0, 1e-300, 1e300) as a family point, whose t overflows.
+    for triple in (("0", "1", "1"), ("0", "1e-300", "1e300")):
+        assert run_cli("check", *triple, "--tol", tol) == 2
+        assert capsys.readouterr().err == "error: --tol must be less than 1\n"
+
+
 def test_check_rejects_bad_samples(capsys):
     assert run_cli("check", "0", "1", "1", "--samples", "0") == 2
     assert capsys.readouterr().err == "error: --samples must be at least 1\n"
@@ -197,6 +287,21 @@ def test_vectors_conjugated_flag(tmp_path):
 def test_vectors_rejects_nonpositive_t():
     assert run_cli("vectors", "-1") == 2
     assert run_cli("vectors", "0") == 2
+
+
+def test_vectors_rejects_t_whose_span_entries_overflow(tmp_path, capsys):
+    # The largest span entry is t * sqrt(t), finite up to about 3.2e205.
+    assert run_cli("vectors", "1e300") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: t must be below about 3e205, where the span entries overflow\n"
+    for t in ("1e200", "3.1e205"):
+        for flag in ([], ["--conjugated"]):
+            out = tmp_path / "vectors.txt"
+            assert run_cli("vectors", t, *flag, "--out", str(out)) == 0
+            text = out.read_text()
+            assert len(text.splitlines()) == 27
+            assert "inf" not in text and "nan" not in text
 
 
 def test_detect_max_ent_state(tmp_path, capsys):

@@ -19,9 +19,15 @@ from choiwit import (
     state_file_text,
     witness_from_map,
     witness_matrix,
+    witness_stack,
 )
 from choiwit.witness import _form_matrix, _hermitian_coords
-from oracles import random_hermitian, separable_sample_min_einsum, trace_product
+from oracles import (
+    random_hermitian,
+    separable_sample_min_einsum,
+    trace_product,
+    witness_matrix_loop,
+)
 
 FAMILY_ALPHAS = np.linspace(math.pi / 3, 5 * math.pi / 3, 21)
 
@@ -61,6 +67,33 @@ def test_witness_matrix_hermitian_real_unit_trace():
         assert np.abs(w - w.conj().T).max() == 0
         assert np.abs(w.imag).max() == 0
         assert np.trace(w).real == pytest.approx(1.0, abs=1e-14)
+
+
+# Exact zeros, the Choi point's weights and general magnitudes; the sum stays
+# far enough from 0 and from overflow that the scale 1/(3(a+b+c)) is finite.
+WEIGHTS = st.one_of(
+    st.sampled_from([0.0, 1.0, 2 / 3]),
+    st.floats(1e-100, 1e100),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(WEIGHTS, WEIGHTS, WEIGHTS), min_size=0, max_size=8), st.integers(0, 8))
+def test_witness_stack_is_bit_equal_to_the_loop(triples, at):
+    triples.insert(min(at, len(triples)), (1.0, 1.0, 0.0))
+    params = [MapParams(*w) for w in triples if sum(w) > 0]
+    stack = witness_stack([(p.a, p.b, p.c) for p in params])
+    assert stack.shape == (len(params), 9, 9) and stack.dtype == complex
+    for mat, p in zip(stack, params):
+        assert mat.tobytes() == witness_matrix_loop(p).tobytes()
+        assert witness_matrix(p).mat.tobytes() == mat.tobytes()
+        assert witness_matrix(p).scale == 1.0 / (3.0 * p.total)
+
+
+def test_witness_stack_rejects_bad_shapes():
+    for bad in ([1.0, 1.0, 0.0], [[1.0, 1.0]], np.ones((2, 3, 1))):
+        with pytest.raises(ValueError, match="shape"):
+            witness_stack(bad)
 
 
 @pytest.mark.parametrize("triple", [(1, 1, 0), (0, 1, 1), (2 / 3, 2 / 3, 2 / 3)])
