@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import ChoiwitError
 from .maps import ALPHA_MAX, ALPHA_MIN, MapParams, family_from_alpha, family_violation
-from .optimality import Certificate, Verdict, certify, certify_many, product_vectors, span_matrix
+from .optimality import ON_FAMILY_TOL, Certificate, Verdict, _certificate_rows, certify
+from .optimality import product_vectors, span_matrix
 from .witness import (
     detect,
     format_complex,
@@ -95,7 +96,7 @@ def _fmt(x: float) -> str:
 
 
 def _scan_record(alpha: float, cert: Certificate) -> dict:
-    """The record of one grid point; its keys follow CSV_HEADER in order."""
+    """The record of a certificate at angle alpha; its keys follow CSV_HEADER in order."""
     p = cert.params
     d = cert.diagnostics
     return {
@@ -114,18 +115,52 @@ def _scan_record(alpha: float, cert: Certificate) -> dict:
     }
 
 
+_CSV_KEYS = CSV_HEADER.split(",")
+#: The cells after alpha, a, b and c of an a = 1 boundary point.
+_BOUNDARY_CELLS = (None,) * 7 + (Verdict.BOUNDARY.value,)
+
+
+def _scan_values(alphas: list[float], tol: float) -> list[tuple]:
+    """One tuple per angle, in CSV_HEADER order, straight from the certificate kernel.
+
+    The grid is certified in blocks of SCAN_BLOCK points.  Each tuple holds
+    the values _scan_record gives for that point's certificate.
+    """
+    values = []
+    for i in range(0, len(alphas), SCAN_BLOCK):
+        block = alphas[i : i + SCAN_BLOCK]
+        params = [family_from_alpha(a).params for a in block]
+        for alpha, p, row in zip(block, params, _certificate_rows(params, tol)):
+            if row is None:
+                values.append((alpha, p.a, p.b, p.c) + _BOUNDARY_CELLS)
+                continue
+            t, max_w, max_wg, rank_m, rank_mp, re_m, im_m, re_mp, im_mp, verdict = row
+            det_m, det_mp = abs(complex(re_m, im_m)), abs(complex(re_mp, im_mp))
+            values.append(
+                (alpha, p.a, p.b, p.c, t, det_m, det_mp, rank_m, rank_mp, max_w, max_wg, verdict)
+            )
+    return values
+
+
 #: A CSV row in CSV_HEADER order: floats as _fmt prints them, ranks as integers.
 _CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%d,%.17g,%.17g,%s\n"
 #: The a = 1 boundary row: alpha, a, b, c, seven empty cells, the verdict.
 _CSV_BOUNDARY_ROW = "%.17g,%.17g,%.17g,%.17g,,,,,,,,%s\n"
 
 
-def _csv_row(rec: dict) -> str:
-    """One CSV line for a _scan_record, formatted in a single pass."""
-    values = tuple(rec.values())
-    if rec["t"] is None:  # the boundary: every diagnostic cell is empty
+def _csv_row(values: tuple) -> str:
+    """One CSV line for a tuple of values in CSV_HEADER order, formatted in a single pass."""
+    if values[4] is None:  # the boundary: every diagnostic cell is empty
         return _CSV_BOUNDARY_ROW % (values[:4] + values[-1:])
     return _CSV_ROW % values
+
+
+def _scan_text(values: list[tuple], fmt: str) -> str:
+    """The scan output for _scan_values tuples: CSV, or JSON with one record per tuple."""
+    if fmt == "csv":
+        return CSV_HEADER + "\n" + "".join(map(_csv_row, values))
+    records = [dict(zip(_CSV_KEYS, v)) for v in values]
+    return json.dumps({"records": records}, indent=2) + "\n"
 
 
 def _write_output(text: str, out_path: str | None) -> int:
@@ -158,17 +193,8 @@ def cmd_scan(args) -> int:
             file=sys.stderr,
         )
         return 2
-    alphas = np.linspace(start, end, args.steps).tolist()
-    records = []
-    for i in range(0, len(alphas), SCAN_BLOCK):
-        block = alphas[i : i + SCAN_BLOCK]
-        certs = certify_many([family_from_alpha(a).params for a in block], tol=args.tol)
-        records += [_scan_record(a, cert) for a, cert in zip(block, certs)]
-    if args.format == "csv":
-        text = CSV_HEADER + "\n" + "".join(map(_csv_row, records))
-    else:
-        text = json.dumps({"records": records}, indent=2) + "\n"
-    return _write_output(text, args.out)
+    values = _scan_values(np.linspace(start, end, args.steps).tolist(), args.tol)
+    return _write_output(_scan_text(values, args.format), args.out)
 
 
 def _certificate_payload(cert: Certificate, sample_min: float, args) -> dict:
@@ -193,7 +219,7 @@ def cmd_check(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    reason = family_violation(params, args.tol)
+    reason = family_violation(params, ON_FAMILY_TOL)
     if reason is not None:
         print(f"error: not a family point: {reason}", file=sys.stderr)
         return 2
@@ -244,12 +270,12 @@ def cmd_vectors(args) -> int:
 
 def cmd_detect(args) -> int:
     try:
-        params = MapParams(args.a, args.b, args.c)
+        witness = witness_matrix(MapParams(args.a, args.b, args.c))
         rho = parse_state_file(args.state)
     except (ChoiwitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    value = detect(witness_matrix(params), rho)
+    value = detect(witness, rho)
     print(f"tr(W rho) = {_fmt(value)}")
     if value < 0:
         print("state detected (negative expectation)")

@@ -54,7 +54,11 @@ def _as_square(x, name, batched=False):
 
 def _require_hermitian(m, tol):
     """Raise NotHermitianError unless every matrix of the stack m is Hermitian within tol."""
-    if float(np.abs(m - np.swapaxes(m, -1, -2).conj()).max()) > tol:
+    # The conjugate transpose is written C-contiguous and the difference
+    # into it: numpy subtracts contiguous operands on its fast loop.
+    diff = np.conjugate(np.swapaxes(m, -1, -2), order="C")
+    np.subtract(m, diff, out=diff)
+    if float(np.abs(diff).max()) > tol:
         raise NotHermitianError(f"matrix is not Hermitian within {tol:g}")
 
 

@@ -46,13 +46,14 @@ class MapParams:
     c: float
 
     def __post_init__(self):
-        for name in ("a", "b", "c"):
-            value = float(getattr(self, name))
+        weights = {}
+        for name, value in (("a", self.a), ("b", self.b), ("c", self.c)):
+            value = weights[name] = float(value)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
             if value < 0:
                 raise ValueError(f"{name} must be nonnegative, got {value!r}")
-            object.__setattr__(self, name, value)
+        self.__dict__.update(weights)
         if self.a + self.b + self.c <= 0:
             raise ValueError("a + b + c must be positive")
 
@@ -208,11 +209,17 @@ def family_from_alpha(alpha: float) -> FamilyPoint:
         raise OutOfRangeError(
             f"alpha must lie in [pi/3, 5*pi/3], got {alpha!r}"
         )
-    a = (2.0 / 3.0) * (1.0 + math.cos(alpha))
-    b = (2.0 / 3.0) * (1.0 - math.cos(alpha) / 2.0 - math.sqrt(3.0) / 2.0 * math.sin(alpha))
-    c = (2.0 / 3.0) * (1.0 - math.cos(alpha) / 2.0 + math.sqrt(3.0) / 2.0 * math.sin(alpha))
+    cos, sin = math.cos(alpha), math.sin(alpha)
+    a = (2.0 / 3.0) * (1.0 + cos)
+    b = (2.0 / 3.0) * (1.0 - cos / 2.0 - math.sqrt(3.0) / 2.0 * sin)
+    c = (2.0 / 3.0) * (1.0 - cos / 2.0 + math.sqrt(3.0) / 2.0 * sin)
     # Values that are zero in closed form may round to tiny negatives.
-    a, b, c = (0.0 if -1e-12 <= v < 0.0 else v for v in (a, b, c))
+    if -1e-12 <= a < 0.0:
+        a = 0.0
+    if -1e-12 <= b < 0.0:
+        b = 0.0
+    if -1e-12 <= c < 0.0:
+        c = 0.0
     if abs(a + b + c - 2.0) > 1e-12 or abs(b * c - (1.0 - a) ** 2) > 1e-12:
         raise ArithmeticError(f"family conditions violated at alpha={alpha!r}")
     params = MapParams(a, b, c)

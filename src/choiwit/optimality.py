@@ -9,9 +9,11 @@ certified indecomposable optimal.  The 9x9 matrices collecting the vectors
 as columns have analytic determinants; tests/test_exact.py proves them in
 exact integer arithmetic, and the certificates report them.
 
-The whole test runs as one batched kernel, certify_many: all pairs, span
-matrices and witnesses of a batch are stacked along a leading axis and
-checked in stacked numpy calls.  certify is its one-point case.
+The whole test runs as one batched kernel: all pairs, span matrices and
+witnesses of a batch are stacked along a leading axis and checked in
+stacked numpy calls, and each point's results leave numpy as one tuple of
+plain Python numbers.  certify_many wraps those tuples in Certificates, and
+certify is its one-point case; the scan command formats them directly.
 """
 
 from __future__ import annotations
@@ -110,41 +112,33 @@ def _check_t(t) -> float:
     return t
 
 
+#: Entry codes of the pair tables, psi then phi, row k - 1 for pair k: codes
+#: 0 to 4 stand for 0, 1, -1, 1j and -1j, codes 5, 6 and 7 for sqrt(t), t and
+#: -t*1j.
+_PAIR_CODES = np.array(
+    [
+        [[1, 1, 1], [1, 2, 1], [1, 3, 4], [0, 5, 1], [0, 5, 3],
+         [1, 0, 5], [3, 0, 5], [5, 1, 0], [5, 3, 0]],
+        [[1, 1, 1], [1, 2, 1], [1, 4, 3], [0, 5, 6], [0, 5, 7],
+         [6, 0, 5], [7, 0, 5], [5, 6, 0], [5, 7, 0]],
+    ]
+)[:, None]
+
+
 def _pair_arrays(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """psi and phi of the nine pairs for each entry of t, as (N, 9, 3) arrays.
+    """psi and phi of the nine pairs for each entry of t, as C-contiguous (N, 9, 3) arrays.
 
     Row k - 1 holds pair k.  Every entry is the same complex number the
-    one-point tables give, signed zeros included.
+    one-point tables give, signed zeros included.  Both tables come from one
+    gather that writes a C-contiguous (2, N, 9, 3) array: the layout of the
+    pair products decides the summation order of the quadratic forms.
     """
-    s = np.sqrt(t)
-    mt = -t * 1j
-    psi = [
-        [1, 1, 1],
-        [1, -1, 1],
-        [1, 1j, -1j],
-        [0, s, 1],
-        [0, s, 1j],
-        [1, 0, s],
-        [1j, 0, s],
-        [s, 1, 0],
-        [s, 1j, 0],
-    ]
-    phi = [
-        [1, 1, 1],
-        [1, -1, 1],
-        [1, -1j, 1j],
-        [0, s, t],
-        [0, s, mt],
-        [t, 0, s],
-        [mt, 0, s],
-        [s, t, 0],
-        [s, mt, 0],
-    ]
-    out = np.empty((2, len(t), 9, 3), dtype=complex)
-    for m, table in enumerate((psi, phi)):
-        for k, row in enumerate(table):
-            for j, entry in enumerate(row):
-                out[m, :, k, j] = entry
+    entries = np.empty((len(t), 8), dtype=complex)
+    entries[:, :5] = (0, 1, -1, 1j, -1j)
+    entries[:, 5] = np.sqrt(t)
+    entries[:, 6] = t
+    entries[:, 7] = -t * 1j
+    out = entries[np.arange(len(t))[:, None, None], _PAIR_CODES]
     return out[0], out[1]
 
 
@@ -203,13 +197,13 @@ def det_closed_form(t, conjugated: bool) -> complex:
     return complex(part, part) if conjugated else complex(re, im)
 
 
-def _family_t(p: MapParams, tol: float) -> float | None:
+def _family_t(p: MapParams) -> float | None:
     """The family guard: t of p, or None on the a = 1 boundary.
 
-    Raises OffFamilyError when p is off the family within tol, and
-    NonpositiveTError when t is not a positive finite real.
+    Raises OffFamilyError when p is off the family within ON_FAMILY_TOL,
+    and NonpositiveTError when t is not a positive finite real.
     """
-    if family_violation(p, tol) is not None:
+    if family_violation(p, ON_FAMILY_TOL) is not None:
         raise OffFamilyError(
             f"(a,b,c)=({p.a!r},{p.b!r},{p.c!r}) does not satisfy the family conditions"
         )
@@ -242,47 +236,70 @@ _BOUNDARY_DIAGNOSTICS = CertificateDiagnostics(
 )
 
 
+#: Verdict values by code: 0 when the W side fails, 1 when only it passes, 2 for both.
+_VERDICT_BY_CODE = np.array(
+    [Verdict.NOT_CERTIFIED.value, Verdict.OPTIMAL_ONLY.value, Verdict.INDECOMPOSABLE_OPTIMAL.value],
+    dtype=object,
+)
+
+
+def _certificate_rows(points: list[MapParams], tol: float) -> list[tuple | None]:
+    """The certificate kernel: one row of plain Python numbers per family point.
+
+    A row is None on the a = 1 boundary, otherwise the tuple (t, max_w,
+    max_wgamma, rank_m, rank_mprime, Re det M, Im det M, Re det M',
+    Im det M', verdict value), the maxima and determinants as floats, the
+    ranks as ints.  Every point passes the family guard and the t check in
+    sequence order before any numerical work, so an error names the first
+    offending point.  The Hermiticity and roundoff checks then run on the
+    whole batch.
+    """
+    if not (tol > 0):
+        raise ValueError("tol must be positive")
+    ts = [_family_t(p) for p in points]
+    t = np.array([t for t in ts if t is not None])
+    if not len(t):
+        return [None] * len(ts)
+    # Axis 0 of every stack below is the side: the plain pairs against W,
+    # then the conjugated pairs against W^Gamma.  Axis 1 runs over the
+    # points off the boundary.
+    psi, phi = _pair_arrays(t)
+    vectors = _products(psi, np.stack([phi, phi.conj()]))
+    w = witness_stack([(p.a, p.b, p.c) for p, t_p in zip(points, ts) if t_p is not None])
+    witnesses = np.stack([w, partial_transpose_second(w)])
+    max_exp = np.abs(quadratic_forms(witnesses, vectors)).max(axis=-1)
+    spans = _columns(vectors)
+    norms = np.linalg.norm(spans, axis=-2, keepdims=True)
+    ranks = rank_with_tol(spans / norms, tol)
+    # det of a column-normalized span matrix = closed form / product of
+    # its column norms, divided as reals.  Below t ~ 1e-108 both underflow
+    # to 0; the determinant, of order t^1.5, is then 0 too.
+    scale = np.prod(norms[..., 0, :], axis=-1)
+    re, im, part = _det_parts(t, np.sqrt(t))
+    num = np.stack([[re, im], [part, part]])
+    dets = np.divide(num, scale[:, None], out=np.zeros_like(num), where=scale[:, None] > 0)
+    ok = (max_exp <= tol) & (ranks == 9)
+    verdicts = _VERDICT_BY_CODE[ok[0] * (1 + ok[1])]
+    rows = zip(
+        t.tolist(), *max_exp.tolist(), *ranks.tolist(), *dets.reshape(4, -1).tolist(), verdicts.tolist()
+    )
+    return [None if t_p is None else next(rows) for t_p in ts]
+
+
 def certify_many(params_seq, tol: float = 1e-8) -> list[Certificate]:
     """Issue the optimality certificates for a sequence of family points.
 
     The points are certified as one batch, and each certificate is
     bit-for-bit the one certify gives for its point alone: no result
     depends on what else is in the batch.  Every point passes the family
-    guard and the t check in sequence order before any numerical work, so
-    an error names the first offending point.  The Hermiticity and
-    roundoff checks then run on the whole batch.
+    guard (at ON_FAMILY_TOL, whatever tol) and the t check in sequence order
+    before any numerical work, so an error names the first offending point.
+    The Hermiticity and roundoff checks then run on the whole batch.
     """
-    if not (tol > 0):
-        raise ValueError("tol must be positive")
     points = list(params_seq)
-    ts = [_family_t(p, max(tol, ON_FAMILY_TOL)) for p in points]
-    t = np.array([t for t in ts if t is not None])
-    if len(t):
-        # Axis 0 of every stack below is the side: the plain pairs against W,
-        # then the conjugated pairs against W^Gamma.  Axis 1 runs over the
-        # points off the boundary.
-        psi, phi = _pair_arrays(t)
-        vectors = _products(psi, np.stack([phi, phi.conj()]))
-        w = witness_stack([(p.a, p.b, p.c) for p, t_p in zip(points, ts) if t_p is not None])
-        witnesses = np.stack([w, partial_transpose_second(w)])
-        max_exp = np.abs(quadratic_forms(witnesses, vectors)).max(axis=-1)
-        spans = _columns(vectors)
-        norms = np.linalg.norm(spans, axis=-2, keepdims=True)
-        ranks = rank_with_tol(spans / norms, tol)
-        # det of a column-normalized span matrix = closed form / product of
-        # its column norms, divided as reals.  Below t ~ 1e-108 both underflow
-        # to 0; the determinant, of order t^1.5, is then 0 too.
-        scale = np.prod(norms[..., 0, :], axis=-1)
-        re, im, part = _det_parts(t, np.sqrt(t))
-        num = np.stack([[re, im], [part, part]])
-        dets = np.divide(num, scale[:, None], out=np.zeros_like(num), where=scale[:, None] > 0)
-        # One tuple per point: max_w, max_wg, rank_m, rank_mp, then the real
-        # and imaginary parts of det M and det M'.
-        results = zip(*max_exp.tolist(), *ranks.tolist(), *dets.reshape(4, -1).tolist())
-
     certs = []
-    for p, t_p in zip(points, ts):
-        if t_p is None:
+    for p, row in zip(points, _certificate_rows(points, tol)):
+        if row is None:
             certs.append(
                 Certificate(
                     params=p,
@@ -294,23 +311,15 @@ def certify_many(params_seq, tol: float = 1e-8) -> list[Certificate]:
                 )
             )
             continue
-        max_w, max_wg, rank_m, rank_mp, re_m, im_m, re_mp, im_mp = next(results)
-        w_optimal = max_w <= tol and rank_m == 9
-        wgamma_optimal = max_wg <= tol and rank_mp == 9
-        if w_optimal and wgamma_optimal:
-            verdict = Verdict.INDECOMPOSABLE_OPTIMAL
-        elif w_optimal:
-            verdict = Verdict.OPTIMAL_ONLY
-        else:
-            verdict = Verdict.NOT_CERTIFIED
+        t_p, max_w, max_wg, rank_m, rank_mp, re_m, im_m, re_mp, im_mp, verdict = row
         note = _T1_NOTE if (abs(t_p - 1.0) <= T_ONE_WINDOW and rank_mp < 9) else None
         certs.append(
             Certificate(
                 params=p,
                 t=t_p,
-                w_optimal=w_optimal,
-                wgamma_optimal=wgamma_optimal,
-                verdict=verdict,
+                w_optimal=max_w <= tol and rank_m == 9,
+                wgamma_optimal=max_wg <= tol and rank_mp == 9,
+                verdict=Verdict(verdict),
                 diagnostics=CertificateDiagnostics(
                     max_abs_expectation_w=max_w,
                     max_abs_expectation_wgamma=max_wg,

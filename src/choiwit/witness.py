@@ -69,11 +69,16 @@ def witness_stack(weights) -> np.ndarray:
 
     Each matrix is filled by fancy indexing from its row of weights; the
     stack holds exactly the values the loop over witness_matrix would give.
+    Raises ValueError when a scale 1/(3(a+b+c)) is not finite, as for a
+    weight sum below about 2e-309.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or w.shape[1] != 3:
         raise ValueError(f"weights must have shape (N, 3), got {w.shape}")
-    scale = (1.0 / (3.0 * (w[:, 0] + w[:, 1] + w[:, 2])))[:, None]
+    with np.errstate(divide="ignore", over="ignore"):
+        scale = (1.0 / (3.0 * (w[:, 0] + w[:, 1] + w[:, 2])))[:, None]
+    if not np.isfinite(scale).all():
+        raise ValueError("the witness scale 1/(3(a+b+c)) is not finite; the weight sum is too small")
     out = np.zeros((len(w), 9, 9), dtype=complex)
     out[:, _DIAG, _DIAG] = w[:, _DIAG_WEIGHT] * scale
     out[:, _OFF_ROWS, _OFF_COLS] = -scale

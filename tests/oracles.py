@@ -5,14 +5,17 @@ reduction (the library uses singular values), eigenvalues of Hermitian 3x3
 matrices by solving the characteristic cubic in closed form (the library
 uses LAPACK through np.linalg.eigvalsh), traces by explicit double loops.
 The exceptions are former library routines kept verbatim as references:
-separable_sample_min_einsum, the complex sampler that the library's
-Hermitian-coordinate one must match up to roundoff, and witness_matrix_loop
-and record_to_csv_row, the per-point witness and per-cell CSV row that the
-library's witness_stack and scan row formatter must match bit for bit and
-byte for byte.  Determinants need no
-oracle here: the library's lu_det is itself the cross-check of the closed
-forms that the certificate uses, and tests/test_exact.py proves those
-closed forms in exact integer arithmetic.
+- separable_sample_min_einsum, the complex sampler that the library's
+  Hermitian-coordinate one must match up to roundoff;
+- witness_matrix_loop, pair_arrays_loop and record_to_csv_row, the
+  per-point witness, the per-entry pair tables and the per-cell CSV row
+  that witness_stack, the pair-table gather and the scan row formatter
+  must match bit for bit and byte for byte;
+- certificate_flags, the per-point verdict rule that the certificate
+  kernel's numpy verdict must agree with.
+Determinants need no oracle here: the library's lu_det is itself the
+cross-check of the closed forms that the certificate uses, and
+tests/test_exact.py proves those closed forms in exact integer arithmetic.
 """
 
 import math
@@ -68,6 +71,53 @@ def witness_matrix_loop(p):
         mat[i, j] = -scale
         mat[j, i] = -scale
     return mat
+
+
+def pair_arrays_loop(t):
+    """psi and phi of the nine pairs for each entry of the array t, one entry at a time."""
+    s = np.sqrt(t)
+    mt = -t * 1j
+    psi = [
+        [1, 1, 1],
+        [1, -1, 1],
+        [1, 1j, -1j],
+        [0, s, 1],
+        [0, s, 1j],
+        [1, 0, s],
+        [1j, 0, s],
+        [s, 1, 0],
+        [s, 1j, 0],
+    ]
+    phi = [
+        [1, 1, 1],
+        [1, -1, 1],
+        [1, -1j, 1j],
+        [0, s, t],
+        [0, s, mt],
+        [t, 0, s],
+        [mt, 0, s],
+        [s, t, 0],
+        [s, mt, 0],
+    ]
+    out = np.empty((2, len(t), 9, 3), dtype=complex)
+    for m, table in enumerate((psi, phi)):
+        for k, row in enumerate(table):
+            for j, entry in enumerate(row):
+                out[m, :, k, j] = entry
+    return out[0], out[1]
+
+
+def certificate_flags(max_w, max_wgamma, rank_m, rank_mprime, tol):
+    """(w_optimal, wgamma_optimal, verdict value) of a certificate off the boundary.
+
+    Each side is decided on its own numbers; the verdict follows from the
+    two flags.
+    """
+    w_optimal = max_w <= tol and rank_m == 9
+    wgamma_optimal = max_wgamma <= tol and rank_mprime == 9
+    if w_optimal and wgamma_optimal:
+        return w_optimal, wgamma_optimal, "IndecomposableOptimal"
+    return w_optimal, wgamma_optimal, "OptimalOnly" if w_optimal else "NotCertified"
 
 
 def record_to_csv_row(rec, header):

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choiwit import certify, certify_many, family_from_alpha
+from choiwit import Verdict, certify, certify_many, family_from_alpha
 from choiwit.maps import ALPHA_MAX, ALPHA_MIN
+from oracles import certificate_flags
 
 # Interior angles, kept clear of the end windows where c rounds to 0 and the
 # certificate raises; the ends themselves and t = 1 are mixed in as well.
@@ -37,6 +38,19 @@ def test_certify_many_matches_certify_alone(size, data):
     params = [family_from_alpha(a).params for a in alphas]
     for p, cert in zip(params, certify_many(params)):
         assert _bits(cert) == _bits(certify(p))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(ALPHAS, min_size=1, max_size=70), st.sampled_from([1e-8, 1e-12, 1e-16, 0.5]))
+def test_flags_and_verdict_follow_the_per_point_rule(alphas, tol):
+    # The kernel decides the verdict in numpy and each flag on its own side.
+    for cert in certify_many([family_from_alpha(a).params for a in alphas], tol):
+        d = cert.diagnostics
+        if cert.t is None:
+            assert (cert.w_optimal, cert.wgamma_optimal, cert.verdict) == (False, False, Verdict.BOUNDARY)
+            continue
+        numbers = (d.max_abs_expectation_w, d.max_abs_expectation_wgamma, d.rank_m, d.rank_mprime)
+        assert (cert.w_optimal, cert.wgamma_optimal, cert.verdict.value) == certificate_flags(*numbers, tol)
 
 
 def test_certify_many_of_nothing():

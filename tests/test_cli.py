@@ -2,25 +2,38 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choiwit import Verdict, certify_many, family_from_alpha, max_ent_projector, state_file_text
+from choiwit import (
+    MapParams,
+    OffFamilyError,
+    Verdict,
+    certify,
+    certify_many,
+    family_from_alpha,
+    max_ent_projector,
+    state_file_text,
+)
 from choiwit.cli import (
     CSV_HEADER,
     MAX_SAMPLES,
     MAX_STEPS,
+    SCAN_BLOCK,
     _csv_row,
     _scan_record,
+    _scan_text,
+    _scan_values,
     main,
     parse_alpha,
     parse_weight,
 )
 from choiwit.maps import ALPHA_MAX, ALPHA_MIN
-from oracles import record_to_csv_row
+from oracles import certificate_flags, record_to_csv_row
 
 
 def run_cli(*argv):
@@ -139,6 +152,10 @@ def _csv_oracle(rec):
     return record_to_csv_row(rec, CSV_HEADER) + "\n"
 
 
+def _library_row(rec):
+    return _csv_row(tuple(rec.values()))
+
+
 def test_scan_records_follow_the_csv_header():
     certs = certify_many([family_from_alpha(a).params for a in (ALPHA_MIN, math.pi)])
     for cert in certs:
@@ -152,7 +169,64 @@ def test_csv_rows_match_the_per_cell_oracle_on_scan_records():
     assert certs[0].verdict == certs[-1].verdict == Verdict.BOUNDARY
     for alpha, cert in zip(alphas, certs):
         rec = _scan_record(alpha, cert)
-        assert _csv_row(rec) == _csv_oracle(rec)
+        assert _library_row(rec) == _csv_oracle(rec)
+
+
+# Angles next to both ends at which the certificate still runs: the boundary
+# (a = 1 within 1e-12), NotCertified rows near pi/3 and tiny t near 5pi/3.
+# At 5pi/3 - 1e-8, c rounds to 0 and the t check raises.
+END_WINDOWS = [
+    ALPHA_MIN + 1e-12,
+    ALPHA_MIN + 1e-9,
+    ALPHA_MIN + 1e-6,
+    ALPHA_MIN + 1e-4,
+    ALPHA_MAX - 1e-4,
+    ALPHA_MAX - 1e-6,
+    ALPHA_MAX - 1e-7,
+    ALPHA_MAX - 1e-9,
+    ALPHA_MAX - 1e-12,
+]
+SCAN_ALPHAS = st.one_of(st.floats(ALPHA_MIN + 1e-7, ALPHA_MAX - 1e-7), st.sampled_from(END_WINDOWS))
+
+
+def _certificate_records(alphas, tol):
+    """The scan records of the grid built from certify_many certificates."""
+    certs = certify_many([family_from_alpha(a).params for a in alphas], tol)
+    return [_scan_record(a, cert) for a, cert in zip(alphas, certs)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(SCAN_ALPHAS, max_size=2 * SCAN_BLOCK + 5),
+    st.sampled_from([1e-8, 1e-12, 1e-16, 0.5]),
+)
+def test_scan_rows_equal_the_certificate_path(extra, tol):
+    alphas = sorted(extra + [ALPHA_MIN, ALPHA_MAX, math.pi])
+    values = _scan_values(alphas, tol)
+    records = _certificate_records(alphas, tol)
+    csv = CSV_HEADER + "\n" + "".join(map(_csv_oracle, records))
+    assert _scan_text(values, "csv") == csv
+    assert _scan_text(values, "json") == json.dumps({"records": records}, indent=2) + "\n"
+
+
+def test_scan_rows_when_only_the_w_side_fails():
+    # At a tol between the two expectation maxima of a point, the W side fails
+    # and the W^Gamma side passes: NotCertified, with wgamma_optimal still set.
+    alphas = np.linspace(ALPHA_MIN, ALPHA_MAX, 41)[1:-1].tolist()
+    for alpha, cert in zip(alphas, certify_many([family_from_alpha(a).params for a in alphas])):
+        d = cert.diagnostics
+        if 0 < d.max_abs_expectation_wgamma < d.max_abs_expectation_w:
+            break
+    else:
+        pytest.fail("no grid point has max_wgamma below max_w")
+    tol = d.max_abs_expectation_wgamma
+    cert = certify(cert.params, tol)
+    d = cert.diagnostics
+    assert (d.rank_m, d.rank_mprime) == (9, 9)
+    flags = certificate_flags(d.max_abs_expectation_w, d.max_abs_expectation_wgamma, 9, 9, tol)
+    assert flags == (False, True, "NotCertified")
+    assert (cert.w_optimal, cert.wgamma_optimal, cert.verdict.value) == flags
+    assert _scan_values([alpha], tol)[0][-1] == "NotCertified"
 
 
 EXTREMES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e300, 1.7976931348623157e308, 1 / 3]
@@ -177,22 +251,22 @@ def _record(values, ranks, verdict):
 )
 def test_csv_rows_match_the_per_cell_oracle(values, ranks, verdict):
     rec = _record(values, ranks, verdict)
-    assert _csv_row(rec) == _csv_oracle(rec)
+    assert _library_row(rec) == _csv_oracle(rec)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(FLOATS, min_size=4, max_size=4))
 def test_boundary_csv_rows_match_the_per_cell_oracle(values):
     rec = _record(values + [None] * 5, [None, None], Verdict.BOUNDARY.value)
-    assert _csv_row(rec) == _csv_oracle(rec)
-    assert _csv_row(rec).count(",,,,,,,,") == 1
+    assert _library_row(rec) == _csv_oracle(rec)
+    assert _library_row(rec).count(",,,,,,,,") == 1
 
 
 @pytest.mark.parametrize("x", EXTREMES)
 def test_csv_rows_print_extreme_floats_like_the_oracle(x):
     rec = _record([x] * 9, [0, 9], Verdict.NOT_CERTIFIED.value)
-    assert _csv_row(rec) == _csv_oracle(rec)
-    assert _csv_row(rec).split(",")[7:9] == ["0", "9"]
+    assert _library_row(rec) == _csv_oracle(rec)
+    assert _library_row(rec).split(",")[7:9] == ["0", "9"]
 
 
 def test_scan_unwritable_output(tmp_path):
@@ -225,6 +299,22 @@ def test_check_rejects_off_family(capsys):
     assert "a+b+c" in capsys.readouterr().err
     # Sums to 2 but violates the product condition.
     assert run_cli("check", "2/3", "2/3", "2/3") == 2
+
+
+def test_check_family_guard_does_not_widen_with_tol(capsys):
+    # a+b+c = 2.5: off the family whatever --tol, in check and in the kernel.
+    assert run_cli("check", "0.5", "0.5", "1.5", "--tol", "0.9") == 2
+    assert capsys.readouterr().err == "error: not a family point: a+b+c = 2.5 differs from 2\n"
+    with pytest.raises(OffFamilyError):
+        certify_many([MapParams(0.5, 0.5, 1.5)], tol=0.9)
+    # Off by 5e-9, within the family tolerance 1e-8: check accepts the point
+    # at a smaller --tol, as the kernel does, and certifies it at that tol.
+    p = family_from_alpha(2.0).params
+    triple = (repr(p.a), repr(p.b), repr(p.c + 5e-9))
+    assert run_cli("check", *triple, "--tol", "1e-10") == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "verdict: NotCertified" in captured.out
 
 
 def test_check_boundary_exits_one(capsys):
@@ -320,6 +410,22 @@ def test_detect_maximally_mixed(tmp_path, capsys):
     assert run_cli("detect", "0", "1", "1", str(state)) == 1
     value = float(capsys.readouterr().out.splitlines()[0].split("=")[1])
     assert value == pytest.approx(1 / 9, abs=1e-10)
+
+
+def test_detect_rejects_a_weight_sum_too_small(tmp_path, capsys):
+    # 1/(3(a+b+c)) overflows: a usage error, not a NaN expectation.
+    state = tmp_path / "state.txt"
+    state.write_text(state_file_text(np.eye(9) / 9))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("detect", "5e-324", "0", "0", str(state)) == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the witness scale 1/(3(a+b+c)) is not finite; the weight sum is too small\n"
+    )
+    assert run_cli("detect", "1e-300", "0", "0", str(state)) == 1
 
 
 def test_detect_malformed_state(tmp_path):

@@ -17,6 +17,7 @@ from choiwit import (
     span_matrix,
     witness_matrix,
 )
+from choiwit.linalg import quadratic_forms
 from oracles import eig3_min_cubic, random_hermitian, rank_row_reduction
 
 
@@ -211,6 +212,18 @@ def test_expectation_rejects_non_hermitian():
     a[0, 1] = 1e-6
     with pytest.raises(NotHermitianError):
         expectation(a, np.ones(9))
+
+
+@pytest.mark.parametrize("delta", [2e-12, 2e-12j])
+def test_quadratic_forms_reject_a_stack_off_hermitian_by_2e_12(delta):
+    # The certificate kernel's layout: W and W^Gamma stacked over the points.
+    w = np.stack([witness_matrix(MapParams(a, 1.0, 1.0)).mat for a in (0.0, 0.5, 1.0)])
+    stack = np.stack([w, partial_transpose_second(w)])
+    v = np.ones((2, 3, 4, 9))
+    quadratic_forms(stack, v)
+    stack[1, 2, 3, 7] += delta
+    with pytest.raises(NotHermitianError):
+        quadratic_forms(stack, v)
 
 
 def test_expectation_zero_on_family_pair():

@@ -24,6 +24,8 @@ from choiwit import (
     witness_matrix,
     zero_expectation_check,
 )
+from choiwit.optimality import _pair_arrays
+from oracles import pair_arrays_loop
 
 PI = math.pi
 
@@ -51,6 +53,20 @@ def test_first_pair_is_t_independent():
 def test_product_vectors_rejects_bad_t(t):
     with pytest.raises(NonpositiveTError):
         product_vectors(t)
+
+
+@pytest.mark.parametrize(
+    "t",
+    [[1.0], [1e-300], [1e200], [1.0, 1e-300, 1e200], np.random.default_rng(3).lognormal(0, 8, 67)],
+)
+def test_pair_arrays_match_the_former_loop(t):
+    t = np.asarray(t, dtype=float)
+    for got, want in zip(_pair_arrays(t), pair_arrays_loop(t)):
+        assert got.shape == want.shape == (len(t), 9, 3)
+        assert got.flags.c_contiguous
+        # Equal bits, signed zeros included (-1j has real part -0.0).
+        assert np.array_equal(got.view(float), want.view(float))
+        assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
 
 
 def test_span_matrix_columns():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,18 @@ def test_witness_stack_rejects_bad_shapes():
     for bad in ([1.0, 1.0, 0.0], [[1.0, 1.0]], np.ones((2, 3, 1))):
         with pytest.raises(ValueError, match="shape"):
             witness_stack(bad)
+
+
+def test_witness_stack_rejects_a_weight_sum_too_small():
+    # 1/(3 * 5e-324) overflows; 0 * inf would put NaN in the witness.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for weights in ([(5e-324, 0.0, 0.0)], [(0.0, 1.0, 1.0), (0.0, 0.0, 1e-320)]):
+            with pytest.raises(ValueError, match="not finite"):
+                witness_stack(weights)
+        with pytest.raises(ValueError, match="not finite"):
+            witness_matrix(MapParams(5e-324, 0, 0))
+        assert np.isfinite(witness_matrix(MapParams(1e-300, 0, 0)).mat).all()
 
 
 @pytest.mark.parametrize("triple", [(1, 1, 0), (0, 1, 1), (2 / 3, 2 / 3, 2 / 3)])
