@@ -2,7 +2,8 @@
 and state detection, with reproducible CSV/JSON output.
 
 Exit codes: 0 success or affirmative result, 1 negative result, 2 usage or
-validation error, 3 I/O failure.
+validation error, 3 I/O failure.  The subcommands raise on bad input; main
+alone reports it, as ``error: <message>`` on stderr with exit 2.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import sys
 import numpy as np
 
 from .errors import ChoiwitError
-from .maps import ALPHA_MAX, ALPHA_MIN, MapParams, family_from_alpha, family_violation
-from .optimality import ON_FAMILY_TOL, Certificate, Verdict, _certificate_rows, certify
+from .maps import ALPHA_MAX, ALPHA_MIN, MapParams, family_from_alpha
+from .optimality import Certificate, Verdict, _certificate_rows, certify
 from .optimality import product_vectors, span_matrix
 from .witness import (
     detect,
@@ -72,23 +73,22 @@ def parse_weight(text: str) -> float:
         return float(num) / divisor
 
 
-def _option_error(tol: float, samples: int = 1, seed: int = 0, steps: int = 2) -> str | None:
-    """The usage error in the --tol, --samples, --seed and --steps values, or None."""
+def _check_options(tol: float, samples: int = 1, seed: int = 0, steps: int = 2) -> None:
+    """Raise ChoiwitError for a usage error in the --tol, --samples, --seed and --steps values."""
     if not (math.isfinite(tol) and tol > 0):
-        return "--tol must be a positive finite number"
+        raise ChoiwitError("--tol must be a positive finite number")
     if tol >= 1:
-        return "--tol must be less than 1"
+        raise ChoiwitError("--tol must be less than 1")
     if steps < 2:
-        return "--steps must be at least 2"
+        raise ChoiwitError("--steps must be at least 2")
     if steps > MAX_STEPS:
-        return f"--steps must be at most {MAX_STEPS}"
+        raise ChoiwitError(f"--steps must be at most {MAX_STEPS}")
     if samples < 1:
-        return "--samples must be at least 1"
+        raise ChoiwitError("--samples must be at least 1")
     if samples > MAX_SAMPLES:
-        return f"--samples must be at most {MAX_SAMPLES}"
+        raise ChoiwitError(f"--samples must be at most {MAX_SAMPLES}")
     if seed < 0:
-        return "--seed must be a nonnegative integer"
-    return None
+        raise ChoiwitError("--seed must be a nonnegative integer")
 
 
 def _fmt(x: float) -> str:
@@ -177,22 +177,11 @@ def _write_output(text: str, out_path: str | None) -> int:
 
 
 def cmd_scan(args) -> int:
-    try:
-        start = parse_alpha(args.alpha_start)
-        end = parse_alpha(args.alpha_end)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    error = _option_error(args.tol, steps=args.steps)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    start = parse_alpha(args.alpha_start)
+    end = parse_alpha(args.alpha_end)
+    _check_options(args.tol, steps=args.steps)
     if not (ALPHA_MIN - 1e-12 <= start < end <= ALPHA_MAX + 1e-12):
-        print(
-            "error: need pi/3 <= alpha-start < alpha-end <= 5*pi/3",
-            file=sys.stderr,
-        )
-        return 2
+        raise ChoiwitError("need pi/3 <= alpha-start < alpha-end <= 5*pi/3")
     values = _scan_values(np.linspace(start, end, args.steps).tolist(), args.tol)
     return _write_output(_scan_text(values, args.format), args.out)
 
@@ -210,19 +199,8 @@ def _certificate_payload(cert: Certificate, sample_min: float, args) -> dict:
 
 
 def cmd_check(args) -> int:
-    error = _option_error(args.tol, args.samples, args.seed)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    try:
-        params = MapParams(args.a, args.b, args.c)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    reason = family_violation(params, ON_FAMILY_TOL)
-    if reason is not None:
-        print(f"error: not a family point: {reason}", file=sys.stderr)
-        return 2
+    _check_options(args.tol, args.samples, args.seed)
+    params = MapParams(args.a, args.b, args.c)
     cert = certify(params, tol=args.tol)
     sample_min = separable_sample_check(
         witness_matrix(params), n=args.samples, seed=args.seed
@@ -250,13 +228,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_vectors(args) -> int:
-    if not (math.isfinite(args.t) and args.t > 0):
-        print("error: t must be a positive finite real", file=sys.stderr)
-        return 2
+    pairs = product_vectors(args.t)  # raises NonpositiveTError unless t is positive and finite
     if math.isinf(args.t * math.sqrt(args.t)):  # the largest span entry, t^1.5
-        print("error: t must be below about 3e205, where the span entries overflow", file=sys.stderr)
-        return 2
-    pairs = product_vectors(args.t)
+        raise ChoiwitError("t must be below about 3e205, where the span entries overflow")
     span = span_matrix(args.t, conjugated=args.conjugated)
     lines = []
     for pair in pairs:
@@ -269,13 +243,7 @@ def cmd_vectors(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    try:
-        witness = witness_matrix(MapParams(args.a, args.b, args.c))
-        rho = parse_state_file(args.state)
-    except (ChoiwitError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    value = detect(witness, rho)
+    value = detect(witness_matrix(MapParams(args.a, args.b, args.c)), parse_state_file(args.state))
     print(f"tr(W rho) = {_fmt(value)}")
     if value < 0:
         print("state detected (negative expectation)")
@@ -333,7 +301,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ChoiwitError as exc:
+    except (ValueError, OSError) as exc:  # ChoiwitError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

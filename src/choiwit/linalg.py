@@ -16,9 +16,6 @@ import numpy as np
 
 from .errors import NotHermitianError
 
-#: Relative tolerance used by default when deciding numerical rank.
-DEFAULT_RANK_TOL = 1e-8
-
 #: Absolute entrywise tolerance for Hermiticity checks.
 HERMITICITY_TOL = 1e-12
 

@@ -200,13 +200,13 @@ def det_closed_form(t, conjugated: bool) -> complex:
 def _family_t(p: MapParams) -> float | None:
     """The family guard: t of p, or None on the a = 1 boundary.
 
-    Raises OffFamilyError when p is off the family within ON_FAMILY_TOL,
-    and NonpositiveTError when t is not a positive finite real.
+    Raises OffFamilyError, with the condition family_violation reports,
+    when p is off the family within ON_FAMILY_TOL, and NonpositiveTError
+    when t is not a positive finite real.
     """
-    if family_violation(p, ON_FAMILY_TOL) is not None:
-        raise OffFamilyError(
-            f"(a,b,c)=({p.a!r},{p.b!r},{p.c!r}) does not satisfy the family conditions"
-        )
+    reason = family_violation(p, ON_FAMILY_TOL)
+    if reason is not None:
+        raise OffFamilyError(f"not a family point: {reason}")
     if p.a >= 1.0 - BOUNDARY_TOL:
         return None
     return _check_t(t_param(p))
@@ -250,9 +250,9 @@ def _certificate_rows(points: list[MapParams], tol: float) -> list[tuple | None]
     max_wgamma, rank_m, rank_mprime, Re det M, Im det M, Re det M',
     Im det M', verdict value), the maxima and determinants as floats, the
     ranks as ints.  Every point passes the family guard and the t check in
-    sequence order before any numerical work, so an error names the first
-    offending point.  The Hermiticity and roundoff checks then run on the
-    whole batch.
+    sequence order before any numerical work, so an error comes from the
+    first offending point and its message carries that point's values.
+    The Hermiticity and roundoff checks then run on the whole batch.
     """
     if not (tol > 0):
         raise ValueError("tol must be positive")
@@ -293,8 +293,9 @@ def certify_many(params_seq, tol: float = 1e-8) -> list[Certificate]:
     bit-for-bit the one certify gives for its point alone: no result
     depends on what else is in the batch.  Every point passes the family
     guard (at ON_FAMILY_TOL, whatever tol) and the t check in sequence order
-    before any numerical work, so an error names the first offending point.
-    The Hermiticity and roundoff checks then run on the whole batch.
+    before any numerical work, so an error comes from the first offending
+    point and carries its values.  The Hermiticity and roundoff checks then
+    run on the whole batch.
     """
     points = list(params_seq)
     certs = []

@@ -70,7 +70,8 @@ def witness_stack(weights) -> np.ndarray:
     Each matrix is filled by fancy indexing from its row of weights; the
     stack holds exactly the values the loop over witness_matrix would give.
     Raises ValueError when a scale 1/(3(a+b+c)) is not finite, as for a
-    weight sum below about 2e-309.
+    weight sum below about 2e-309, or is zero, as for a weight sum whose
+    triple overflows.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or w.shape[1] != 3:
@@ -79,6 +80,8 @@ def witness_stack(weights) -> np.ndarray:
         scale = (1.0 / (3.0 * (w[:, 0] + w[:, 1] + w[:, 2])))[:, None]
     if not np.isfinite(scale).all():
         raise ValueError("the witness scale 1/(3(a+b+c)) is not finite; the weight sum is too small")
+    if not scale.all():
+        raise ValueError("the witness scale 1/(3(a+b+c)) is zero; the weight sum overflows")
     out = np.zeros((len(w), 9, 9), dtype=complex)
     out[:, _DIAG, _DIAG] = w[:, _DIAG_WEIGHT] * scale
     out[:, _OFF_ROWS, _OFF_COLS] = -scale

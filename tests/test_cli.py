@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -451,3 +453,198 @@ def test_console_entry_point(tmp_path):
         "--steps", "5", "--out", str(direct),
     ) == 0
     assert out.read_bytes() == direct.read_bytes()
+
+
+def test_detect_rejects_a_weight_sum_that_overflows(tmp_path, capsys):
+    # 3(a+b+c) overflows: the scale would be 0, and so would tr(W rho).
+    state = tmp_path / "state.txt"
+    state.write_text(state_file_text(max_ent_projector()))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("detect", "1e308", "1e308", "0", str(state)) == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the witness scale 1/(3(a+b+c)) is zero; the weight sum overflows\n"
+    assert run_cli("detect", "1e307", "1e307", "0", str(state)) == 1
+
+
+@pytest.fixture(scope="module")
+def state_dir(tmp_path_factory):
+    """A directory of valid and invalid state files, read by relative or absolute name."""
+    root = tmp_path_factory.mktemp("states")
+    non_hermitian = np.eye(9, dtype=complex) / 9
+    non_hermitian[0, 1] = 0.01
+    files = {
+        "ent.txt": state_file_text(max_ent_projector()),
+        "mixed.txt": state_file_text(np.eye(9) / 9),
+        "nonherm.txt": state_file_text(non_hermitian),
+        "trace.txt": state_file_text(np.eye(9) / 8),
+        "negeig.txt": state_file_text(np.diag([-0.1, 0.1 + 2 / 9] + [1 / 9] * 7)),
+        "garbage.txt": "garbage\n",
+        "badtoken.txt": ("x" + " 0" * 8 + "\n") * 9,
+        "shortline.txt": "0 0\n" * 9,
+    }
+    for name, text in files.items():
+        (root / name).write_text(text)
+    return root
+
+
+_SCAN = ("scan", "--alpha-start", "pi/3", "--alpha-end", "5pi/3")
+_CHECK_OK = ("check", "0", "1", "1")
+_ALPHA_RANGE = "need pi/3 <= alpha-start < alpha-end <= 5*pi/3"
+
+#: Every usage error the subcommands report, as argv and the message after "error: ".
+_USAGE_ERRORS = [
+    (_SCAN + ("--steps", "1"), "--steps must be at least 2"),
+    (_SCAN + ("--steps", "1000001"), "--steps must be at most 1000000"),
+    (_SCAN + ("--steps", "3", "--tol", "0"), "--tol must be a positive finite number"),
+    (_SCAN + ("--steps", "3", "--tol", "-1"), "--tol must be a positive finite number"),
+    (_SCAN + ("--steps", "3", "--tol", "nan"), "--tol must be a positive finite number"),
+    (_SCAN + ("--steps", "3", "--tol", "inf"), "--tol must be a positive finite number"),
+    (_SCAN + ("--steps", "3", "--tol", "1"), "--tol must be less than 1"),
+    (_SCAN + ("--steps", "3", "--tol", "1e301"), "--tol must be less than 1"),
+    (("scan", "--alpha-start", "three", "--alpha-end", "5pi/3", "--steps", "3"),
+     "could not convert string to float: 'three'"),
+    (("scan", "--alpha-start", "pi/3", "--alpha-end", "five", "--steps", "3"),
+     "could not convert string to float: 'five'"),
+    (("scan", "--alpha-start", "pi/0", "--alpha-end", "5pi/3", "--steps", "3"),
+     "zero denominator in angle 'pi/0'"),
+    (("scan", "--alpha-start", "0", "--alpha-end", "pi", "--steps", "3"), _ALPHA_RANGE),
+    (("scan", "--alpha-start", "pi", "--alpha-end", "pi", "--steps", "3"), _ALPHA_RANGE),
+    (("scan", "--alpha-start", "pi", "--alpha-end", "6", "--steps", "3"), _ALPHA_RANGE),
+    (("scan", "--alpha-start", "nan", "--alpha-end", "pi", "--steps", "3"), _ALPHA_RANGE),
+    (("check", "1", "1", "1"), "not a family point: a+b+c = 3.0 differs from 2"),
+    (("check", "2/3", "2/3", "2/3"),
+     "not a family point: b*c = 0.4444444444444444 differs from (1-a)^2 = 0.11111111111111113"),
+    (("check", "1.5", "0.25", "0.25"), "not a family point: a = 1.5 exceeds 1"),
+    (("check", "0.5", "0.5", "1.5", "--tol", "0.9"), "not a family point: a+b+c = 2.5 differs from 2"),
+    (("check", "1e308", "1e308", "0"), "not a family point: a+b+c = inf differs from 2"),
+    (("check", "0.99995", "1.00005", "0"), "t must be a positive finite real, got 0.0"),
+    (("check", "-1", "1", "2"), "a must be nonnegative, got -1.0"),
+    (("check", "nan", "1", "1"), "a must be finite, got nan"),
+    (("check", "inf", "1", "1"), "a must be finite, got inf"),
+    (("check", "0", "0", "0"), "a + b + c must be positive"),
+    (_CHECK_OK + ("--tol", "0"), "--tol must be a positive finite number"),
+    (_CHECK_OK + ("--tol", "1"), "--tol must be less than 1"),
+    (_CHECK_OK + ("--samples", "0"), "--samples must be at least 1"),
+    (_CHECK_OK + ("--samples", "1000001"), "--samples must be at most 1000000"),
+    (_CHECK_OK + ("--seed", "-1"), "--seed must be a nonnegative integer"),
+    (("vectors", "0"), "t must be a positive finite real, got 0.0"),
+    (("vectors", "-1"), "t must be a positive finite real, got -1.0"),
+    (("vectors", "nan"), "t must be a positive finite real, got nan"),
+    (("vectors", "inf"), "t must be a positive finite real, got inf"),
+    (("vectors", "1e300"), "t must be below about 3e205, where the span entries overflow"),
+    (("detect", "0", "1", "1", "nonherm.txt"), "state is not Hermitian within 1e-10"),
+    (("detect", "0", "1", "1", "trace.txt"), "state trace differs from 1 by more than 1e-10"),
+    (("detect", "0", "1", "1", "negeig.txt"), "state has an eigenvalue below -1e-10"),
+    (("detect", "0", "1", "1", "garbage.txt"), "state file must have 9 nonempty lines, got 1"),
+    (("detect", "0", "1", "1", "badtoken.txt"), "line 1, entry 1: cannot parse 'x'"),
+    (("detect", "0", "1", "1", "shortline.txt"), "line 1 must have 9 entries, got 2"),
+    (("detect", "0", "1", "1", "missing.txt"), "[Errno 2] No such file or directory: 'missing.txt'"),
+    (("detect", "0", "1", "1", "."), "[Errno 21] Is a directory: '.'"),
+    (("detect", "-1", "1", "1", "ent.txt"), "a must be nonnegative, got -1.0"),
+    (("detect", "nan", "1", "1", "ent.txt"), "a must be finite, got nan"),
+    (("detect", "0", "0", "0", "ent.txt"), "a + b + c must be positive"),
+    (("detect", "5e-324", "0", "0", "ent.txt"),
+     "the witness scale 1/(3(a+b+c)) is not finite; the weight sum is too small"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _USAGE_ERRORS)
+def test_usage_errors_exit_two_with_one_error_line(argv, message, state_dir, monkeypatch, capsys):
+    monkeypatch.chdir(state_dir)
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, last_line",
+    [
+        (_SCAN + ("--steps", "nope"), "choiwit scan: error: argument --steps: invalid int value: 'nope'"),
+        (("scan", "--alpha-start", "pi/3", "--alpha-end", "pi"),
+         "choiwit scan: error: the following arguments are required: --steps"),
+        (("check", "x", "1", "1"), "choiwit check: error: argument a: invalid parse_weight value: 'x'"),
+        (("check", "0", "1"), "choiwit check: error: the following arguments are required: c"),
+        (("vectors", "x"), "choiwit vectors: error: argument t: invalid float value: 'x'"),
+        (("detect", "1", "1", "0/0", "ent.txt"),
+         "choiwit detect: error: argument c: invalid parse_weight value: '0/0'"),
+        ((), "choiwit: error: the following arguments are required: command"),
+    ],
+)
+def test_parser_errors_exit_two_with_usage(argv, last_line, capsys):
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: choiwit")
+    assert captured.err.endswith(f"\n{last_line}\n")
+
+
+_NUMBERS = [
+    "0", "1", "2", "-1", "0.5", "2/3", "1/3", "4/3", "nan", "inf", "-inf", "1e308", "5e-324",
+    "1e-300", "1e300", "1/0", "0/0", "x", "", "pi", "pi/3", "5pi/3", "pi/0",
+]
+_FAMILY = [
+    ("0", "1", "1"), ("1", "0", "1"), ("1/3", "1/3", "4/3"),
+    ("2/3", repr(2 / 3 * (1 - math.sqrt(3) / 2)), repr(2 / 3 * (1 + math.sqrt(3) / 2))),
+    ("0.99995", "1.00005", "0"),
+]
+_STATES = ["ent.txt", "mixed.txt", "nonherm.txt", "trace.txt", "garbage.txt", "badtoken.txt", "missing.txt", "."]
+
+
+def _option(name, values):
+    """No option, or the option with one of values."""
+    return st.one_of(st.just([]), st.sampled_from(values).map(lambda v: [name, v]))
+
+
+def _flag(name):
+    return st.sampled_from([[], [name]])
+
+
+_num = st.sampled_from(_NUMBERS)
+_weights = st.one_of(st.sampled_from(_FAMILY).map(list), st.lists(_num, min_size=3, max_size=3))
+_tol = _option("--tol", ["1e-8", "1e-12", "0.5", "0", "-1", "nan", "inf", "1", "1e-300", "x"])
+_SCAN_ARGV = st.tuples(
+    st.just(["scan"]),
+    st.sampled_from(_NUMBERS + ["pi/2", "1.2"]).map(lambda v: ["--alpha-start", v]),
+    st.sampled_from(_NUMBERS + ["pi/2", "4"]).map(lambda v: ["--alpha-end", v]),
+    st.sampled_from(["2", "3", "5", "1", "0", "-1", "x", "1000001"]).map(lambda v: ["--steps", v]),
+    _tol,
+    _option("--format", ["csv", "json", "xml"]),
+)
+_CHECK_ARGV = st.tuples(
+    st.just(["check"]),
+    _weights,
+    _tol,
+    _option("--samples", ["1", "10", "0", "-1", "1000001", "x"]),
+    _option("--seed", ["0", "7", "-1", "x"]),
+    _flag("--json"),
+)
+_VECTORS_ARGV = st.tuples(st.just(["vectors"]), _num.map(lambda v: [v]), _flag("--conjugated"))
+_DETECT_ARGV = st.tuples(st.just(["detect"]), _weights, st.sampled_from(_STATES).map(lambda s: [s]))
+#: Random argv for all four subcommands, with state file names relative to a state directory.
+ARGV = st.one_of(_SCAN_ARGV, _CHECK_ARGV, _VECTORS_ARGV, _DETECT_ARGV).map(
+    lambda parts: [word for part in parts for word in part]
+)
+
+
+def _run_quietly(argv):
+    """(exit code, stdout, stderr, warnings) of main on argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue(), caught
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=ARGV)
+def test_main_never_raises(argv, state_dir):
+    argv = [str(state_dir / word) if word in _STATES else word for word in argv]
+    code, _, err, caught = _run_quietly(argv)
+    assert code in (0, 1, 2)
+    assert [str(w.message) for w in caught] == []
+    assert err == "" or err.startswith(("error: ", "usage: "))

@@ -109,6 +109,18 @@ def test_witness_stack_rejects_a_weight_sum_too_small():
         assert np.isfinite(witness_matrix(MapParams(1e-300, 0, 0)).mat).all()
 
 
+def test_witness_stack_rejects_a_weight_sum_that_overflows():
+    # 3(a+b+c) overflows to inf, so the scale would be 0 and the witness all zeros.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for weights in ([(1e308, 1e308, 0.0)], [(0.0, 1.0, 1.0), (1e308, 0.0, 0.0)]):
+            with pytest.raises(ValueError, match="is zero; the weight sum overflows"):
+                witness_stack(weights)
+        with pytest.raises(ValueError, match="is zero; the weight sum overflows"):
+            witness_matrix(MapParams(1e308, 1e308, 0))
+        assert witness_matrix(MapParams(1e307, 0, 0)).scale > 0
+
+
 @pytest.mark.parametrize("triple", [(1, 1, 0), (0, 1, 1), (2 / 3, 2 / 3, 2 / 3)])
 def test_construction_equivalence_named_points(triple):
     p = MapParams(*triple)
