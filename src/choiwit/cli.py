@@ -17,8 +17,8 @@ import sys
 import numpy as np
 
 from .errors import ChoiwitError
-from .maps import ALPHA_MAX, ALPHA_MIN, MapParams, family_from_alpha
-from .optimality import Certificate, Verdict, _certificate_rows, certify
+from .maps import ALPHA_MAX, ALPHA_MIN, MapParams, family_weights
+from .optimality import Certificate, Verdict, _certificate_columns, certify
 from .optimality import product_vectors, span_matrix
 from .witness import (
     detect,
@@ -121,7 +121,7 @@ _BOUNDARY_CELLS = (None,) * 7 + (Verdict.BOUNDARY.value,)
 
 
 def _scan_values(alphas: list[float], tol: float) -> list[tuple]:
-    """One tuple per angle, in CSV_HEADER order, straight from the certificate kernel.
+    """One tuple per angle, in CSV_HEADER order, zipped from the certificate kernel's columns.
 
     The grid is certified in blocks of SCAN_BLOCK points.  Each tuple holds
     the values _scan_record gives for that point's certificate.
@@ -129,16 +129,12 @@ def _scan_values(alphas: list[float], tol: float) -> list[tuple]:
     values = []
     for i in range(0, len(alphas), SCAN_BLOCK):
         block = alphas[i : i + SCAN_BLOCK]
-        params = [family_from_alpha(a).params for a in block]
-        for alpha, p, row in zip(block, params, _certificate_rows(params, tol)):
-            if row is None:
-                values.append((alpha, p.a, p.b, p.c) + _BOUNDARY_CELLS)
-                continue
-            t, max_w, max_wg, rank_m, rank_mp, re_m, im_m, re_mp, im_mp, verdict = row
-            det_m, det_mp = abs(complex(re_m, im_m)), abs(complex(re_mp, im_mp))
-            values.append(
-                (alpha, p.a, p.b, p.c, t, det_m, det_mp, rank_m, rank_mp, max_w, max_wg, verdict)
-            )
+        weights = family_weights(block)
+        interior, t, max_exp, ranks, dets, verdicts = _certificate_columns(weights, tol)
+        abs_dets = np.hypot(dets[:, 0], dets[:, 1])
+        cells = zip(t.tolist(), *abs_dets.tolist(), *ranks.tolist(), *max_exp.tolist(), verdicts)
+        for alpha, abc, inside in zip(block, weights.tolist(), interior.tolist()):
+            values.append((alpha, *abc, *(next(cells) if inside else _BOUNDARY_CELLS)))
     return values
 
 
@@ -252,8 +248,16 @@ def cmd_detect(args) -> int:
     return 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads '-' and a digit, '.', 'inf' or 'nan' as a value ('-inf', '-1e-3'); subparsers inherit it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d|\.|inf|nan)", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="choiwit",
         description="Construct qutrit entanglement witnesses and certify their optimality.",
     )

@@ -55,7 +55,7 @@ def _require_hermitian(m, tol):
     # into it: numpy subtracts contiguous operands on its fast loop.
     diff = np.conjugate(np.swapaxes(m, -1, -2), order="C")
     np.subtract(m, diff, out=diff)
-    if float(np.abs(diff).max()) > tol:
+    if float(np.abs(diff).max(initial=0.0)) > tol:  # an empty stack passes
         raise NotHermitianError(f"matrix is not Hermitian within {tol:g}")
 
 

@@ -202,29 +202,38 @@ def positivity_search(p: MapParams, budget: int, seed: int) -> PositivitySearchR
     return PositivitySearchResult(min_value=min_value, argmin=x)
 
 
-def family_from_alpha(alpha: float) -> FamilyPoint:
-    """Family point for an angle alpha in [pi/3, 5*pi/3]."""
-    alpha = float(alpha)
-    if not (ALPHA_MIN - 1e-12 <= alpha <= ALPHA_MAX + 1e-12):
-        raise OutOfRangeError(
-            f"alpha must lie in [pi/3, 5*pi/3], got {alpha!r}"
-        )
-    cos, sin = math.cos(alpha), math.sin(alpha)
-    a = (2.0 / 3.0) * (1.0 + cos)
-    b = (2.0 / 3.0) * (1.0 - cos / 2.0 - math.sqrt(3.0) / 2.0 * sin)
-    c = (2.0 / 3.0) * (1.0 - cos / 2.0 + math.sqrt(3.0) / 2.0 * sin)
+def family_weights(alphas) -> np.ndarray:
+    """Weights (a, b, c) of the family points at angles in [pi/3, 5*pi/3], as an (N, 3) array.
+
+    One math.cos and one math.sin per angle, the rest elementwise in numpy:
+    each row is bit for bit what the one-point formulas give.  The first
+    offending angle raises: OutOfRangeError, or ArithmeticError off the family.
+    """
+    x = np.asarray(alphas, dtype=float).reshape(-1)
+    inside = (ALPHA_MIN - 1e-12 <= x) & (x <= ALPHA_MAX + 1e-12)
+    n = len(x) if inside.all() else int(np.argmin(inside))  # angles before the first out of range
+    cos, sin = np.array([(math.cos(v), math.sin(v)) for v in x[:n].tolist()]).reshape(n, 2).T
+    w = np.empty((n, 3))
+    w[:, 0] = (2.0 / 3.0) * (1.0 + cos)
+    w[:, 1] = (2.0 / 3.0) * (1.0 - cos / 2.0 - math.sqrt(3.0) / 2.0 * sin)
+    w[:, 2] = (2.0 / 3.0) * (1.0 - cos / 2.0 + math.sqrt(3.0) / 2.0 * sin)
     # Values that are zero in closed form may round to tiny negatives.
-    if -1e-12 <= a < 0.0:
-        a = 0.0
-    if -1e-12 <= b < 0.0:
-        b = 0.0
-    if -1e-12 <= c < 0.0:
-        c = 0.0
-    if abs(a + b + c - 2.0) > 1e-12 or abs(b * c - (1.0 - a) ** 2) > 1e-12:
-        raise ArithmeticError(f"family conditions violated at alpha={alpha!r}")
-    params = MapParams(a, b, c)
+    w[(-1e-12 <= w) & (w < 0.0)] = 0.0
+    a, b, c = w.T
+    off = (abs(a + b + c - 2.0) > 1e-12) | (abs(b * c - (1.0 - a) ** 2) > 1e-12)
+    if off.any():
+        raise ArithmeticError(f"family conditions violated at alpha={x[np.argmax(off)].item()!r}")
+    if n < len(x):
+        raise OutOfRangeError(f"alpha must lie in [pi/3, 5*pi/3], got {x[n].item()!r}")
+    return w
+
+
+def family_from_alpha(alpha: float) -> FamilyPoint:
+    """Family point for an angle alpha in [pi/3, 5*pi/3]: family_weights of one angle."""
+    alpha = float(alpha)
+    a, b, c = family_weights([alpha])[0].tolist()
     t = None if a >= 1.0 - BOUNDARY_TOL else c / (1.0 - a)
-    return FamilyPoint(params=params, alpha=alpha, t=t)
+    return FamilyPoint(params=MapParams(a, b, c), alpha=alpha, t=t)
 
 
 def family_violation(p: MapParams, tol: float) -> str | None:

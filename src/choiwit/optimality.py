@@ -9,11 +9,11 @@ certified indecomposable optimal.  The 9x9 matrices collecting the vectors
 as columns have analytic determinants; tests/test_exact.py proves them in
 exact integer arithmetic, and the certificates report them.
 
-The whole test runs as one batched kernel: all pairs, span matrices and
-witnesses of a batch are stacked along a leading axis and checked in
-stacked numpy calls, and each point's results leave numpy as one tuple of
-plain Python numbers.  certify_many wraps those tuples in Certificates, and
-certify is its one-point case; the scan command formats them directly.
+The whole test runs as one batched kernel on an array of weights: all
+pairs, span matrices and witnesses of a batch are stacked along a leading
+axis and checked in stacked numpy calls, and each result leaves as one
+array over the batch.  certify_many wraps those columns in Certificates,
+and certify is its one-point case; the scan command formats them directly.
 """
 
 from __future__ import annotations
@@ -226,14 +226,8 @@ def zero_expectation_check(p: MapParams) -> ZeroExpectations:
     )
 
 
-_BOUNDARY_DIAGNOSTICS = CertificateDiagnostics(
-    max_abs_expectation_w=None,
-    max_abs_expectation_wgamma=None,
-    det_m=None,
-    det_mprime=None,
-    rank_m=None,
-    rank_mprime=None,
-)
+#: The diagnostics of an a = 1 boundary point: no numbers at all.
+_BOUNDARY_DIAGNOSTICS = CertificateDiagnostics(None, None, None, None, None, None)
 
 
 #: Verdict values by code: 0 when the W side fails, 1 when only it passes, 2 for both.
@@ -243,47 +237,52 @@ _VERDICT_BY_CODE = np.array(
 )
 
 
-def _certificate_rows(points: list[MapParams], tol: float) -> list[tuple | None]:
-    """The certificate kernel: one row of plain Python numbers per family point.
+def _certificate_columns(weights: np.ndarray, tol: float) -> tuple:
+    """The certificate kernel on an (N, 3) array of valid MapParams weights.
 
-    A row is None on the a = 1 boundary, otherwise the tuple (t, max_w,
-    max_wgamma, rank_m, rank_mprime, Re det M, Im det M, Re det M',
-    Im det M', verdict value), the maxima and determinants as floats, the
-    ranks as ints.  Every point passes the family guard and the t check in
-    sequence order before any numerical work, so an error comes from the
-    first offending point and its message carries that point's values.
-    The Hermiticity and roundoff checks then run on the whole batch.
+    Returns (interior, t, max_exp, ranks, dets, verdicts): the (N,) mask of
+    the points off the a = 1 boundary, then, over those M points, t (M,),
+    the expectation maxima and ranks (2, M), W side first, the determinants
+    (2, 2, M) as [[Re, Im] of det M, [Re, Im] of det M'] and the verdict
+    values (M,).  The family guard and the t check run first, on all N;
+    a failing batch re-raises through the one-point guard in order.
     """
     if not (tol > 0):
         raise ValueError("tol must be positive")
-    ts = [_family_t(p) for p in points]
-    t = np.array([t for t in ts if t is not None])
-    if not len(t):
-        return [None] * len(ts)
+    a, b, c = weights.T
+    with np.errstate(all="ignore"):  # overflow gives inf and nan, as with Python floats
+        off = (abs(a + b + c - 2.0) > ON_FAMILY_TOL) | (a > 1.0 + ON_FAMILY_TOL)
+        off |= abs(b * c - (1.0 - a) ** 2) > ON_FAMILY_TOL
+        t = c / (1.0 - a)
+    interior = ~off & (a < 1.0 - BOUNDARY_TOL)
+    if (off | (interior & ~(np.isfinite(t) & (t > 0)))).any():
+        for row in weights.tolist():
+            _family_t(MapParams(*row))
+        raise ArithmeticError("the batched family guard disagrees with the one-point guard")
+    t = t[interior]
     # Axis 0 of every stack below is the side: the plain pairs against W,
     # then the conjugated pairs against W^Gamma.  Axis 1 runs over the
     # points off the boundary.
     psi, phi = _pair_arrays(t)
     vectors = _products(psi, np.stack([phi, phi.conj()]))
-    w = witness_stack([(p.a, p.b, p.c) for p, t_p in zip(points, ts) if t_p is not None])
+    w = witness_stack(weights[interior])
     witnesses = np.stack([w, partial_transpose_second(w)])
     max_exp = np.abs(quadratic_forms(witnesses, vectors)).max(axis=-1)
+    # Column norms summed down each column in row order, bit for bit what
+    # np.linalg.norm(spans, axis=-2) gives, without its complex temporaries.
     spans = _columns(vectors)
-    norms = np.linalg.norm(spans, axis=-2, keepdims=True)
-    ranks = rank_with_tol(spans / norms, tol)
+    norms = np.sqrt(np.add.reduce(spans.real * spans.real + spans.imag * spans.imag, axis=-2))
+    spans /= norms[..., None, :]
+    ranks = rank_with_tol(spans, tol)
     # det of a column-normalized span matrix = closed form / product of
     # its column norms, divided as reals.  Below t ~ 1e-108 both underflow
     # to 0; the determinant, of order t^1.5, is then 0 too.
-    scale = np.prod(norms[..., 0, :], axis=-1)
+    scale = np.prod(norms, axis=-1)
     re, im, part = _det_parts(t, np.sqrt(t))
     num = np.stack([[re, im], [part, part]])
     dets = np.divide(num, scale[:, None], out=np.zeros_like(num), where=scale[:, None] > 0)
     ok = (max_exp <= tol) & (ranks == 9)
-    verdicts = _VERDICT_BY_CODE[ok[0] * (1 + ok[1])]
-    rows = zip(
-        t.tolist(), *max_exp.tolist(), *ranks.tolist(), *dets.reshape(4, -1).tolist(), verdicts.tolist()
-    )
-    return [None if t_p is None else next(rows) for t_p in ts]
+    return interior, t, max_exp, ranks, dets, _VERDICT_BY_CODE[ok[0] * (1 + ok[1])]
 
 
 def certify_many(params_seq, tol: float = 1e-8) -> list[Certificate]:
@@ -298,21 +297,17 @@ def certify_many(params_seq, tol: float = 1e-8) -> list[Certificate]:
     run on the whole batch.
     """
     points = list(params_seq)
+    weights = np.array([(p.a, p.b, p.c) for p in points], dtype=float).reshape(-1, 3)
+    interior, t, max_exp, ranks, dets, verdicts = _certificate_columns(weights, tol)
+    rows = zip(
+        t.tolist(), *max_exp.tolist(), *ranks.tolist(), *dets.reshape(4, -1).tolist(), verdicts.tolist()
+    )
     certs = []
-    for p, row in zip(points, _certificate_rows(points, tol)):
-        if row is None:
-            certs.append(
-                Certificate(
-                    params=p,
-                    t=None,
-                    w_optimal=False,
-                    wgamma_optimal=False,
-                    verdict=Verdict.BOUNDARY,
-                    diagnostics=_BOUNDARY_DIAGNOSTICS,
-                )
-            )
+    for p, inside in zip(points, interior.tolist()):
+        if not inside:
+            certs.append(Certificate(p, None, False, False, Verdict.BOUNDARY, _BOUNDARY_DIAGNOSTICS))
             continue
-        t_p, max_w, max_wg, rank_m, rank_mp, re_m, im_m, re_mp, im_mp, verdict = row
+        t_p, max_w, max_wg, rank_m, rank_mp, re_m, im_m, re_mp, im_mp, verdict = next(rows)
         note = _T1_NOTE if (abs(t_p - 1.0) <= T_ONE_WINDOW and rank_mp < 9) else None
         certs.append(
             Certificate(

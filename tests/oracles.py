@@ -12,7 +12,9 @@ The exceptions are former library routines kept verbatim as references:
   that witness_stack, the pair-table gather and the scan row formatter
   must match bit for bit and byte for byte;
 - certificate_flags, the per-point verdict rule that the certificate
-  kernel's numpy verdict must agree with.
+  kernel's numpy verdict must agree with;
+- family_weights_scalar, the one-angle family formulas that the batched
+  maps.family_weights must match bit for bit.
 Determinants need no oracle here: the library's lu_det is itself the
 cross-check of the closed forms that the certificate uses, and
 tests/test_exact.py proves those closed forms in exact integer arithmetic.
@@ -105,6 +107,33 @@ def pair_arrays_loop(t):
             for j, entry in enumerate(row):
                 out[m, :, k, j] = entry
     return out[0], out[1]
+
+
+def family_weights_scalar(alpha):
+    """(a, b, c) of the family point at alpha, one angle at a time with Python floats.
+
+    Raises ValueError (OutOfRangeError in the library) for an angle out of
+    range and ArithmeticError off the family.
+    """
+    alpha = float(alpha)
+    if not (math.pi / 3 - 1e-12 <= alpha <= 5 * math.pi / 3 + 1e-12):
+        raise ValueError(
+            f"alpha must lie in [pi/3, 5*pi/3], got {alpha!r}"
+        )
+    cos, sin = math.cos(alpha), math.sin(alpha)
+    a = (2.0 / 3.0) * (1.0 + cos)
+    b = (2.0 / 3.0) * (1.0 - cos / 2.0 - math.sqrt(3.0) / 2.0 * sin)
+    c = (2.0 / 3.0) * (1.0 - cos / 2.0 + math.sqrt(3.0) / 2.0 * sin)
+    # Values that are zero in closed form may round to tiny negatives.
+    if -1e-12 <= a < 0.0:
+        a = 0.0
+    if -1e-12 <= b < 0.0:
+        b = 0.0
+    if -1e-12 <= c < 0.0:
+        c = 0.0
+    if abs(a + b + c - 2.0) > 1e-12 or abs(b * c - (1.0 - a) ** 2) > 1e-12:
+        raise ArithmeticError(f"family conditions violated at alpha={alpha!r}")
+    return a, b, c
 
 
 def certificate_flags(max_w, max_wgamma, rank_m, rank_mprime, tol):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choiwit import Verdict, certify, certify_many, family_from_alpha
+from choiwit import MapParams, Verdict, certify, certify_many, family_from_alpha
 from choiwit.maps import ALPHA_MAX, ALPHA_MIN
 from oracles import certificate_flags
 
@@ -55,3 +55,37 @@ def test_flags_and_verdict_follow_the_per_point_rule(alphas, tol):
 
 def test_certify_many_of_nothing():
     assert certify_many([]) == []
+
+
+def _error(call):
+    """(type, message) of the ValueError call raises, or None when it returns."""
+    try:
+        call()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# Four kinds of point: family points (at 5pi/3 - 1e-8, c rounds to 0 and
+# t = 0), off-family triples (one whose weight sum overflows), c = 0 with a
+# just below 1 (on the family within 1e-8 but t = 0, or off it, or on the
+# boundary) and a = 1 boundary points.
+GUARD_POINTS = st.one_of(
+    st.one_of(ALPHAS, st.just(ALPHA_MAX - 1e-8)).map(lambda a: family_from_alpha(a).params),
+    st.one_of(
+        st.tuples(*[st.floats(0, 3)] * 3).filter(lambda abc: sum(abc) > 0),
+        st.just((1e308, 1e308, 0.0)),
+    ).map(lambda abc: MapParams(*abc)),
+    st.floats(1e-13, 2e-4).map(lambda d: MapParams(1 - d, 1 + d, 0)),
+    st.sampled_from([MapParams(1, 0, 1), MapParams(1, 1, 0), MapParams(1 - 1e-13, 1e-13, 1)]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(GUARD_POINTS, max_size=12))
+def test_a_batch_fails_on_its_first_bad_point(points):
+    # certify_many raises what certify raises for the first point that
+    # raises alone, and raises nothing when no point does.
+    alone = [_error(lambda p=p: certify(p)) for p in points]
+    first = next((error for error in alone if error is not None), None)
+    assert _error(lambda: certify_many(points)) == first

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from choiwit import (
     max_ent_projector,
     state_file_text,
 )
+from choiwit import cli
 from choiwit.cli import (
     CSV_HEADER,
     MAX_SAMPLES,
@@ -36,6 +38,8 @@ from choiwit.cli import (
 )
 from choiwit.maps import ALPHA_MAX, ALPHA_MIN
 from oracles import certificate_flags, record_to_csv_row
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(*argv):
@@ -269,6 +273,18 @@ def test_csv_rows_print_extreme_floats_like_the_oracle(x):
     rec = _record([x] * 9, [0, 9], Verdict.NOT_CERTIFIED.value)
     assert _library_row(rec) == _csv_oracle(rec)
     assert _library_row(rec).split(",")[7:9] == ["0", "9"]
+
+
+def test_scan_bytes_do_not_depend_on_the_block_size(monkeypatch, capsys):
+    outputs = {}
+    for block in (1, 7, 64, 1001):
+        monkeypatch.setattr(cli, "SCAN_BLOCK", block)
+        for steps, fmt in ((13, "csv"), (13, "json"), (200, "csv")):
+            assert run_cli(*_SCAN, "--steps", str(steps), "--format", fmt) == 0
+            outputs.setdefault((steps, fmt), set()).add(capsys.readouterr().out)
+    assert [len(texts) for texts in outputs.values()] == [1, 1, 1]
+    assert outputs[13, "csv"] == {(DATA / "scan_steps13.csv").read_text(encoding="utf-8")}
+    assert outputs[13, "json"] == {(DATA / "scan_steps13.json").read_text(encoding="utf-8")}
 
 
 def test_scan_unwritable_output(tmp_path):
@@ -553,6 +569,30 @@ _USAGE_ERRORS = [
 
 @pytest.mark.parametrize("argv, message", _USAGE_ERRORS)
 def test_usage_errors_exit_two_with_one_error_line(argv, message, state_dir, monkeypatch, capsys):
+    monkeypatch.chdir(state_dir)
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+#: Values that start with "-" and a digit, ".", "inf" or "nan", which argparse
+#: alone reads as option flags; each must reach the library's guard instead.
+_NEGATIVE_VALUES = [
+    (("vectors", "-inf"), "t must be a positive finite real, got -inf"),
+    (("vectors", "-2e0"), "t must be a positive finite real, got -2.0"),
+    (("vectors", "-NaN"), "t must be a positive finite real, got nan"),
+    (("check", "-1e-3", "1", "1"), "a must be nonnegative, got -0.001"),
+    (("check", "-1/2", "1", "1"), "a must be nonnegative, got -0.5"),
+    (("check", "1", "-nan", "1"), "b must be finite, got nan"),
+    (("check", "0", "1", "-inf", "--json"), "c must be finite, got -inf"),
+    (("detect", "1", "-1e-300", "1", "ent.txt"), "b must be nonnegative, got -1e-300"),
+    (("scan", "--alpha-start", "-1e-3", "--alpha-end", "pi", "--steps", "3"), _ALPHA_RANGE),
+]
+
+
+@pytest.mark.parametrize("argv, message", _NEGATIVE_VALUES)
+def test_negative_values_reach_the_library_guards(argv, message, state_dir, monkeypatch, capsys):
     monkeypatch.chdir(state_dir)
     assert run_cli(*argv) == 2
     captured = capsys.readouterr()

@@ -21,6 +21,8 @@ from choiwit import (
     positivity_search,
     t_param,
 )
+from choiwit.maps import ALPHA_MAX, ALPHA_MIN, family_weights
+from oracles import family_weights_scalar
 
 PI = math.pi
 
@@ -200,6 +202,47 @@ def test_family_from_alpha_quarter_turn():
 def test_family_from_alpha_out_of_range(alpha):
     with pytest.raises(OutOfRangeError):
         family_from_alpha(alpha)
+
+
+def _hex_rows(rows):
+    return [tuple(float(x).hex() for x in row) for row in rows]
+
+
+def _assert_rows_match_the_scalar_formulas(alphas):
+    rows = family_weights(alphas)
+    assert rows.shape == (len(alphas), 3)
+    assert _hex_rows(rows.tolist()) == _hex_rows(family_weights_scalar(a) for a in alphas)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(ALPHA_MIN - 1e-12, ALPHA_MAX + 1e-12), max_size=70))
+def test_family_weights_match_the_scalar_formulas(alphas):
+    _assert_rows_match_the_scalar_formulas(alphas)
+    for alpha in alphas:
+        point = family_from_alpha(alpha)
+        a, b, c = family_weights_scalar(alpha)
+        assert _hex_rows([(point.params.a, point.params.b, point.params.c)]) == _hex_rows([(a, b, c)])
+        assert point.t == (None if a >= 1.0 - 1e-12 else c / (1.0 - a))
+
+
+def test_family_weights_match_the_scalar_formulas_at_the_ends():
+    # 1e-12 outside, at and 1e-12 inside both ends, where a = 1 and b or c = 0 up to roundoff.
+    ends = [ALPHA_MIN - 1e-12, ALPHA_MIN, ALPHA_MIN + 1e-12, ALPHA_MAX - 1e-12, ALPHA_MAX, ALPHA_MAX + 1e-12]
+    _assert_rows_match_the_scalar_formulas(ends)
+    assert family_weights([]).shape == (0, 3)
+
+
+def test_family_weights_match_the_scalar_formulas_on_a_fine_grid():
+    _assert_rows_match_the_scalar_formulas(np.linspace(ALPHA_MIN, ALPHA_MAX, 100001).tolist())
+
+
+@pytest.mark.parametrize("bad", [ALPHA_MIN - 2e-12, ALPHA_MAX + 2e-12, 0.0, 7.0, math.nan, -math.inf])
+def test_family_weights_name_the_first_angle_out_of_range(bad):
+    with pytest.raises(ValueError) as scalar:
+        family_weights_scalar(bad)
+    with pytest.raises(OutOfRangeError) as batch:
+        family_weights([2.0, PI, bad, 4.0, 0.5])
+    assert str(batch.value) == str(scalar.value) == f"alpha must lie in [pi/3, 5*pi/3], got {bad!r}"
 
 
 def test_on_family_check():
