@@ -112,35 +112,31 @@ def is_positive_predicate(p: MapParams) -> bool:
     return True
 
 
-def _real_unit_vectors(angles: np.ndarray) -> np.ndarray:
-    """Map angle pairs [theta1, theta2] (last axis) to unit vectors in R^3."""
-    t1, t2 = angles[..., 0], angles[..., 1]
-    s1 = np.sin(t1)
-    return np.stack([np.cos(t1), s1 * np.cos(t2), s1 * np.sin(t2)], axis=-1)
+def _min_eigs(shifted: np.ndarray, shift: float, angles: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of diag(W q + q) - x x^T, (a+b+c) times the map on |x><x|.
 
-
-def _min_eig_on_simplex(w: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of diag(W q + q) - x x^T with q = x^2, over the last axis of q.
-
-    This is (a+b+c) times the map applied to |x><x|.  Its diagonal is W q
-    and the shifted matrix diag(h) - x x^T has the closed-form determinant
-    h0 h1 h2 - sum_i q_i prod_{j != i} h_j, so the characteristic cubic is
-    solved in trigonometric form from q alone.
+    x = (cos t1, sin t1 cos t2, sin t1 sin t2) at the polar angles (2, ...), and q = x^2
+    is one C-contiguous (3, ...) array of planes from the cosines of 2 t1 and 2 t2.  The
+    trace is a+b+c for every unit x, so the cubic is solved about the constant ``shift``,
+    (a+b+c)/3: ``shifted`` = W + I - shift*J maps q to the diagonal h of diag(h) - x x^T,
+    whose determinant is h0 h1 h2 - sum_i q_i prod_{j != i} h_j.
     """
-    wq = q @ w.T
-    shift = wq.sum(axis=-1, keepdims=True) / 3.0
-    h = wq - shift + q
-    h0, h1, h2 = h[..., 0], h[..., 1], h[..., 2]
-    q0, q1, q2 = q[..., 0], q[..., 1], q[..., 2]
-    spread = ((wq - shift) ** 2).sum(axis=-1) + 2.0 * (q0 * q1 + q0 * q2 + q1 * q2)
+    half = 0.5 * np.cos(2.0 * angles)
+    cos2, sin2 = 0.5 + half, 0.5 - half
+    q = np.array([cos2[0], sin2[0] * cos2[1], sin2[0] * sin2[1]])
+    h = (shifted @ q.reshape(3, -1)).reshape(q.shape)
+    d = h - q
+    # The squared shifted matrix's trace; 2 sum_{i<j} q_i q_j as q(1 - q), >= 0 term by term.
+    spread = np.add.reduce(d * d + q * (1.0 - q))
+    others = h[[1, 0, 0]] * h[[2, 2, 1]]
+    det = h[0] * others[0] - np.add.reduce(q * others)
     radius = np.sqrt(spread / 6.0)
-    det = h0 * h1 * h2 - (q0 * h1 * h2 + q1 * h0 * h2 + q2 * h0 * h1)
-    cos3 = np.clip(det / (2.0 * np.where(radius > 0, radius, 1.0) ** 3), -1.0, 1.0)
-    return shift[..., 0] + 2.0 * radius * np.cos(np.arccos(cos3) / 3.0 + 2.0 * math.pi / 3.0)
+    cos3 = np.minimum(np.maximum(det / (2.0 * np.where(radius > 0, radius, 1.0) ** 3), -1.0), 1.0)
+    return shift + 2.0 * radius * np.cos(np.arccos(cos3) / 3.0 + 2.0 * math.pi / 3.0)
 
 
-# Unit moves of the two angles, scored together in each sweep.
-_MOVES = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+# Unit moves of the two angles, (angle, move, 1), scored together in each sweep.
+_MOVES = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]])[:, :, None]
 
 
 def positivity_search(p: MapParams, budget: int, seed: int) -> PositivitySearchResult:
@@ -166,22 +162,24 @@ def positivity_search(p: MapParams, budget: int, seed: int) -> PositivitySearchR
     if budget < 1:
         raise ValueError("budget must be at least 1")
     rng = np.random.default_rng(seed)
-    w = _weight_rows(p)
-    angles = rng.uniform(0.0, math.pi / 2, size=(budget, 2))
-    best = _min_eig_on_simplex(w, _real_unit_vectors(angles) ** 2)
+    shift = p.total / 3.0
+    shifted = _weight_rows(p) + np.eye(3) - shift
+    angles = rng.uniform(0.0, math.pi / 2, size=(budget, 2)).T.copy()
+    best = _min_eigs(shifted, shift, angles)
     starts = np.arange(budget)
     step = 0.4
     for _ in range(30):
-        trials = angles + step * _MOVES[:, None, :]
-        values = _min_eig_on_simplex(w, _real_unit_vectors(trials) ** 2)
+        trials = angles[:, None] + step * _MOVES
+        values = _min_eigs(shifted, shift, trials)
         move = np.argmin(values, axis=0)
         value = values[move, starts]
-        angles = np.where((value < best)[:, None], trials[move, starts], angles)
+        angles = np.where(value < best, trials[:, move, starts], angles)
         best = np.minimum(best, value)
         step *= 0.65
     # Descent can carry the angles out of [0, pi/2]; sign flips of entries
     # do not change the spectrum, so the canonical gauge is |x|.
-    x = np.abs(_real_unit_vectors(angles[int(np.argmin(best))]))
+    t1, t2 = angles[:, np.argmin(best)].tolist()
+    x = np.abs(np.array([math.cos(t1), math.sin(t1) * math.cos(t2), math.sin(t1) * math.sin(t2)]))
     min_value = float(np.linalg.eigvalsh(phi_apply(p, np.outer(x, x)))[0])
 
     predicate = is_positive_predicate(p)
@@ -205,19 +203,21 @@ def positivity_search(p: MapParams, budget: int, seed: int) -> PositivitySearchR
 def family_weights(alphas) -> np.ndarray:
     """Weights (a, b, c) of the family points at angles in [pi/3, 5*pi/3], as an (N, 3) array.
 
-    One math.cos and one math.sin per angle, the rest elementwise in numpy:
-    each row is bit for bit what the one-point formulas give.  The first
-    offending angle raises: OutOfRangeError, or ArithmeticError off the family.
+    Half-angle forms, free of cancellation at both ends: b = (4/3) s^2, c = (4/3) r^2 and
+    1 - a = (4/3) s r, with one math.sin each for s = sin((alpha - pi/3)/2) and
+    r = sin((5*pi/3 - alpha)/2).  The first offending angle raises: OutOfRangeError, or
+    ArithmeticError off the family.
     """
     x = np.asarray(alphas, dtype=float).reshape(-1)
     inside = (ALPHA_MIN - 1e-12 <= x) & (x <= ALPHA_MAX + 1e-12)
     n = len(x) if inside.all() else int(np.argmin(inside))  # angles before the first out of range
-    cos, sin = np.array([(math.cos(v), math.sin(v)) for v in x[:n].tolist()]).reshape(n, 2).T
+    half = np.array([x[:n] - ALPHA_MIN, ALPHA_MAX - x[:n]]) / 2
+    s, r = np.array([math.sin(v) for v in half.ravel().tolist()]).reshape(2, n)
     w = np.empty((n, 3))
-    w[:, 0] = (2.0 / 3.0) * (1.0 + cos)
-    w[:, 1] = (2.0 / 3.0) * (1.0 - cos / 2.0 - math.sqrt(3.0) / 2.0 * sin)
-    w[:, 2] = (2.0 / 3.0) * (1.0 - cos / 2.0 + math.sqrt(3.0) / 2.0 * sin)
-    # Values that are zero in closed form may round to tiny negatives.
+    w[:, 0] = 1.0 - (4.0 / 3.0) * s * r
+    w[:, 1] = (4.0 / 3.0) * s * s
+    w[:, 2] = (4.0 / 3.0) * r * r
+    # a, zero in closed form at pi, may round to a tiny negative.
     w[(-1e-12 <= w) & (w < 0.0)] = 0.0
     a, b, c = w.T
     off = (abs(a + b + c - 2.0) > 1e-12) | (abs(b * c - (1.0 - a) ** 2) > 1e-12)

@@ -69,7 +69,7 @@ class SpanMatrix:
 
 @dataclass(frozen=True)
 class ZeroExpectations:
-    """Maxima over k of the absolute witness expectations on the nine pairs."""
+    """Maxima over k of |<v_k|W|v_k>| / <v_k|v_k> on the nine pairs of each side."""
 
     max_w: float
     max_wgamma: float
@@ -215,8 +215,8 @@ def _family_t(p: MapParams) -> float | None:
 def zero_expectation_check(p: MapParams) -> ZeroExpectations:
     """Verify the nine pairs annihilate the witness and its partial transpose.
 
-    Requires p on the family with a < 1; both maxima are at roundoff level
-    there (below 1e-10).
+    Requires p on the family with a < 1; both maxima, taken on unit vectors
+    as the certificate reports them, are at roundoff level there (below 1e-10).
     """
     d = certify(p).diagnostics
     if d.max_abs_expectation_w is None:
@@ -267,11 +267,14 @@ def _certificate_columns(weights: np.ndarray, tol: float) -> tuple:
     vectors = _products(psi, np.stack([phi, phi.conj()]))
     w = witness_stack(weights[interior])
     witnesses = np.stack([w, partial_transpose_second(w)])
-    max_exp = np.abs(quadratic_forms(witnesses, vectors)).max(axis=-1)
+    forms = quadratic_forms(witnesses, vectors)
     # Column norms summed down each column in row order, bit for bit what
     # np.linalg.norm(spans, axis=-2) gives, without its complex temporaries.
     spans = _columns(vectors)
-    norms = np.sqrt(np.add.reduce(spans.real * spans.real + spans.imag * spans.imag, axis=-2))
+    norm2 = np.add.reduce(spans.real * spans.real + spans.imag * spans.imag, axis=-2)
+    norms = np.sqrt(norm2)
+    # Each expectation is taken on the unit vector: |v|^2 grows like t^3.
+    max_exp = np.abs(forms / norm2).max(axis=-1)
     spans /= norms[..., None, :]
     ranks = rank_with_tol(spans, tol)
     # det of a column-normalized span matrix = closed form / product of
@@ -335,7 +338,7 @@ def certify(p: MapParams, tol: float = 1e-8) -> Certificate:
 
     On the a = 1 boundary the verdict is Boundary and no numbers are
     produced.  Otherwise each witness side is certified optimal when its
-    nine expectations vanish within tol and its column-normalized span
+    nine expectations on unit vectors vanish within tol and its column-normalized span
     matrix has full rank at relative tolerance tol; both sides together
     give IndecomposableOptimal.  A failed test yields OptimalOnly or
     NotCertified, which mean "not certified by this test", never a proof

@@ -13,14 +13,19 @@ The exceptions are former library routines kept verbatim as references:
   must match bit for bit and byte for byte;
 - certificate_flags, the per-point verdict rule that the certificate
   kernel's numpy verdict must agree with;
-- family_weights_scalar, the one-angle family formulas that the batched
-  maps.family_weights must match bit for bit.
+- family_weights_scalar, the former one-angle family formulas, whose range
+  guard the batched maps.family_weights must match message for message.
+The family weights themselves are checked against family_weights_decimal,
+the half-angle forms at 40 significant digits with a Taylor sine.
+falsifier_minimum is the closed-form minimum that positivity_search must
+reach on maps that are not positive.
 Determinants need no oracle here: the library's lu_det is itself the
 cross-check of the closed forms that the certificate uses, and
 tests/test_exact.py proves those closed forms in exact integer arithmetic.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -134,6 +139,50 @@ def family_weights_scalar(alpha):
     if abs(a + b + c - 2.0) > 1e-12 or abs(b * c - (1.0 - a) ** 2) > 1e-12:
         raise ArithmeticError(f"family conditions violated at alpha={alpha!r}")
     return a, b, c
+
+
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
+
+
+def _sin_decimal(x):
+    """sin(x) for a Decimal x of modest size, by its Taylor series to the context precision."""
+    term = total = x
+    k = 1
+    while True:
+        term = -term * x * x / ((2 * k) * (2 * k + 1))
+        k += 1
+        if total + term == total:
+            return total
+        total += term
+
+
+def family_weights_decimal(alpha):
+    """(a, b, c, 1 - a) of the family point at the float alpha, as 40-digit Decimals.
+
+    The half-angle forms of perfbench/oracle.family_triple, with pi to 60
+    digits; no term cancels near either end.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        x, pi, third = Decimal(alpha), +_PI, Decimal(4) / 3
+        one_minus_a = third * _sin_decimal((x + pi / 3) / 2) * _sin_decimal((x - pi / 3) / 2)
+        b = third * _sin_decimal(pi / 4 - (x + pi / 6) / 2) ** 2
+        c = third * _sin_decimal(pi / 4 + (x - pi / 6) / 2) ** 2
+        return 1 - one_minus_a, b, c, one_minus_a
+
+
+def falsifier_minimum(a, b, c):
+    """(sigma*, -sigma*/(a+b+c)) for weights with 0 <= a < 1.
+
+    sigma* = max(0, (2-a-b-c)/3, ((1-a)^2 - bc)/(b+c+2(1-a))) is the least
+    sigma whose shifted weights (a+sigma, b+sigma, c+sigma) pass the
+    Cho-Kye-Lee criterion (a+b+c >= 2, and a <= 1 implies bc >= (1-a)^2).
+    Adding sigma to all three weights adds sigma*I to (a+b+c) Phi(|x><x|),
+    so when sigma* > 0 the smallest eigenvalue of Phi(|x><x|) over unit x
+    is -sigma*/(a+b+c).
+    """
+    sigma = max(0.0, (2.0 - a - b - c) / 3.0, ((1.0 - a) ** 2 - b * c) / (b + c + 2.0 * (1.0 - a)))
+    return sigma, -sigma / (a + b + c)
 
 
 def certificate_flags(max_w, max_wgamma, rank_m, rank_mprime, tol):

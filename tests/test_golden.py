@@ -5,9 +5,15 @@ scan files were re-captured once, when the certificate's determinants moved
 from LU elimination to the proven closed forms divided by the column norms:
 only the abs_det_M and abs_det_Mprime columns changed, in their last digits
 (largest relative change 1.5e-15 and 7.5e-14, the latter next to t = 1,
-where det M' is O((t-1)^3) and the LU value was mostly roundoff).
-Otherwise the files are not regenerated: a change that alters one digit of
-these outputs fails here."""
+where det M' is O((t-1)^3) and the LU value was mostly roundoff).  They
+were re-captured a second time for the endpoint fix, with no verdict
+changed: the max_expectation columns became max |<v|W|v>| / <v|v>, on
+unit vectors (largest value on the 1001-point grid 1.2e-9 before, 3.7e-17
+after), and the weights came from cancellation-free half-angle forms, which
+moved a by up to 1.9e-11 relative (near pi), t by up to 4.7e-12 and the
+determinants by up to 6.9e-12, and turned the endpoint rows' tiny b or c
+into 0 or back.  Otherwise the files are not regenerated: a change that
+alters one digit of these outputs fails here."""
 
 from pathlib import Path
 

@@ -1,5 +1,6 @@
 import math
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,7 @@ from choiwit import (
     t_param,
 )
 from choiwit.maps import ALPHA_MAX, ALPHA_MIN, family_weights
-from oracles import family_weights_scalar
+from oracles import falsifier_minimum, family_weights_decimal, family_weights_scalar
 
 PI = math.pi
 
@@ -173,6 +174,57 @@ def test_positivity_search_rejects_bad_budget():
         positivity_search(MapParams(1, 1, 0), budget=0, seed=0)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    a=st.floats(0.0, 1.0, exclude_max=True),
+    b=st.floats(0.0, 2.5),
+    c=st.floats(0.0, 2.5),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_positivity_search_reaches_the_closed_form_minimum(a, b, c, seed):
+    # Where the map is not positive, the least eigenvalue over rank-one
+    # projectors is -sigma*/(a+b+c) in closed form (oracles.falsifier_minimum).
+    # Both scale like 1/(a+b+c), so the weights' sum is kept from vanishing.
+    assume(a + b + c >= 0.1)
+    sigma, minimum = falsifier_minimum(a, b, c)
+    assume(sigma >= 1e-6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        result = positivity_search(MapParams(a, b, c), budget=200, seed=seed)
+    assert abs(result.min_value - minimum) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "triple,expected",
+    [
+        ((2 / 3, 2 / 3, 2 / 3), 0.0),  # at the centroid
+        ((1, 1, 1), None),
+        ((1, 0, 0), -1 / 3),
+        ((0, 0, 1), -1 / 3),
+        ((2, 0, 0), None),
+    ],
+)
+def test_positivity_search_on_edge_inputs(triple, expected):
+    # Equal weights make the cubic's spread vanish at the vertices, where a
+    # NaN would poison the whole search; single weights sit on the simplex's edges.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        result = positivity_search(MapParams(*triple), budget=200, seed=0)
+    x = result.argmin
+    assert math.isfinite(result.min_value)
+    assert np.all(np.isfinite(x)) and np.all(x >= 0.0)
+    assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
+    if expected is not None:
+        assert abs(result.min_value - expected) <= 1e-9
+
+
+def test_positivity_search_on_the_family_is_at_the_boundary():
+    # Every interior family point is positive with a zero eigenvalue somewhere.
+    for alpha in np.linspace(ALPHA_MIN, ALPHA_MAX, 41)[1:-1].tolist():
+        result = positivity_search(family_from_alpha(alpha).params, budget=200, seed=0)
+        assert abs(result.min_value) <= 1e-9, alpha
+
+
 def test_family_from_alpha_midpoint():
     point = family_from_alpha(PI)
     assert point.params.a == pytest.approx(0.0, abs=1e-12)
@@ -204,36 +256,44 @@ def test_family_from_alpha_out_of_range(alpha):
         family_from_alpha(alpha)
 
 
-def _hex_rows(rows):
-    return [tuple(float(x).hex() for x in row) for row in rows]
-
-
-def _assert_rows_match_the_scalar_formulas(alphas):
+def _assert_rows_are_accurate(alphas):
+    # Within 2 eps of the 40-digit values at the same float angle: absolutely
+    # for a, and on the scale w + sqrt(w) for b and c, so that the tiny b and
+    # c near the ends keep their leading digits.  The sqrt(w) term covers the
+    # rounding of pi/3 and 5pi/3 themselves, about eps/2 in the angle.
     rows = family_weights(alphas)
     assert rows.shape == (len(alphas), 3)
-    assert _hex_rows(rows.tolist()) == _hex_rows(family_weights_scalar(a) for a in alphas)
+    eps = Decimal(np.finfo(float).eps)
+    for alpha, (a, b, c) in zip(alphas, rows.tolist()):
+        ref_a, ref_b, ref_c, _ = family_weights_decimal(alpha)
+        assert abs(Decimal(a) - ref_a) <= 2 * eps, alpha
+        assert abs(Decimal(b) - ref_b) <= 2 * eps * (ref_b + ref_b.sqrt()), alpha
+        assert abs(Decimal(c) - ref_c) <= 2 * eps * (ref_c + ref_c.sqrt()), alpha
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(ALPHA_MIN - 1e-12, ALPHA_MAX + 1e-12), max_size=70))
-def test_family_weights_match_the_scalar_formulas(alphas):
-    _assert_rows_match_the_scalar_formulas(alphas)
-    for alpha in alphas:
+def test_family_weights_are_accurate(alphas):
+    _assert_rows_are_accurate(alphas)
+    for alpha, row in zip(alphas, family_weights(alphas).tolist()):
         point = family_from_alpha(alpha)
-        a, b, c = family_weights_scalar(alpha)
-        assert _hex_rows([(point.params.a, point.params.b, point.params.c)]) == _hex_rows([(a, b, c)])
+        a, b, c = row
+        assert (point.params.a, point.params.b, point.params.c) == (a, b, c)
         assert point.t == (None if a >= 1.0 - 1e-12 else c / (1.0 - a))
 
 
-def test_family_weights_match_the_scalar_formulas_at_the_ends():
-    # 1e-12 outside, at and 1e-12 inside both ends, where a = 1 and b or c = 0 up to roundoff.
+def test_family_weights_are_accurate_at_the_ends():
+    # 1e-12 outside, at and 1e-12 inside both ends, where a = 1 and b or c = 0
+    # up to roundoff; then 10^-k inside each end and on both sides of pi.
     ends = [ALPHA_MIN - 1e-12, ALPHA_MIN, ALPHA_MIN + 1e-12, ALPHA_MAX - 1e-12, ALPHA_MAX, ALPHA_MAX + 1e-12]
-    _assert_rows_match_the_scalar_formulas(ends)
+    steps = [10.0**-k for k in range(1, 16)]
+    near = [x for d in steps for x in (ALPHA_MIN + d, ALPHA_MAX - d, PI - d, PI + d)]
+    _assert_rows_are_accurate(ends + near + [PI])
     assert family_weights([]).shape == (0, 3)
 
 
-def test_family_weights_match_the_scalar_formulas_on_a_fine_grid():
-    _assert_rows_match_the_scalar_formulas(np.linspace(ALPHA_MIN, ALPHA_MAX, 100001).tolist())
+def test_family_weights_are_accurate_on_a_grid():
+    _assert_rows_are_accurate(np.linspace(ALPHA_MIN, ALPHA_MAX, 4001).tolist())
 
 
 @pytest.mark.parametrize("bad", [ALPHA_MIN - 2e-12, ALPHA_MAX + 2e-12, 0.0, 7.0, math.nan, -math.inf])
@@ -260,7 +320,6 @@ def test_family_violation_names_the_first_failing_condition():
         family_violation(MapParams(0, 1, 1), 0.0)
 
 
-@pytest.mark.xfail(strict=True, reason="c = (2/3)(1 - cos/2 + sqrt(3)/2 sin) cancels to 0 near 5pi/3")
 def test_family_from_alpha_keeps_c_positive_near_upper_end():
     assert family_from_alpha(5 * PI / 3 - 1e-8).params.c > 0
 

@@ -203,23 +203,10 @@ def test_certify_boundary_point():
     assert cert.diagnostics.rank_m is None
 
 
-# Known endpoint defects, each a strict xfail until it is fixed.
-_UNNORMALIZED = pytest.mark.xfail(
-    strict=True, reason="expectations are compared unnormalized while |v|^2 grows like t^3"
-)
-_C_ROUNDS_TO_ZERO = pytest.mark.xfail(strict=True, reason="c rounds to 0, so t = 0 is rejected")
-
-
 @pytest.mark.parametrize(
     "alpha",
-    [
-        pytest.param(PI / 3 + 10.0**-k, id=f"pi/3+1e-{k}", marks=_UNNORMALIZED if k > 3 else ())
-        for k in range(3, 10)
-    ]
-    + [
-        pytest.param(5 * PI / 3 - 10.0**-k, id=f"5pi/3-1e-{k}", marks=_C_ROUNDS_TO_ZERO if k == 8 else ())
-        for k in range(3, 10)
-    ],
+    [pytest.param(PI / 3 + 10.0**-k, id=f"pi/3+1e-{k}") for k in range(3, 10)]
+    + [pytest.param(5 * PI / 3 - 10.0**-k, id=f"5pi/3-1e-{k}") for k in range(3, 10)],
 )
 def test_certify_near_the_ends(alpha):
     assert certify(family_from_alpha(alpha).params).verdict is Verdict.INDECOMPOSABLE_OPTIMAL
