@@ -95,26 +95,6 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _scan_record(alpha: float, cert: Certificate) -> dict:
-    """The record of a certificate at angle alpha; its keys follow CSV_HEADER in order."""
-    p = cert.params
-    d = cert.diagnostics
-    return {
-        "alpha": alpha,
-        "a": p.a,
-        "b": p.b,
-        "c": p.c,
-        "t": cert.t,
-        "abs_det_M": None if d.det_m is None else abs(d.det_m),
-        "abs_det_Mprime": None if d.det_mprime is None else abs(d.det_mprime),
-        "rank_M": d.rank_m,
-        "rank_Mprime": d.rank_mprime,
-        "max_expectation_W": d.max_abs_expectation_w,
-        "max_expectation_WGamma": d.max_abs_expectation_wgamma,
-        "verdict": cert.verdict.value,
-    }
-
-
 _CSV_KEYS = CSV_HEADER.split(",")
 #: The cells after alpha, a, b and c of an a = 1 boundary point.
 _BOUNDARY_CELLS = (None,) * 7 + (Verdict.BOUNDARY.value,)
@@ -124,13 +104,13 @@ def _scan_values(alphas: list[float], tol: float) -> list[tuple]:
     """One tuple per angle, in CSV_HEADER order, zipped from the certificate kernel's columns.
 
     The grid is certified in blocks of SCAN_BLOCK points.  Each tuple holds
-    the values _scan_record gives for that point's certificate.
+    the values check's JSON gives under the same keys for that point.
     """
     values = []
     for i in range(0, len(alphas), SCAN_BLOCK):
         block = alphas[i : i + SCAN_BLOCK]
         weights = family_weights(block)
-        interior, t, max_exp, ranks, dets, verdicts = _certificate_columns(weights, tol)
+        interior, t, max_exp, ranks, dets, _, verdicts = _certificate_columns(weights, tol)
         abs_dets = np.hypot(dets[:, 0], dets[:, 1])
         cells = zip(t.tolist(), *abs_dets.tolist(), *ranks.tolist(), *max_exp.tolist(), verdicts)
         for alpha, abc, inside in zip(block, weights.tolist(), interior.tolist()):
@@ -183,15 +163,20 @@ def cmd_scan(args) -> int:
 
 
 def _certificate_payload(cert: Certificate, sample_min: float, args) -> dict:
-    rec = _scan_record(float("nan"), cert)
-    rec.pop("alpha")
-    rec["w_optimal"] = cert.w_optimal
-    rec["wgamma_optimal"] = cert.wgamma_optimal
-    rec["note"] = cert.diagnostics.note
-    rec["separable_sample_min"] = sample_min
-    rec["samples"] = args.samples
-    rec["seed"] = args.seed
-    return rec
+    """check's JSON record: the CSV_HEADER columns after alpha, then the flags, note and sampler."""
+    p, d = cert.params, cert.diagnostics
+    abs_dets = (None if z is None else abs(z) for z in (d.det_m, d.det_mprime))
+    cells = (p.a, p.b, p.c, cert.t, *abs_dets, d.rank_m, d.rank_mprime,
+             d.max_abs_expectation_w, d.max_abs_expectation_wgamma, cert.verdict.value)
+    return dict(
+        zip(_CSV_KEYS[1:], cells),
+        w_optimal=cert.w_optimal,
+        wgamma_optimal=cert.wgamma_optimal,
+        note=d.note,
+        separable_sample_min=sample_min,
+        samples=args.samples,
+        seed=args.seed,
+    )
 
 
 def cmd_check(args) -> int:

@@ -219,8 +219,7 @@ def family_weights(alphas) -> np.ndarray:
     w[:, 2] = (4.0 / 3.0) * r * r
     # a, zero in closed form at pi, may round to a tiny negative.
     w[(-1e-12 <= w) & (w < 0.0)] = 0.0
-    a, b, c = w.T
-    off = (abs(a + b + c - 2.0) > 1e-12) | (abs(b * c - (1.0 - a) ** 2) > 1e-12)
+    off = _family_breaks(w, 1e-12) > 0
     if off.any():
         raise ArithmeticError(f"family conditions violated at alpha={x[np.argmax(off)].item()!r}")
     if n < len(x):
@@ -236,25 +235,42 @@ def family_from_alpha(alpha: float) -> FamilyPoint:
     return FamilyPoint(params=MapParams(a, b, c), alpha=alpha, t=t)
 
 
+def _family_breaks(weights: np.ndarray, tol: float) -> np.ndarray:
+    """The first family condition each row (a, b, c) of an (N, 3) array breaks at tol.
+
+    The conditions, numbered 1 to 3 in the order they are checked, are
+    a+b+c = 2, a <= 1 and sqrt(bc) = |1-a|; 0 marks a row on the family.
+    The square root keeps the last test on the scale of 1 - a: bc against
+    (1-a)^2 would pass any triple within about sqrt(tol) of a = 1.
+    """
+    a, b, c = weights.T
+    with np.errstate(all="ignore"):  # overflow gives inf, which breaks its condition
+        sum_off = abs(a + b + c - 2.0) > tol
+        above_one = a > 1.0 + tol
+        product_off = abs(np.sqrt(b * c) - abs(1.0 - a)) > tol
+    return np.where(sum_off, 1, np.where(above_one, 2, np.where(product_off, 3, 0)))
+
+
 def family_violation(p: MapParams, tol: float) -> str | None:
     """The first family condition p breaks at tolerance tol, or None on the family.
 
-    The conditions are a+b+c = 2, a <= 1 and bc = (1-a)^2, checked in that
-    order; the returned text names the failing one with its values.
+    The conditions are a+b+c = 2, a <= 1 and sqrt(bc) = |1-a|, checked in
+    that order; the returned text names the failing one with its values.
     """
     if not (tol > 0):
         raise ValueError("tol must be positive")
-    if abs(p.total - 2.0) > tol:
+    broken = _family_breaks(np.array([[p.a, p.b, p.c]]), tol)[0]
+    if broken == 1:
         return f"a+b+c = {p.total!r} differs from 2"
-    if p.a > 1.0 + tol:
+    if broken == 2:
         return f"a = {p.a!r} exceeds 1"
-    if abs(p.b * p.c - (1.0 - p.a) ** 2) > tol:
+    if broken == 3:
         return f"b*c = {p.b * p.c!r} differs from (1-a)^2 = {(1 - p.a) ** 2!r}"
     return None
 
 
 def on_family_check(p: MapParams, tol: float) -> bool:
-    """True when 0 <= a <= 1, a+b+c = 2 and bc = (1-a)^2 all hold within tol."""
+    """True when a+b+c = 2, a <= 1 and sqrt(bc) = |1-a| all hold within tol."""
     return family_violation(p, tol) is None
 
 

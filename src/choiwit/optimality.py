@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BoundaryCaseError, NonpositiveTError, OffFamilyError
 from .linalg import partial_transpose_second, quadratic_forms, rank_with_tol
-from .maps import BOUNDARY_TOL, MapParams, family_violation, t_param
+from .maps import BOUNDARY_TOL, MapParams, _family_breaks, family_violation
 from .witness import witness_stack
 
 #: Family-membership tolerance used by the guards in this module.
@@ -197,21 +197,6 @@ def det_closed_form(t, conjugated: bool) -> complex:
     return complex(part, part) if conjugated else complex(re, im)
 
 
-def _family_t(p: MapParams) -> float | None:
-    """The family guard: t of p, or None on the a = 1 boundary.
-
-    Raises OffFamilyError, with the condition family_violation reports,
-    when p is off the family within ON_FAMILY_TOL, and NonpositiveTError
-    when t is not a positive finite real.
-    """
-    reason = family_violation(p, ON_FAMILY_TOL)
-    if reason is not None:
-        raise OffFamilyError(f"not a family point: {reason}")
-    if p.a >= 1.0 - BOUNDARY_TOL:
-        return None
-    return _check_t(t_param(p))
-
-
 def zero_expectation_check(p: MapParams) -> ZeroExpectations:
     """Verify the nine pairs annihilate the witness and its partial transpose.
 
@@ -240,25 +225,28 @@ _VERDICT_BY_CODE = np.array(
 def _certificate_columns(weights: np.ndarray, tol: float) -> tuple:
     """The certificate kernel on an (N, 3) array of valid MapParams weights.
 
-    Returns (interior, t, max_exp, ranks, dets, verdicts): the (N,) mask of
-    the points off the a = 1 boundary, then, over those M points, t (M,),
+    Returns (interior, t, max_exp, ranks, dets, ok, verdicts): the (N,) mask
+    of the points off the a = 1 boundary, then, over those M points, t (M,),
     the expectation maxima and ranks (2, M), W side first, the determinants
-    (2, 2, M) as [[Re, Im] of det M, [Re, Im] of det M'] and the verdict
-    values (M,).  The family guard and the t check run first, on all N;
-    a failing batch re-raises through the one-point guard in order.
+    (2, 2, M) as [[Re, Im] of det M, [Re, Im] of det M'], whether each side
+    is certified optimal (2, M) and the verdict values (M,).  The family
+    guard (at ON_FAMILY_TOL) and the t check run first, on all N: the first
+    point that fails either raises, OffFamilyError before NonpositiveTError.
     """
     if not (tol > 0):
         raise ValueError("tol must be positive")
-    a, b, c = weights.T
-    with np.errstate(all="ignore"):  # overflow gives inf and nan, as with Python floats
-        off = (abs(a + b + c - 2.0) > ON_FAMILY_TOL) | (a > 1.0 + ON_FAMILY_TOL)
-        off |= abs(b * c - (1.0 - a) ** 2) > ON_FAMILY_TOL
+    broken = _family_breaks(weights, ON_FAMILY_TOL)
+    a, c = weights[:, 0], weights[:, 2]
+    interior = (broken == 0) & (a < 1.0 - BOUNDARY_TOL)
+    with np.errstate(all="ignore"):  # only interior t are used, where 1 - a > BOUNDARY_TOL
         t = c / (1.0 - a)
-    interior = ~off & (a < 1.0 - BOUNDARY_TOL)
-    if (off | (interior & ~(np.isfinite(t) & (t > 0)))).any():
-        for row in weights.tolist():
-            _family_t(MapParams(*row))
-        raise ArithmeticError("the batched family guard disagrees with the one-point guard")
+    bad = (broken > 0) | (interior & ~(np.isfinite(t) & (t > 0)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        if broken[i]:  # family_violation of that row names the condition broken[i]
+            reason = family_violation(MapParams(*weights[i].tolist()), ON_FAMILY_TOL)
+            raise OffFamilyError(f"not a family point: {reason}")
+        _check_t(t[i])  # t[i] is not a positive finite real
     t = t[interior]
     # Axis 0 of every stack below is the side: the plain pairs against W,
     # then the conjugated pairs against W^Gamma.  Axis 1 runs over the
@@ -285,7 +273,7 @@ def _certificate_columns(weights: np.ndarray, tol: float) -> tuple:
     num = np.stack([[re, im], [part, part]])
     dets = np.divide(num, scale[:, None], out=np.zeros_like(num), where=scale[:, None] > 0)
     ok = (max_exp <= tol) & (ranks == 9)
-    return interior, t, max_exp, ranks, dets, _VERDICT_BY_CODE[ok[0] * (1 + ok[1])]
+    return interior, t, max_exp, ranks, dets, ok, _VERDICT_BY_CODE[ok[0] * (1 + ok[1])]
 
 
 def certify_many(params_seq, tol: float = 1e-8) -> list[Certificate]:
@@ -301,23 +289,24 @@ def certify_many(params_seq, tol: float = 1e-8) -> list[Certificate]:
     """
     points = list(params_seq)
     weights = np.array([(p.a, p.b, p.c) for p in points], dtype=float).reshape(-1, 3)
-    interior, t, max_exp, ranks, dets, verdicts = _certificate_columns(weights, tol)
+    interior, t, max_exp, ranks, dets, ok, verdicts = _certificate_columns(weights, tol)
     rows = zip(
-        t.tolist(), *max_exp.tolist(), *ranks.tolist(), *dets.reshape(4, -1).tolist(), verdicts.tolist()
+        t.tolist(), *max_exp.tolist(), *ranks.tolist(), *dets.reshape(4, -1).tolist(), *ok.tolist(),
+        verdicts.tolist(),
     )
     certs = []
     for p, inside in zip(points, interior.tolist()):
         if not inside:
             certs.append(Certificate(p, None, False, False, Verdict.BOUNDARY, _BOUNDARY_DIAGNOSTICS))
             continue
-        t_p, max_w, max_wg, rank_m, rank_mp, re_m, im_m, re_mp, im_mp, verdict = next(rows)
+        t_p, max_w, max_wg, rank_m, rank_mp, re_m, im_m, re_mp, im_mp, w_ok, wg_ok, verdict = next(rows)
         note = _T1_NOTE if (abs(t_p - 1.0) <= T_ONE_WINDOW and rank_mp < 9) else None
         certs.append(
             Certificate(
                 params=p,
                 t=t_p,
-                w_optimal=max_w <= tol and rank_m == 9,
-                wgamma_optimal=max_wg <= tol and rank_mp == 9,
+                w_optimal=w_ok,
+                wgamma_optimal=wg_ok,
                 verdict=Verdict(verdict),
                 diagnostics=CertificateDiagnostics(
                     max_abs_expectation_w=max_w,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidStateError
-from .linalg import _as_complex, herm_eig_min
+from .linalg import _as_complex
 from .maps import MapParams, phi_apply
 
 _DIAG = np.arange(9)
@@ -52,7 +52,8 @@ class DensityMatrix:
             raise InvalidStateError("state is not Hermitian within 1e-10")
         if abs(complex(np.trace(m)) - 1.0) > STATE_TOL:
             raise InvalidStateError("state trace differs from 1 by more than 1e-10")
-        if herm_eig_min(m, tol=STATE_TOL) < -STATE_TOL:
+        # m is finite and Hermitian within STATE_TOL: diagonalize its Hermitian part.
+        if np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0] < -STATE_TOL:
             raise InvalidStateError("state has an eigenvalue below -1e-10")
         object.__setattr__(self, "mat", m)
 

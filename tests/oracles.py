@@ -11,6 +11,8 @@ The exceptions are former library routines kept verbatim as references:
   per-point witness, the per-entry pair tables and the per-cell CSV row
   that witness_stack, the pair-table gather and the scan row formatter
   must match bit for bit and byte for byte;
+- scan_record, the record of one certificate, which the scan rows zipped
+  from the certificate kernel's columns must equal value for value;
 - certificate_flags, the per-point verdict rule that the certificate
   kernel's numpy verdict must agree with;
 - family_weights_scalar, the former one-angle family formulas, whose range
@@ -196,6 +198,26 @@ def certificate_flags(max_w, max_wgamma, rank_m, rank_mprime, tol):
     if w_optimal and wgamma_optimal:
         return w_optimal, wgamma_optimal, "IndecomposableOptimal"
     return w_optimal, wgamma_optimal, "OptimalOnly" if w_optimal else "NotCertified"
+
+
+def scan_record(alpha, cert):
+    """The record of a certificate at angle alpha; its keys follow the scan CSV header in order."""
+    p = cert.params
+    d = cert.diagnostics
+    return {
+        "alpha": alpha,
+        "a": p.a,
+        "b": p.b,
+        "c": p.c,
+        "t": cert.t,
+        "abs_det_M": None if d.det_m is None else abs(d.det_m),
+        "abs_det_Mprime": None if d.det_mprime is None else abs(d.det_mprime),
+        "rank_M": d.rank_m,
+        "rank_Mprime": d.rank_mprime,
+        "max_expectation_W": d.max_abs_expectation_w,
+        "max_expectation_WGamma": d.max_abs_expectation_wgamma,
+        "verdict": cert.verdict.value,
+    }
 
 
 def record_to_csv_row(rec, header):

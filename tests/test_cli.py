@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -28,8 +29,8 @@ from choiwit.cli import (
     MAX_SAMPLES,
     MAX_STEPS,
     SCAN_BLOCK,
+    _certificate_payload,
     _csv_row,
-    _scan_record,
     _scan_text,
     _scan_values,
     main,
@@ -37,7 +38,7 @@ from choiwit.cli import (
     parse_weight,
 )
 from choiwit.maps import ALPHA_MAX, ALPHA_MIN
-from oracles import certificate_flags, record_to_csv_row
+from oracles import certificate_flags, record_to_csv_row, scan_record
 
 DATA = Path(__file__).parent / "data"
 
@@ -163,9 +164,14 @@ def _library_row(rec):
 
 
 def test_scan_records_follow_the_csv_header():
+    # check's JSON record starts with the CSV columns after alpha, in order.
     certs = certify_many([family_from_alpha(a).params for a in (ALPHA_MIN, math.pi)])
     for cert in certs:
-        assert ",".join(_scan_record(1.0, cert)) == CSV_HEADER
+        record = scan_record(1.0, cert)
+        assert ",".join(record) == CSV_HEADER
+        del record["alpha"]
+        payload = _certificate_payload(cert, 0.0, argparse.Namespace(samples=1, seed=0))
+        assert list(payload.items())[:11] == list(record.items())
 
 
 def test_csv_rows_match_the_per_cell_oracle_on_scan_records():
@@ -174,7 +180,7 @@ def test_csv_rows_match_the_per_cell_oracle_on_scan_records():
     certs = certify_many([family_from_alpha(a).params for a in alphas])
     assert certs[0].verdict == certs[-1].verdict == Verdict.BOUNDARY
     for alpha, cert in zip(alphas, certs):
-        rec = _scan_record(alpha, cert)
+        rec = scan_record(alpha, cert)
         assert _library_row(rec) == _csv_oracle(rec)
 
 
@@ -198,7 +204,7 @@ SCAN_ALPHAS = st.one_of(st.floats(ALPHA_MIN + 1e-7, ALPHA_MAX - 1e-7), st.sample
 def _certificate_records(alphas, tol):
     """The scan records of the grid built from certify_many certificates."""
     certs = certify_many([family_from_alpha(a).params for a in alphas], tol)
-    return [_scan_record(a, cert) for a, cert in zip(alphas, certs)]
+    return [scan_record(a, cert) for a, cert in zip(alphas, certs)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -536,7 +542,7 @@ _USAGE_ERRORS = [
     (("check", "1.5", "0.25", "0.25"), "not a family point: a = 1.5 exceeds 1"),
     (("check", "0.5", "0.5", "1.5", "--tol", "0.9"), "not a family point: a+b+c = 2.5 differs from 2"),
     (("check", "1e308", "1e308", "0"), "not a family point: a+b+c = inf differs from 2"),
-    (("check", "0.99995", "1.00005", "0"), "t must be a positive finite real, got 0.0"),
+    (("check", "0.999999999", "1.000000001", "0"), "t must be a positive finite real, got 0.0"),
     (("check", "-1", "1", "2"), "a must be nonnegative, got -1.0"),
     (("check", "nan", "1", "1"), "a must be finite, got nan"),
     (("check", "inf", "1", "1"), "a must be finite, got inf"),
@@ -564,6 +570,12 @@ _USAGE_ERRORS = [
     (("detect", "0", "0", "0", "ent.txt"), "a + b + c must be positive"),
     (("detect", "5e-324", "0", "0", "ent.txt"),
      "the witness scale 1/(3(a+b+c)) is not finite; the weight sum is too small"),
+    # Near a = 1 the guard compares sqrt(b*c) with |1-a|: b*c against (1-a)^2
+    # admitted both triples, 1e-4 and 1e-5 off the family.
+    (("check", "0.99995", "1.00005", "0"),
+     "not a family point: b*c = 0.0 differs from (1-a)^2 = 2.499999999999449e-09"),
+    (("check", "0.99999", "1.00001", "1e-300"),
+     "not a family point: b*c = 1.0000100000000001e-300 differs from (1-a)^2 = 9.99999999990898e-11"),
 ]
 
 
@@ -629,7 +641,7 @@ _NUMBERS = [
 _FAMILY = [
     ("0", "1", "1"), ("1", "0", "1"), ("1/3", "1/3", "4/3"),
     ("2/3", repr(2 / 3 * (1 - math.sqrt(3) / 2)), repr(2 / 3 * (1 + math.sqrt(3) / 2))),
-    ("0.99995", "1.00005", "0"),
+    ("0.999999999", "1.000000001", "0"),
 ]
 _STATES = ["ent.txt", "mixed.txt", "nonherm.txt", "trace.txt", "garbage.txt", "badtoken.txt", "missing.txt", "."]
 

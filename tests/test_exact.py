@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from choiwit import MapParams, det_closed_form, partial_transpose_second, product_vectors
-from choiwit import span_matrix, witness_matrix
+from choiwit import detect, span_matrix, witness_matrix
 from choiwit.optimality import _det_parts
 
 
@@ -161,3 +161,80 @@ def test_determinant_factor_facts():
     assert _det_parts(1, 1)[1] == 32
     # det M' vanishes only at t = 1, to third order.
     assert _det_parts(1, 1)[2] == 0
+
+
+def _ppt_state(t):
+    """rho(t): lam J on {|00>, |11>, |22>}, lam t on |01>, |12>, |20>, lam / t on |10>, |21>, |02>.
+
+    lam = 1 / (3 (1 + t + 1/t)) makes the trace 1.  Entries are exact for
+    Fraction t and floats for float t, as a 9x9 list of lists.
+    """
+    lam = 1 / (3 * (1 + t + 1 / t))
+    rho = [[0 * t] * 9 for _ in range(9)]
+    for i in (0, 4, 8):
+        for k in (0, 4, 8):
+            rho[i][k] = lam
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        rho[3 * i + j][3 * i + j] = lam * t
+        rho[3 * j + i][3 * j + i] = lam / t
+    return rho, lam
+
+
+def _partial_transpose(rho):
+    """Transpose of the second factor: entry (3i + j, 3k + l) moves to (3i + l, 3k + j)."""
+    out = [[None] * 9 for _ in range(9)]
+    for i, j, k, l in np.ndindex(3, 3, 3, 3):
+        out[3 * i + l][3 * k + j] = rho[3 * i + j][3 * k + l]
+    return out
+
+
+def _family_weights(t):
+    d = t * t - t + 1
+    return (t - 1) ** 2 / d, 1 / d, t * t / d
+
+
+def test_ppt_state_is_detected_exactly():
+    # rho(t) is PPT and tr(W rho) = -a lam / 2 < 0 for t != 1, so W detects
+    # a PPT state and is not decomposable: a decomposable W = P + Q^Gamma
+    # has tr(W rho) = tr(P rho) + tr(Q rho^Gamma) >= 0 on every PPT state.
+    # Which entries are nonzero does not depend on t, and each 2x2
+    # determinant of rho^Gamma is (lam t)(lam / t) - lam^2 = 0 for every t.
+    # Cleared of D = t^2 - t + 1 and t^2 + t + 1, the trace identity is a
+    # polynomial one of degree <= 3 in t; 4 points prove it, 11 are checked.
+    probe = witness_matrix(MapParams(1, 2, 4))
+    slots = np.rint((probe.mat / probe.scale).real).astype(int).tolist()
+    for t in [Fraction(k) for k in range(1, 11)] + [Fraction(3, 2)]:
+        a, b, c = _family_weights(t)
+        rho, lam = _ppt_state(t)
+        assert lam > 0 and sum(rho[i][i] for i in range(9)) == 1
+        # rho >= 0: lam J on {0, 4, 8}, plus a diagonal of positive entries.
+        for i, k in np.ndindex(9, 9):
+            if i != k and rho[i][k]:
+                assert {i, k} <= {0, 4, 8} and rho[i][k] == lam
+        assert all(rho[i][i] > 0 for i in range(9))
+        # rho^Gamma >= 0: 1x1 blocks lam on |ii> and 2x2 blocks on {|ik>, |ki>}
+        # with determinant 0 and positive trace.
+        pt = _partial_transpose(rho)
+        for i, k in np.ndindex(3, 3):
+            x, y = 3 * i + k, 3 * k + i
+            if x != y:
+                assert pt[x][x] * pt[y][y] - pt[x][y] * pt[y][x] == 0 and pt[x][x] + pt[y][y] > 0
+            others = [pt[x][z] for z in range(9) if z not in (x, y)]
+            assert pt[x][x] > 0 and not any(others)
+        # tr(W rho), with W = (1/6) [a, b, c on the diagonal slots, -1 off it].
+        weight = {0: 0, 1: a, 2: b, 4: c, -1: -1}
+        trace = sum(weight[slots[i][k]] * rho[k][i] for i, k in np.ndindex(9, 9)) / 6
+        assert trace == -a * lam / 2
+        if t == Fraction(3, 2):
+            assert (a, trace) == (Fraction(1, 7), Fraction(-1, 133))
+
+
+def test_ppt_state_detection_in_floats():
+    # detect validates rho(t) as a density matrix and evaluates tr(W rho)
+    # in floating point on the family point with the same t.
+    for t in np.geomspace(0.01, 77, 60).tolist():
+        a, b, c = _family_weights(t)
+        rho, lam = _ppt_state(t)
+        rho = np.array(rho)
+        assert np.linalg.eigvalsh(partial_transpose_second(rho)).min() >= -1e-15
+        assert abs(detect(witness_matrix(MapParams(a, b, c)), rho) + a * lam / 2) <= 1e-16

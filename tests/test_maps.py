@@ -316,6 +316,8 @@ def test_family_violation_names_the_first_failing_condition():
     assert family_violation(MapParams(1, 1, 1), 1e-8).startswith("a+b+c = 3.0")
     assert family_violation(MapParams(1.5, 0.25, 0.25), 1e-8) == "a = 1.5 exceeds 1"
     assert family_violation(MapParams(0.5, 1, 0.5), 1e-8).startswith("b*c = 0.5")
+    # 1e-5 off the family, though b*c is within 1e-8 of (1-a)^2 = 1e-10.
+    assert family_violation(MapParams(0.99999, 1.00001, 1e-300), 1e-8).startswith("b*c = 1.00001")
     with pytest.raises(ValueError):
         family_violation(MapParams(0, 1, 1), 0.0)
 

@@ -122,11 +122,11 @@ def test_certificate_determinants_match_lu_det(t):
 
 
 def test_certificate_determinants_underflow_to_zero():
-    # c far below the family tolerance gives t ~ 5e-315: the closed form and
+    # c far below the family tolerance gives t ~ 5e-311: the closed form and
     # the product of the column norms both underflow to 0.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        d = certify(MapParams(1 - 1e-5, 1 + 1e-5, 5e-320)).diagnostics
+        d = certify(MapParams(1 - 1e-9, 1 + 1e-9, 5e-320)).diagnostics
     assert d.det_m == 0 and d.det_mprime == 0
 
 
@@ -203,13 +203,47 @@ def test_certify_boundary_point():
     assert cert.diagnostics.rank_m is None
 
 
+def _window_verdict(k):
+    return Verdict.BOUNDARY if k == 12 else Verdict.INDECOMPOSABLE_OPTIMAL
+
+
 @pytest.mark.parametrize(
-    "alpha",
-    [pytest.param(PI / 3 + 10.0**-k, id=f"pi/3+1e-{k}") for k in range(3, 10)]
-    + [pytest.param(5 * PI / 3 - 10.0**-k, id=f"5pi/3-1e-{k}") for k in range(3, 10)],
+    "alpha, verdict",
+    [pytest.param(PI / 3 + 10.0**-k, _window_verdict(k), id=f"pi/3+1e-{k}") for k in range(1, 13)]
+    + [pytest.param(5 * PI / 3 - 10.0**-k, _window_verdict(k), id=f"5pi/3-1e-{k}") for k in range(1, 13)]
+    + [
+        pytest.param(PI + sign * d, verdict, id=f"pi{sign * d:+g}")
+        for d, verdict in ((1e-6, Verdict.INDECOMPOSABLE_OPTIMAL), (1e-7, Verdict.OPTIMAL_ONLY))
+        for sign in (1, -1)
+    ],
 )
-def test_certify_near_the_ends(alpha):
-    assert certify(family_from_alpha(alpha).params).verdict is Verdict.INDECOMPOSABLE_OPTIMAL
+def test_certify_near_the_ends(alpha, verdict):
+    # 10^-k from each end, and on both sides of alpha = pi, where t = 1.
+    assert certify(family_from_alpha(alpha).params).verdict is verdict
+
+
+_OFFSETS = st.floats(-15.5, -0.5).map(lambda e: 10.0**e)
+#: Uniform angles, and angles log-spaced toward both ends and toward pi from either side.
+_ANGLES = st.one_of(
+    st.floats(PI / 3, 5 * PI / 3),
+    _OFFSETS.map(lambda d: PI / 3 + d),
+    _OFFSETS.map(lambda d: 5 * PI / 3 - d),
+    st.tuples(_OFFSETS, st.sampled_from([-1.0, 1.0])).map(lambda ds: PI + ds[0] * ds[1]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ANGLES)
+def test_verdict_follows_the_analytic_windows(alpha):
+    # det M' vanishes only at t = 1, and M' loses rank at tol 1e-8 within
+    # about 3.9e-7 of alpha = pi; the a = 1 boundary covers about 1.7e-12
+    # at each end.  Between those windows both witnesses are certified.
+    verdict = certify(family_from_alpha(alpha).params).verdict
+    assert verdict is not Verdict.NOT_CERTIFIED
+    if abs(alpha - PI) <= 1e-9:
+        assert verdict is Verdict.OPTIMAL_ONLY
+    elif abs(alpha - PI) >= 1e-4 and min(alpha - PI / 3, 5 * PI / 3 - alpha) >= 1e-11:
+        assert verdict is Verdict.INDECOMPOSABLE_OPTIMAL
 
 
 def test_certify_rejects_off_family():
