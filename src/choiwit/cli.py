@@ -103,13 +103,15 @@ _BOUNDARY_CELLS = (None,) * 7 + (Verdict.BOUNDARY.value,)
 def _scan_values(alphas: list[float], tol: float) -> list[tuple]:
     """One tuple per angle, in CSV_HEADER order, zipped from the certificate kernel's columns.
 
-    The grid is certified in blocks of SCAN_BLOCK points.  Each tuple holds
-    the values check's JSON gives under the same keys for that point.
+    The weights of the whole grid come from one family_weights call; the
+    grid is certified in blocks of SCAN_BLOCK points.  Each tuple holds the
+    values check's JSON gives under the same keys for that point.
     """
+    grid_weights = family_weights(alphas)
     values = []
     for i in range(0, len(alphas), SCAN_BLOCK):
         block = alphas[i : i + SCAN_BLOCK]
-        weights = family_weights(block)
+        weights = grid_weights[i : i + SCAN_BLOCK]
         interior, t, max_exp, ranks, dets, _, verdicts = _certificate_columns(weights, tol)
         abs_dets = np.hypot(dets[:, 0], dets[:, 1])
         cells = zip(t.tolist(), *abs_dets.tolist(), *ranks.tolist(), *max_exp.tolist(), verdicts)

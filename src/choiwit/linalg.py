@@ -143,13 +143,24 @@ def quadratic_forms(w, v):
     imaginary part of each raw form is checked against a scale-aware
     roundoff bound and then discarded.
     """
+    return _quadratic_forms(w, v)
+
+
+def _quadratic_forms(w, v, norm2=None):
+    """quadratic_forms, with the squared norms of the rows of v given as ``norm2`` (..., k).
+
+    The norms enter only the roundoff bound on the imaginary parts, so a
+    caller that has them saves the stacked <v|v> matmul; without them they
+    are computed here.  The forms do not depend on them.
+    """
     wm = _as_square(w, "w", batched=True)
     vv = _as_stack(v, (wm.shape[-1],), "v")
     _require_hermitian(wm, HERMITICITY_TOL)
     bra = vv.conj()[..., None, :]
     ket = vv[..., None]
     val = np.matmul(bra, np.matmul(wm[..., None, :, :], ket))[..., 0, 0]
-    norm2 = np.matmul(bra, ket)[..., 0, 0].real
+    if norm2 is None:
+        norm2 = np.matmul(bra, ket)[..., 0, 0].real
     bound = 1e-10 * (1.0 + norm2 * np.abs(wm).max(axis=(-2, -1))[..., None])
     bad = np.flatnonzero(np.abs(val.imag) > bound)
     if bad.size:

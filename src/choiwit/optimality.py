@@ -25,9 +25,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import BoundaryCaseError, NonpositiveTError, OffFamilyError
-from .linalg import partial_transpose_second, quadratic_forms, rank_with_tol
+from .linalg import _quadratic_forms, rank_with_tol
 from .maps import BOUNDARY_TOL, MapParams, _family_breaks, family_violation
-from .witness import witness_stack
+from .witness import DensityMatrix, _witness_sides
 
 #: Family-membership tolerance used by the guards in this module.
 ON_FAMILY_TOL = 1e-8
@@ -197,6 +197,26 @@ def det_closed_form(t, conjugated: bool) -> complex:
     return complex(part, part) if conjugated else complex(re, im)
 
 
+def ppt_state(t) -> DensityMatrix:
+    """The PPT state rho(t) that the family witness with the same t detects.
+
+    rho(t) is lam on every entry among |00>, |11>, |22>, lam*t on |01>, |12>,
+    |20> and lam/t on |10>, |21>, |02>, with lam = 1/(3(1 + t + 1/t)) for unit
+    trace.  It is positive and so is its partial transpose, whose 2x2 blocks
+    on {|ik>, |ki>} have determinant 0; on the family tr(W rho) = -a*lam/2,
+    negative for every t != 1.  A decomposable witness is nonnegative on
+    every PPT state, so this proves indecomposability without a tolerance
+    (tests/test_exact.py checks it in exact arithmetic).
+    """
+    t = _check_t(t)
+    lam = 1 / (3 * (1 + t + 1 / t))
+    mat = np.zeros((9, 9))
+    mat[np.ix_([0, 4, 8], [0, 4, 8])] = lam
+    mat[[1, 5, 6], [1, 5, 6]] = lam * t
+    mat[[3, 7, 2], [3, 7, 2]] = lam / t
+    return DensityMatrix(mat)
+
+
 def zero_expectation_check(p: MapParams) -> ZeroExpectations:
     """Verify the nine pairs annihilate the witness and its partial transpose.
 
@@ -253,14 +273,12 @@ def _certificate_columns(weights: np.ndarray, tol: float) -> tuple:
     # points off the boundary.
     psi, phi = _pair_arrays(t)
     vectors = _products(psi, np.stack([phi, phi.conj()]))
-    w = witness_stack(weights[interior])
-    witnesses = np.stack([w, partial_transpose_second(w)])
-    forms = quadratic_forms(witnesses, vectors)
     # Column norms summed down each column in row order, bit for bit what
     # np.linalg.norm(spans, axis=-2) gives, without its complex temporaries.
     spans = _columns(vectors)
     norm2 = np.add.reduce(spans.real * spans.real + spans.imag * spans.imag, axis=-2)
     norms = np.sqrt(norm2)
+    forms = _quadratic_forms(_witness_sides(weights[interior], 2), vectors, norm2)
     # Each expectation is taken on the unit vector: |v|^2 grows like t^3.
     max_exp = np.abs(forms / norm2).max(axis=-1)
     spans /= norms[..., None, :]

@@ -20,8 +20,13 @@ from .maps import MapParams, phi_apply
 _DIAG = np.arange(9)
 #: Weight (0 = a, 1 = b, 2 = c) on each diagonal entry of the witness.
 _DIAG_WEIGHT = np.array([0, 1, 2, 2, 0, 1, 1, 2, 0])
-#: The off-diagonal entries (0,4), (0,8), (4,8) and their transposes.
-_OFF_ROWS, _OFF_COLS = np.array([0, 0, 4, 4, 8, 8]), np.array([4, 8, 0, 8, 0, 4])
+#: Off-diagonal entries, rows then columns, of W: (0,4), (0,8), (4,8) and their
+#: transposes; then of W^Gamma, where the partial transpose moves them to (1,3),
+#: (2,6), (5,7) and their transposes.  The diagonal is the same on both sides.
+_OFF_ENTRIES = (
+    (np.array([0, 0, 4, 4, 8, 8]), np.array([4, 8, 0, 8, 0, 4])),
+    (np.array([1, 3, 2, 6, 5, 7]), np.array([3, 1, 6, 2, 7, 5])),
+)
 
 #: Validation tolerances for density matrices; loose enough to accept
 #: states read back from text files with 12 printed digits.
@@ -65,14 +70,12 @@ def max_ent_projector() -> np.ndarray:
     return np.outer(omega, omega.conj())
 
 
-def witness_stack(weights) -> np.ndarray:
-    """Witnesses for an (N, 3) array of weights (a, b, c), as an (N, 9, 9) stack.
+def _witness_sides(weights, sides: int) -> np.ndarray:
+    """W, and with sides = 2 also W^Gamma, for an (N, 3) weight array, as a C-contiguous
+    (sides, N, 9, 9) stack.
 
-    Each matrix is filled by fancy indexing from its row of weights; the
-    stack holds exactly the values the loop over witness_matrix would give.
-    Raises ValueError when a scale 1/(3(a+b+c)) is not finite, as for a
-    weight sum below about 2e-309, or is zero, as for a weight sum whose
-    triple overflows.
+    The one fill and scale guard behind witness_stack and the certificate
+    kernel; side 1 is bit for bit partial_transpose_second of side 0.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or w.shape[1] != 3:
@@ -83,10 +86,23 @@ def witness_stack(weights) -> np.ndarray:
         raise ValueError("the witness scale 1/(3(a+b+c)) is not finite; the weight sum is too small")
     if not scale.all():
         raise ValueError("the witness scale 1/(3(a+b+c)) is zero; the weight sum overflows")
-    out = np.zeros((len(w), 9, 9), dtype=complex)
-    out[:, _DIAG, _DIAG] = w[:, _DIAG_WEIGHT] * scale
-    out[:, _OFF_ROWS, _OFF_COLS] = -scale
+    out = np.zeros((sides, len(w), 9, 9), dtype=complex)
+    out[:, :, _DIAG, _DIAG] = w[:, _DIAG_WEIGHT] * scale
+    for side, (rows, cols) in zip(out, _OFF_ENTRIES):
+        side[:, rows, cols] = -scale
     return out
+
+
+def witness_stack(weights) -> np.ndarray:
+    """Witnesses for an (N, 3) array of weights (a, b, c), as an (N, 9, 9) stack.
+
+    Each matrix is filled by fancy indexing from its row of weights; the
+    stack holds exactly the values the loop over witness_matrix would give.
+    Raises ValueError when a scale 1/(3(a+b+c)) is not finite, as for a
+    weight sum below about 2e-309, or is zero, as for a weight sum whose
+    triple overflows.
+    """
+    return _witness_sides(weights, 1)[0]
 
 
 def witness_matrix(p: MapParams) -> WitnessMatrix:
@@ -227,21 +243,23 @@ def parse_state_text(text: str) -> DensityMatrix:
     rows = [line for line in text.splitlines() if line.strip()]
     if len(rows) != 9:
         raise InvalidStateError(f"state file must have 9 nonempty lines, got {len(rows)}")
-    mat = np.zeros((9, 9), dtype=complex)
+    values = []
     for i, line in enumerate(rows):
         entries = line.split()
         if len(entries) != 9:
             raise InvalidStateError(
                 f"line {i + 1} must have 9 entries, got {len(entries)}"
             )
+        row = []
         for j, token in enumerate(entries):
             try:
-                mat[i, j] = complex(token)
+                row.append(complex(token))
             except ValueError as exc:
                 raise InvalidStateError(
                     f"line {i + 1}, entry {j + 1}: cannot parse {token!r}"
                 ) from exc
-    return DensityMatrix(mat)
+        values.append(row)
+    return DensityMatrix(np.array(values, dtype=complex))
 
 
 def parse_state_file(path) -> DensityMatrix:

@@ -16,7 +16,10 @@ The exceptions are former library routines kept verbatim as references:
 - certificate_flags, the per-point verdict rule that the certificate
   kernel's numpy verdict must agree with;
 - family_weights_scalar, the former one-angle family formulas, whose range
-  guard the batched maps.family_weights must match message for message.
+  guard the batched maps.family_weights must match message for message;
+- parse_state_text_loop, the former state parser with one numpy item
+  assignment per entry, whose matrix and error messages
+  witness.parse_state_text must match bit for bit and word for word.
 The family weights themselves are checked against family_weights_decimal,
 the half-angle forms at 40 significant digits with a Taylor sine.
 falsifier_minimum is the closed-form minimum that positivity_search must
@@ -30,6 +33,8 @@ import math
 from decimal import Decimal, localcontext
 
 import numpy as np
+
+from choiwit import DensityMatrix, InvalidStateError
 
 
 def rank_row_reduction(mat, tol=1e-8):
@@ -286,3 +291,25 @@ def trace_product(a, b):
 def random_hermitian(rng, n):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (g + g.conj().T) / 2.0
+
+
+def parse_state_text_loop(text):
+    """The former witness.parse_state_text: 81 numpy item assignments into a zeroed matrix."""
+    rows = [line for line in text.splitlines() if line.strip()]
+    if len(rows) != 9:
+        raise InvalidStateError(f"state file must have 9 nonempty lines, got {len(rows)}")
+    mat = np.zeros((9, 9), dtype=complex)
+    for i, line in enumerate(rows):
+        entries = line.split()
+        if len(entries) != 9:
+            raise InvalidStateError(
+                f"line {i + 1} must have 9 entries, got {len(entries)}"
+            )
+        for j, token in enumerate(entries):
+            try:
+                mat[i, j] = complex(token)
+            except ValueError as exc:
+                raise InvalidStateError(
+                    f"line {i + 1}, entry {j + 1}: cannot parse {token!r}"
+                ) from exc
+    return DensityMatrix(mat)

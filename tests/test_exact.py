@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from choiwit import MapParams, det_closed_form, partial_transpose_second, product_vectors
-from choiwit import detect, span_matrix, witness_matrix
+from choiwit import detect, ppt_state, span_matrix, witness_matrix
 from choiwit.optimality import _det_parts
 
 
@@ -230,11 +230,19 @@ def test_ppt_state_is_detected_exactly():
 
 
 def test_ppt_state_detection_in_floats():
-    # detect validates rho(t) as a density matrix and evaluates tr(W rho)
-    # in floating point on the family point with the same t.
+    # ppt_state evaluates the builder's float expressions, so it equals the
+    # builder bit for bit, and each entry lies within a few ulps of the exact
+    # Fraction value.  detect evaluates tr(W rho) in floating point on the
+    # family point with the same t.
+    eps = Fraction(np.finfo(float).eps)
     for t in np.geomspace(0.01, 77, 60).tolist():
         a, b, c = _family_weights(t)
         rho, lam = _ppt_state(t)
-        rho = np.array(rho)
-        assert np.linalg.eigvalsh(partial_transpose_second(rho)).min() >= -1e-15
-        assert abs(detect(witness_matrix(MapParams(a, b, c)), rho) + a * lam / 2) <= 1e-16
+        state = ppt_state(t)
+        assert state.mat.tobytes() == np.array(rho, dtype=complex).tobytes()
+        exact, _ = _ppt_state(Fraction(t))
+        for i, k in np.ndindex(9, 9):
+            assert state.mat[i, k].imag == 0
+            assert abs(Fraction(state.mat[i, k].real) - exact[i][k]) <= 8 * eps * exact[i][k]
+        assert np.linalg.eigvalsh(partial_transpose_second(state.mat)).min() >= -1e-15
+        assert abs(detect(witness_matrix(MapParams(a, b, c)), state) + a * lam / 2) <= 1e-16

@@ -17,7 +17,7 @@ from choiwit import (
     span_matrix,
     witness_matrix,
 )
-from choiwit.linalg import quadratic_forms
+from choiwit.linalg import _quadratic_forms, quadratic_forms
 from oracles import eig3_min_cubic, random_hermitian, rank_row_reduction
 
 
@@ -224,6 +224,28 @@ def test_quadratic_forms_reject_a_stack_off_hermitian_by_2e_12(delta):
     stack[1, 2, 3, 7] += delta
     with pytest.raises(NotHermitianError):
         quadratic_forms(stack, v)
+    with pytest.raises(NotHermitianError):
+        _quadratic_forms(stack, v, np.full((2, 3, 4), 9.0))
+
+
+def test_quadratic_forms_core_keeps_every_guard():
+    # The certificate kernel passes its own squared norms to the core; they
+    # only enter the roundoff bound, and every input check still runs.
+    w = np.stack([witness_matrix(MapParams(a, 1.0, 1.0)).mat for a in (0.0, 0.5, 1.0)])
+    stack = np.stack([w, partial_transpose_second(w)])
+    v = np.arange(2 * 3 * 4 * 9).reshape(2, 3, 4, 9) * (1 - 2j)
+    norm2 = np.add.reduce(v.real * v.real + v.imag * v.imag, axis=-1)
+    assert _quadratic_forms(stack, v, norm2).tobytes() == quadratic_forms(stack, v).tobytes()
+    nan = v.copy()
+    nan[1, 0, 2, 5] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        _quadratic_forms(stack, nan, norm2)
+    with pytest.raises(ValueError, match="NaN"):
+        _quadratic_forms(np.where(stack == 0, np.inf, stack), v, norm2)
+    with pytest.raises(ValueError, match="square"):
+        _quadratic_forms(stack[..., :8], v, norm2)
+    with pytest.raises(ValueError, match="trailing shape"):
+        _quadratic_forms(stack, v[..., :8], norm2)
 
 
 def test_expectation_zero_on_family_pair():

@@ -194,6 +194,30 @@ def test_positivity_search_reaches_the_closed_form_minimum(a, b, c, seed):
     assert abs(result.min_value - minimum) <= 1e-10
 
 
+def _near_boundary_triples():
+    """Weights with 0 <= a < 1 whose sigma* (see oracles.falsifier_minimum) is 1e-6 to 1e-3."""
+    triples = []
+    for sigma in (1e-6, 1e-5, 1e-4, 1e-3):
+        for a, b in ((0.0, 1.2), (0.5, 1.5), (0.9, 1.9), (0.2, 3.0)):
+            # bc = (1-a)^2 - sigma (b + c + 2(1-a)) solved for c, with a+b+c > 2:
+            # the product condition of Cho-Kye-Lee misses by sigma.
+            triples.append((a, b, ((1 - a) ** 2 - sigma * (b + 2 * (1 - a))) / (b + sigma)))
+        for a in (0.5, 0.9):
+            # a+b+c = 2 - 3 sigma with bc far above (1-a)^2: the sum condition misses by sigma.
+            triples.append((a, (2 - a - 3 * sigma) / 2, (2 - a - 3 * sigma) / 2))
+    return triples
+
+
+def test_positivity_search_is_precise_near_the_positivity_boundary():
+    # Close to the Cho-Kye-Lee boundary the minimum -sigma*/(a+b+c) is small
+    # and the landscape flat, so only a converged descent reaches it within 1e-10.
+    for a, b, c in _near_boundary_triples():
+        sigma, minimum = falsifier_minimum(a, b, c)
+        assert 0.9e-6 <= sigma <= 1.1e-3, (a, b, c)
+        result = positivity_search(MapParams(a, b, c), budget=200, seed=0)
+        assert abs(result.min_value - minimum) <= 1e-10, (a, b, c, sigma)
+
+
 @pytest.mark.parametrize(
     "triple,expected",
     [

@@ -18,13 +18,17 @@ from choiwit import (
     family_from_alpha,
     kron_vec,
     lu_det,
+    partial_transpose_second,
+    ppt_state,
     product_vectors,
     rank_with_tol,
     span_matrix,
     witness_matrix,
+    witness_stack,
     zero_expectation_check,
 )
-from choiwit.optimality import _pair_arrays
+from choiwit.linalg import quadratic_forms
+from choiwit.optimality import _certificate_columns, _columns, _pair_arrays, _products
 from oracles import pair_arrays_loop
 
 PI = math.pi
@@ -53,6 +57,8 @@ def test_first_pair_is_t_independent():
 def test_product_vectors_rejects_bad_t(t):
     with pytest.raises(NonpositiveTError):
         product_vectors(t)
+    with pytest.raises(NonpositiveTError):
+        ppt_state(t)
 
 
 @pytest.mark.parametrize(
@@ -67,6 +73,26 @@ def test_pair_arrays_match_the_former_loop(t):
         # Equal bits, signed zeros included (-1j has real part -0.0).
         assert np.array_equal(got.view(float), want.view(float))
         assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=70))
+def test_kernel_maxima_are_the_public_quadratic_forms_over_the_column_norms(exponents):
+    # The kernel fills W and W^Gamma in one stack and hands its column norms
+    # to the forms; its maxima must be bit for bit the public path's.
+    t = np.array([10.0**e for e in exponents])
+    d = t * t - t + 1.0
+    weights = np.stack([(t - 1.0) ** 2 / d, 1.0 / d, t * t / d], axis=-1)
+    interior, t_kernel, max_exp = _certificate_columns(weights, 1e-8)[:3]
+    assert interior.all()
+    psi, phi = _pair_arrays(t_kernel)
+    vectors = _products(psi, np.stack([phi, phi.conj()]))
+    w = witness_stack(weights)
+    forms = quadratic_forms(np.stack([w, partial_transpose_second(w)]), vectors)
+    spans = _columns(vectors)
+    norm2 = np.add.reduce(spans.real * spans.real + spans.imag * spans.imag, axis=-2)
+    expected = np.abs(forms / norm2).max(axis=-1)
+    np.testing.assert_array_equal(max_exp.view(np.int64), expected.view(np.int64))
 
 
 def test_span_matrix_columns():

@@ -22,8 +22,9 @@ from choiwit import (
     witness_matrix,
     witness_stack,
 )
-from choiwit.witness import _form_matrix, _hermitian_coords
+from choiwit.witness import _form_matrix, _hermitian_coords, _witness_sides, format_complex
 from oracles import (
+    parse_state_text_loop,
     random_hermitian,
     separable_sample_min_einsum,
     trace_product,
@@ -91,6 +92,20 @@ def test_witness_stack_is_bit_equal_to_the_loop(triples, at):
         assert witness_matrix(p).scale == 1.0 / (3.0 * p.total)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(WEIGHTS, WEIGHTS, WEIGHTS), min_size=0, max_size=8), st.integers(0, 8))
+def test_witness_pair_stack_is_the_stack_and_its_partial_transpose(triples, at):
+    # The certificate kernel fills W and W^Gamma straight from the weights;
+    # each side must be bit for bit what the former stack-and-transpose gave.
+    triples.insert(min(at, len(triples)), (1.0, 1.0, 0.0))
+    weights = [w for w in triples if sum(w) > 0]
+    pairs = _witness_sides(weights, 2)
+    w = witness_stack(weights)
+    expected = np.stack([w, partial_transpose_second(w)])
+    assert pairs.shape == expected.shape and pairs.dtype == complex and pairs.flags.c_contiguous
+    np.testing.assert_array_equal(pairs.view(np.int64), expected.view(np.int64))
+
+
 def test_witness_stack_rejects_bad_shapes():
     for bad in ([1.0, 1.0, 0.0], [[1.0, 1.0]], np.ones((2, 3, 1))):
         with pytest.raises(ValueError, match="shape"):
@@ -102,8 +117,9 @@ def test_witness_stack_rejects_a_weight_sum_too_small():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for weights in ([(5e-324, 0.0, 0.0)], [(0.0, 1.0, 1.0), (0.0, 0.0, 1e-320)]):
-            with pytest.raises(ValueError, match="not finite"):
-                witness_stack(weights)
+            for build in (witness_stack, lambda w: _witness_sides(w, 2)):
+                with pytest.raises(ValueError, match="not finite; the weight sum is too small"):
+                    build(weights)
         with pytest.raises(ValueError, match="not finite"):
             witness_matrix(MapParams(5e-324, 0, 0))
         assert np.isfinite(witness_matrix(MapParams(1e-300, 0, 0)).mat).all()
@@ -114,8 +130,9 @@ def test_witness_stack_rejects_a_weight_sum_that_overflows():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for weights in ([(1e308, 1e308, 0.0)], [(0.0, 1.0, 1.0), (1e308, 0.0, 0.0)]):
-            with pytest.raises(ValueError, match="is zero; the weight sum overflows"):
-                witness_stack(weights)
+            for build in (witness_stack, lambda w: _witness_sides(w, 2)):
+                with pytest.raises(ValueError, match="is zero; the weight sum overflows"):
+                    build(weights)
         with pytest.raises(ValueError, match="is zero; the weight sum overflows"):
             witness_matrix(MapParams(1e308, 1e308, 0))
         assert witness_matrix(MapParams(1e307, 0, 0)).scale > 0
@@ -263,3 +280,58 @@ def test_state_file_rejects_malformed_input():
     truncated = "\n".join(good.splitlines()[:5])
     with pytest.raises(InvalidStateError):
         parse_state_text(truncated)
+
+
+def _parsed(parse, text):
+    """The matrix bits parse gives for text, or the type and message of its error."""
+    try:
+        return parse(text).mat.tobytes()
+    except InvalidStateError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), digits=st.sampled_from([None, 12, 17]))
+def test_state_parser_round_trip_matches_the_former_loop(seed, digits):
+    # Random full-rank states written with 12 or 17 decimals, or as Python's
+    # repr of each complex, read back bit for bit as the former parser reads them.
+    g = random_hermitian(np.random.default_rng(seed), 9)
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    if digits == 12:
+        text = state_file_text(rho)
+    else:
+        text = "\n".join(
+            " ".join(repr(complex(z)) if digits is None else format_complex(z, digits) for z in row)
+            for row in rho
+        )
+    assert not isinstance(_parsed(parse_state_text, text), tuple)
+    assert _parsed(parse_state_text, text) == _parsed(parse_state_text_loop, text)
+
+
+SIMPLE_TOKENS = st.sampled_from(
+    ["0", "-0.0-0.0j", "1e-3", "(1+2j)", "2j", "1+0j", "inf", "nan", "abc", "1+", "0x1"]
+)
+TOKENS = st.one_of(
+    SIMPLE_TOKENS,
+    st.complex_numbers(allow_nan=False, allow_infinity=False).map(lambda z: format_complex(z, 12)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lines=st.lists(st.lists(SIMPLE_TOKENS, min_size=8, max_size=10), min_size=8, max_size=10),
+    token=TOKENS,
+    at=st.integers(0, 80),
+    blank=st.integers(0, 10),
+    valid=st.booleans(),
+)
+def test_state_parser_matches_the_former_loop_on_any_text(lines, token, at, blank, valid):
+    # Valid or not, every text gives the former parser's matrix or its message.
+    if valid:  # the maximally mixed state with one entry replaced
+        lines = [[format_complex(1 / 9 if i == k else 0.0, 12) for k in range(9)] for i in range(9)]
+        lines[at // 9][at % 9] = token
+    rows = [" ".join(line) for line in lines]
+    rows.insert(min(blank, len(rows)), "  ")
+    text = "\n".join(rows)
+    assert _parsed(parse_state_text, text) == _parsed(parse_state_text_loop, text)
