@@ -2,8 +2,10 @@
 and state detection, with reproducible CSV/JSON output.
 
 Exit codes: 0 success or affirmative result, 1 negative result, 2 usage or
-validation error, 3 I/O failure.  The subcommands raise on bad input; main
-alone reports it, as ``error: <message>`` on stderr with exit 2.
+validation error, 3 I/O failure.  The subcommands raise on bad input or an
+unreadable file; main alone reports it, as ``error: <message>`` on stderr
+with exit 2.  Every subcommand writes its output through _write_output,
+which reports a failed write to stdout or --out and returns 3.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 
@@ -96,12 +99,10 @@ def _fmt(x: float) -> str:
 
 
 _CSV_KEYS = CSV_HEADER.split(",")
-#: The cells after alpha, a, b and c of an a = 1 boundary point.
-_BOUNDARY_CELLS = (None,) * 7 + (Verdict.BOUNDARY.value,)
 
 
 def _scan_values(alphas: list[float], tol: float) -> list[tuple]:
-    """One tuple per angle, in CSV_HEADER order, zipped from the certificate kernel's columns.
+    """One tuple per angle, in CSV_HEADER order: alpha and the weights, then the kernel's cells.
 
     The weights of the whole grid come from one family_weights call; the
     grid is certified in blocks of SCAN_BLOCK points.  Each tuple holds the
@@ -110,13 +111,10 @@ def _scan_values(alphas: list[float], tol: float) -> list[tuple]:
     grid_weights = family_weights(alphas)
     values = []
     for i in range(0, len(alphas), SCAN_BLOCK):
-        block = alphas[i : i + SCAN_BLOCK]
         weights = grid_weights[i : i + SCAN_BLOCK]
-        interior, t, max_exp, ranks, dets, _, verdicts = _certificate_columns(weights, tol)
-        abs_dets = np.hypot(dets[:, 0], dets[:, 1])
-        cells = zip(t.tolist(), *abs_dets.tolist(), *ranks.tolist(), *max_exp.tolist(), verdicts)
-        for alpha, abc, inside in zip(block, weights.tolist(), interior.tolist()):
-            values.append((alpha, *abc, *(next(cells) if inside else _BOUNDARY_CELLS)))
+        cells = _certificate_columns(weights, tol)[0]
+        for alpha, abc, cell in zip(alphas[i : i + SCAN_BLOCK], weights.tolist(), cells):
+            values.append((alpha, *abc, *cell))
     return values
 
 
@@ -142,14 +140,19 @@ def _scan_text(values: list[tuple], fmt: str) -> str:
 
 
 def _write_output(text: str, out_path: str | None) -> int:
-    if out_path is None:
-        sys.stdout.write(text)
-        return 0
+    """Write text to out_path, or to stdout when it is None; return 3 after reporting a failed write."""
     try:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        if out_path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(out_path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
     except OSError as exc:
-        print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
+        if out_path is None:  # leave nothing in the buffer for the flush at exit to retry and fail on
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        target = "stdout" if out_path is None else out_path
+        print(f"error: cannot write {target}: {exc}", file=sys.stderr)
         return 3
     return 0
 
@@ -189,25 +192,28 @@ def cmd_check(args) -> int:
         witness_matrix(params), n=args.samples, seed=args.seed
     )
     if args.json:
-        print(json.dumps(_certificate_payload(cert, sample_min, args), indent=2))
+        lines = [json.dumps(_certificate_payload(cert, sample_min, args), indent=2)]
     else:
         d = cert.diagnostics
-        print(f"witness weights: a={_fmt(params.a)} b={_fmt(params.b)} c={_fmt(params.c)}")
-        print(f"t: {'(boundary, undefined)' if cert.t is None else _fmt(cert.t)}")
-        print(f"verdict: {cert.verdict.value}")
-        print(f"witness side optimal: {'yes' if cert.w_optimal else 'no'}")
-        print(f"partial-transpose side optimal: {'yes' if cert.wgamma_optimal else 'no'}")
+        lines = [
+            f"witness weights: a={_fmt(params.a)} b={_fmt(params.b)} c={_fmt(params.c)}",
+            f"t: {'(boundary, undefined)' if cert.t is None else _fmt(cert.t)}",
+            f"verdict: {cert.verdict.value}",
+            f"witness side optimal: {'yes' if cert.w_optimal else 'no'}",
+            f"partial-transpose side optimal: {'yes' if cert.wgamma_optimal else 'no'}",
+        ]
         if cert.t is not None:
-            print(f"max |expectation| on the nine pairs (W): {_fmt(d.max_abs_expectation_w)}")
-            print(f"max |expectation| on the nine pairs (W^G): {_fmt(d.max_abs_expectation_wgamma)}")
-            print(f"rank of span matrices: {d.rank_m} / {d.rank_mprime}")
-            print(f"|det| of column-normalized span matrices: {_fmt(abs(d.det_m))} / {_fmt(abs(d.det_mprime))}")
+            lines += [
+                f"max |expectation| on the nine pairs (W): {_fmt(d.max_abs_expectation_w)}",
+                f"max |expectation| on the nine pairs (W^G): {_fmt(d.max_abs_expectation_wgamma)}",
+                f"rank of span matrices: {d.rank_m} / {d.rank_mprime}",
+                f"|det| of column-normalized span matrices: {_fmt(abs(d.det_m))} / {_fmt(abs(d.det_mprime))}",
+            ]
         if d.note:
-            print(f"note: {d.note}")
-        print(f"separable sample min (n={args.samples}, seed={args.seed}): {_fmt(sample_min)}")
-    if cert.verdict in (Verdict.INDECOMPOSABLE_OPTIMAL, Verdict.OPTIMAL_ONLY):
-        return 0
-    return 1
+            lines.append(f"note: {d.note}")
+        lines.append(f"separable sample min (n={args.samples}, seed={args.seed}): {_fmt(sample_min)}")
+    certified = cert.verdict in (Verdict.INDECOMPOSABLE_OPTIMAL, Verdict.OPTIMAL_ONLY)
+    return _write_output("\n".join(lines) + "\n", None) or (0 if certified else 1)
 
 
 def cmd_vectors(args) -> int:
@@ -227,12 +233,11 @@ def cmd_vectors(args) -> int:
 
 def cmd_detect(args) -> int:
     value = detect(witness_matrix(MapParams(args.a, args.b, args.c)), parse_state_file(args.state))
-    print(f"tr(W rho) = {_fmt(value)}")
     if value < 0:
-        print("state detected (negative expectation)")
-        return 0
-    print("state not detected (nonnegative expectation)")
-    return 1
+        outcome, code = "state detected (negative expectation)", 0
+    else:
+        outcome, code = "state not detected (nonnegative expectation)", 1
+    return _write_output(f"tr(W rho) = {_fmt(value)}\n{outcome}\n", None) or code
 
 
 class _Parser(argparse.ArgumentParser):

@@ -11,9 +11,10 @@ exact integer arithmetic, and the certificates report them.
 
 The whole test runs as one batched kernel on an array of weights: all
 pairs, span matrices and witnesses of a batch are stacked along a leading
-axis and checked in stacked numpy calls, and each result leaves as one
-array over the batch.  certify_many wraps those columns in Certificates,
-and certify is its one-point case; the scan command formats them directly.
+axis and checked in stacked numpy calls.  The kernel turns the results into
+one record per point, the scan CSV's cells, in one place.  certify_many
+wraps those records in Certificates, and certify is its one-point case; the
+scan command puts the angle and weights in front of them.
 """
 
 from __future__ import annotations
@@ -231,8 +232,8 @@ def zero_expectation_check(p: MapParams) -> ZeroExpectations:
     )
 
 
-#: The diagnostics of an a = 1 boundary point: no numbers at all.
-_BOUNDARY_DIAGNOSTICS = CertificateDiagnostics(None, None, None, None, None, None)
+#: The cells of an a = 1 boundary point: no numbers at all, the Boundary verdict.
+_BOUNDARY_CELLS = (None,) * 7 + (Verdict.BOUNDARY.value,)
 
 
 #: Verdict values by code: 0 when the W side fails, 1 when only it passes, 2 for both.
@@ -245,13 +246,15 @@ _VERDICT_BY_CODE = np.array(
 def _certificate_columns(weights: np.ndarray, tol: float) -> tuple:
     """The certificate kernel on an (N, 3) array of valid MapParams weights.
 
-    Returns (interior, t, max_exp, ranks, dets, ok, verdicts): the (N,) mask
-    of the points off the a = 1 boundary, then, over those M points, t (M,),
-    the expectation maxima and ranks (2, M), W side first, the determinants
-    (2, 2, M) as [[Re, Im] of det M, [Re, Im] of det M'], whether each side
-    is certified optimal (2, M) and the verdict values (M,).  The family
-    guard (at ON_FAMILY_TOL) and the t check run first, on all N: the first
-    point that fails either raises, OffFamilyError before NonpositiveTError.
+    Returns (cells, dets, ok).  cells is the one per-point record: a list of
+    N tuples (t, |det M|, |det M'|, rank_M, rank_M', max_W, max_WG, verdict),
+    the CSV columns after alpha, a, b and c, in plain Python numbers, with
+    _BOUNDARY_CELLS for a point on the a = 1 boundary.  Over the M points
+    off the boundary, in order, dets (2, 2, M) holds [[Re, Im] of det M,
+    [Re, Im] of det M'] and ok (2, M) whether each side, W first, is
+    certified optimal.  The family guard (at ON_FAMILY_TOL) and the t check
+    run first, on all N: the first point that fails either raises,
+    OffFamilyError before NonpositiveTError.
     """
     if not (tol > 0):
         raise ValueError("tol must be positive")
@@ -291,7 +294,11 @@ def _certificate_columns(weights: np.ndarray, tol: float) -> tuple:
     num = np.stack([[re, im], [part, part]])
     dets = np.divide(num, scale[:, None], out=np.zeros_like(num), where=scale[:, None] > 0)
     ok = (max_exp <= tol) & (ranks == 9)
-    return interior, t, max_exp, ranks, dets, ok, _VERDICT_BY_CODE[ok[0] * (1 + ok[1])]
+    verdicts = _VERDICT_BY_CODE[ok[0] * (1 + ok[1])]
+    abs_dets = np.hypot(dets[:, 0], dets[:, 1])
+    rows = zip(t.tolist(), *abs_dets.tolist(), *ranks.tolist(), *max_exp.tolist(), verdicts)
+    cells = [next(rows) if inside else _BOUNDARY_CELLS for inside in interior.tolist()]
+    return cells, dets, ok
 
 
 def certify_many(params_seq, tol: float = 1e-8) -> list[Certificate]:
@@ -307,36 +314,24 @@ def certify_many(params_seq, tol: float = 1e-8) -> list[Certificate]:
     """
     points = list(params_seq)
     weights = np.array([(p.a, p.b, p.c) for p in points], dtype=float).reshape(-1, 3)
-    interior, t, max_exp, ranks, dets, ok, verdicts = _certificate_columns(weights, tol)
-    rows = zip(
-        t.tolist(), *max_exp.tolist(), *ranks.tolist(), *dets.reshape(4, -1).tolist(), *ok.tolist(),
-        verdicts.tolist(),
-    )
+    cells, dets, ok = _certificate_columns(weights, tol)
+    sides = zip(*dets.reshape(4, -1).tolist(), *ok.tolist())
     certs = []
-    for p, inside in zip(points, interior.tolist()):
-        if not inside:
-            certs.append(Certificate(p, None, False, False, Verdict.BOUNDARY, _BOUNDARY_DIAGNOSTICS))
-            continue
-        t_p, max_w, max_wg, rank_m, rank_mp, re_m, im_m, re_mp, im_mp, w_ok, wg_ok, verdict = next(rows)
-        note = _T1_NOTE if (abs(t_p - 1.0) <= T_ONE_WINDOW and rank_mp < 9) else None
-        certs.append(
-            Certificate(
-                params=p,
-                t=t_p,
-                w_optimal=w_ok,
-                wgamma_optimal=wg_ok,
-                verdict=Verdict(verdict),
-                diagnostics=CertificateDiagnostics(
-                    max_abs_expectation_w=max_w,
-                    max_abs_expectation_wgamma=max_wg,
-                    det_m=complex(re_m, im_m),
-                    det_mprime=complex(re_mp, im_mp),
-                    rank_m=rank_m,
-                    rank_mprime=rank_mp,
-                    note=note,
-                ),
-            )
-        )
+    for p, (t, _, _, rank_m, rank_mp, max_w, max_wg, verdict) in zip(points, cells):
+        if t is None:  # the a = 1 boundary: no determinants, neither side certified
+            det_m = det_mp = note = None
+            w_ok = wg_ok = False
+        else:
+            re_m, im_m, re_mp, im_mp, w_ok, wg_ok = next(sides)
+            det_m, det_mp = complex(re_m, im_m), complex(re_mp, im_mp)
+            note = _T1_NOTE if (abs(t - 1.0) <= T_ONE_WINDOW and rank_mp < 9) else None
+        certs.append(Certificate(
+            params=p, t=t, w_optimal=w_ok, wgamma_optimal=wg_ok, verdict=Verdict(verdict),
+            diagnostics=CertificateDiagnostics(
+                max_abs_expectation_w=max_w, max_abs_expectation_wgamma=max_wg,
+                det_m=det_m, det_mprime=det_mp, rank_m=rank_m, rank_mprime=rank_mp, note=note,
+            ),
+        ))
     return certs
 
 

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -299,6 +300,34 @@ def test_scan_unwritable_output(tmp_path):
         "--steps", "3", "--out", str(tmp_path / "missing" / "scan.csv"),
     )
     assert code == 3
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs the /dev/full device")
+def test_a_failed_write_exits_three(tmp_path):
+    # Every subcommand writes through one path: a write to stdout or --out
+    # that fails is an I/O error (exit 3), with one line on stderr.  Each
+    # case runs with block-buffered stdout, as a shell redirect gives it, and
+    # unbuffered: a buffered failure must not resurface at interpreter exit.
+    buffered = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    state = tmp_path / "state.txt"
+    state.write_text(state_file_text(max_ent_projector()))
+    scan = ["scan", "--alpha-start", "pi/3", "--alpha-end", "5pi/3", "--steps", "13"]
+    reason = "[Errno 28] No space left on device"
+    cases = [
+        (scan, "stdout"),
+        (["vectors", "4"], "stdout"),
+        (["check", "0", "1", "1"], "stdout"),
+        (["detect", "0", "1", "1", str(state)], "stdout"),
+        (scan + ["--out", "/dev/full"], "/dev/full"),
+    ]
+    for env in (buffered, {**buffered, "PYTHONUNBUFFERED": "1"}):
+        for argv, target in cases:
+            with open("/dev/full", "w") as full:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "choiwit", *argv], stdout=full, stderr=subprocess.PIPE, text=True, env=env
+                )
+            expected = (3, f"error: cannot write {target}: {reason}\n")
+            assert (proc.returncode, proc.stderr) == expected, (argv, "PYTHONUNBUFFERED" in env)
 
 
 def test_check_t_one_point(capsys):

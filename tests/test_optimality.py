@@ -83,8 +83,10 @@ def test_kernel_maxima_are_the_public_quadratic_forms_over_the_column_norms(expo
     t = np.array([10.0**e for e in exponents])
     d = t * t - t + 1.0
     weights = np.stack([(t - 1.0) ** 2 / d, 1.0 / d, t * t / d], axis=-1)
-    interior, t_kernel, max_exp = _certificate_columns(weights, 1e-8)[:3]
-    assert interior.all()
+    cells = _certificate_columns(weights, 1e-8)[0]
+    assert all(cell[0] is not None for cell in cells)
+    t_kernel = np.array([cell[0] for cell in cells])
+    max_exp = np.array([cell[5:7] for cell in cells]).T
     psi, phi = _pair_arrays(t_kernel)
     vectors = _products(psi, np.stack([phi, phi.conj()]))
     w = witness_stack(weights)
