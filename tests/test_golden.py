@@ -13,8 +13,14 @@ after), and the weights came from cancellation-free half-angle forms, which
 moved a by up to 1.9e-11 relative (near pi), t by up to 4.7e-12 and the
 determinants by up to 6.9e-12, and turned the endpoint rows' tiny b or c
 into 0 or back.  Otherwise the files are not regenerated: a change that
-alters one digit of these outputs fails here."""
+alters one digit of these outputs fails here.
 
+The check files hold the stdout of check and check --json at five points
+(t = 1, the a = 1 boundary, README's example and one point next to each end
+of the angle range); check_goldens.json holds the argv and the exit code of
+each, captured with them."""
+
+import json
 from pathlib import Path
 
 import pytest
@@ -40,3 +46,15 @@ def test_output_matches_golden(tmp_path, golden):
     out = tmp_path / golden
     assert cli_main(GOLDEN[golden] + ["--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / golden).read_bytes()
+
+
+CHECK_GOLDEN = json.loads((DATA / "check_goldens.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("golden", CHECK_GOLDEN)
+def test_check_output_matches_golden(golden, capsys):
+    run = CHECK_GOLDEN[golden]
+    assert cli_main(run["argv"]) == run["exit_code"]
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.encode("utf-8") == (DATA / golden).read_bytes()
