@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ChoiwitError
 from .maps import ALPHA_MAX, ALPHA_MIN, MapParams, family_weights
-from .optimality import Certificate, Verdict, _certificate_columns, certify
+from .optimality import RECORD_KEYS, Verdict, _certificate_columns, _certified
 from .optimality import product_vectors, span_matrix
 from .witness import (
     detect,
@@ -31,10 +31,9 @@ from .witness import (
     witness_matrix,
 )
 
-CSV_HEADER = (
-    "alpha,a,b,c,t,abs_det_M,abs_det_Mprime,rank_M,rank_Mprime,"
-    "max_expectation_W,max_expectation_WGamma,verdict"
-)
+#: The keys of a scan record: the angle and the weights, then the certificate record's.
+_SCAN_KEYS = ("alpha", "a", "b", "c") + RECORD_KEYS
+CSV_HEADER = ",".join(_SCAN_KEYS)
 
 #: Grid points per certify_many call in scan.  Blocks keep the kernel's
 #: working set small: one batch for a 1001-point grid raised the scan's peak
@@ -46,7 +45,8 @@ SCAN_BLOCK = 64
 MAX_STEPS = 10**6
 MAX_SAMPLES = 10**6
 
-_PI_EXPR = re.compile(r"^([0-9]*\.?[0-9]*)\*?pi(?:/([0-9]+\.?[0-9]*))?$")
+#: 'pi' times an optional number ('5', '0.5', '.5', '2*'), over an optional denominator.
+_PI_EXPR = re.compile(r"^(?:([0-9]+\.?[0-9]*|\.[0-9]+)\*?)?pi(?:/([0-9]+\.?[0-9]*))?$")
 
 
 def parse_alpha(text: str) -> float:
@@ -98,9 +98,6 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-_CSV_KEYS = CSV_HEADER.split(",")
-
-
 def _scan_values(alphas: list[float], tol: float) -> list[tuple]:
     """One tuple per angle, in CSV_HEADER order: alpha and the weights, then the kernel's cells.
 
@@ -135,7 +132,7 @@ def _scan_text(values: list[tuple], fmt: str) -> str:
     """The scan output for _scan_values tuples: CSV, or JSON with one record per tuple."""
     if fmt == "csv":
         return CSV_HEADER + "\n" + "".join(map(_csv_row, values))
-    records = [dict(zip(_CSV_KEYS, v)) for v in values]
+    records = [dict(zip(_SCAN_KEYS, v)) for v in values]
     return json.dumps({"records": records}, indent=2) + "\n"
 
 
@@ -167,50 +164,39 @@ def cmd_scan(args) -> int:
     return _write_output(_scan_text(values, args.format), args.out)
 
 
-def _certificate_payload(cert: Certificate, sample_min: float, args) -> dict:
-    """check's JSON record: the CSV_HEADER columns after alpha, then the flags, note and sampler."""
-    p, d = cert.params, cert.diagnostics
-    abs_dets = (None if z is None else abs(z) for z in (d.det_m, d.det_mprime))
-    cells = (p.a, p.b, p.c, cert.t, *abs_dets, d.rank_m, d.rank_mprime,
-             d.max_abs_expectation_w, d.max_abs_expectation_wgamma, cert.verdict.value)
-    return dict(
-        zip(_CSV_KEYS[1:], cells),
-        w_optimal=cert.w_optimal,
-        wgamma_optimal=cert.wgamma_optimal,
-        note=d.note,
-        separable_sample_min=sample_min,
-        samples=args.samples,
-        seed=args.seed,
-    )
-
-
 def cmd_check(args) -> int:
     _check_options(args.tol, args.samples, args.seed)
     params = MapParams(args.a, args.b, args.c)
-    cert = certify(params, tol=args.tol)
+    (cert,), (cell,) = _certified([params], args.tol)
     sample_min = separable_sample_check(
         witness_matrix(params), n=args.samples, seed=args.seed
     )
+    # The scan record of this point without the angle; both outputs read it.
+    record = dict(zip(_SCAN_KEYS[1:], (params.a, params.b, params.c, *cell)))
+    note = cert.diagnostics.note
     if args.json:
-        lines = [json.dumps(_certificate_payload(cert, sample_min, args), indent=2)]
+        payload = dict(record, w_optimal=cert.w_optimal, wgamma_optimal=cert.wgamma_optimal, note=note,
+                       separable_sample_min=sample_min, samples=args.samples, seed=args.seed)
+        lines = [json.dumps(payload, indent=2)]
     else:
-        d = cert.diagnostics
+        t = record["t"]
         lines = [
-            f"witness weights: a={_fmt(params.a)} b={_fmt(params.b)} c={_fmt(params.c)}",
-            f"t: {'(boundary, undefined)' if cert.t is None else _fmt(cert.t)}",
-            f"verdict: {cert.verdict.value}",
+            f"witness weights: a={_fmt(record['a'])} b={_fmt(record['b'])} c={_fmt(record['c'])}",
+            f"t: {'(boundary, undefined)' if t is None else _fmt(t)}",
+            f"verdict: {record['verdict']}",
             f"witness side optimal: {'yes' if cert.w_optimal else 'no'}",
             f"partial-transpose side optimal: {'yes' if cert.wgamma_optimal else 'no'}",
         ]
-        if cert.t is not None:
+        if t is not None:  # the record's numbers between t and the verdict
+            det_m, det_mp, rank_m, rank_mp, max_w, max_wg = map(record.get, RECORD_KEYS[1:-1])
             lines += [
-                f"max |expectation| on the nine pairs (W): {_fmt(d.max_abs_expectation_w)}",
-                f"max |expectation| on the nine pairs (W^G): {_fmt(d.max_abs_expectation_wgamma)}",
-                f"rank of span matrices: {d.rank_m} / {d.rank_mprime}",
-                f"|det| of column-normalized span matrices: {_fmt(abs(d.det_m))} / {_fmt(abs(d.det_mprime))}",
+                f"max |expectation| on the nine pairs (W): {_fmt(max_w)}",
+                f"max |expectation| on the nine pairs (W^G): {_fmt(max_wg)}",
+                f"rank of span matrices: {rank_m} / {rank_mp}",
+                f"|det| of column-normalized span matrices: {_fmt(det_m)} / {_fmt(det_mp)}",
             ]
-        if d.note:
-            lines.append(f"note: {d.note}")
+        if note:
+            lines.append(f"note: {note}")
         lines.append(f"separable sample min (n={args.samples}, seed={args.seed}): {_fmt(sample_min)}")
     certified = cert.verdict in (Verdict.INDECOMPOSABLE_OPTIMAL, Verdict.OPTIMAL_ONLY)
     return _write_output("\n".join(lines) + "\n", None) or (0 if certified else 1)

@@ -12,9 +12,10 @@ exact integer arithmetic, and the certificates report them.
 The whole test runs as one batched kernel on an array of weights: all
 pairs, span matrices and witnesses of a batch are stacked along a leading
 axis and checked in stacked numpy calls.  The kernel turns the results into
-one record per point, the scan CSV's cells, in one place.  certify_many
-wraps those records in Certificates, and certify is its one-point case; the
-scan command puts the angle and weights in front of them.
+one record per point, the cells named by RECORD_KEYS, in one place.
+certify_many wraps those records in Certificates, and certify is its
+one-point case; the scan command puts the angle and weights in front of
+them, and check prints the record of its point beside its Certificate.
 """
 
 from __future__ import annotations
@@ -232,8 +233,12 @@ def zero_expectation_check(p: MapParams) -> ZeroExpectations:
     )
 
 
+#: The names of a certificate record's cells, in order: the scan columns after alpha, a, b and c.
+RECORD_KEYS = ("t", "abs_det_M", "abs_det_Mprime", "rank_M", "rank_Mprime",
+               "max_expectation_W", "max_expectation_WGamma", "verdict")
+
 #: The cells of an a = 1 boundary point: no numbers at all, the Boundary verdict.
-_BOUNDARY_CELLS = (None,) * 7 + (Verdict.BOUNDARY.value,)
+_BOUNDARY_CELLS = (None,) * (len(RECORD_KEYS) - 1) + (Verdict.BOUNDARY.value,)
 
 
 #: Verdict values by code: 0 when the W side fails, 1 when only it passes, 2 for both.
@@ -248,8 +253,8 @@ def _certificate_columns(weights: np.ndarray, tol: float) -> tuple:
 
     Returns (cells, dets, ok).  cells is the one per-point record: a list of
     N tuples (t, |det M|, |det M'|, rank_M, rank_M', max_W, max_WG, verdict),
-    the CSV columns after alpha, a, b and c, in plain Python numbers, with
-    _BOUNDARY_CELLS for a point on the a = 1 boundary.  Over the M points
+    the values of RECORD_KEYS, in plain Python numbers, with _BOUNDARY_CELLS
+    for a point on the a = 1 boundary.  Over the M points
     off the boundary, in order, dets (2, 2, M) holds [[Re, Im] of det M,
     [Re, Im] of det M'] and ok (2, M) whether each side, W first, is
     certified optimal.  The family guard (at ON_FAMILY_TOL) and the t check
@@ -301,18 +306,8 @@ def _certificate_columns(weights: np.ndarray, tol: float) -> tuple:
     return cells, dets, ok
 
 
-def certify_many(params_seq, tol: float = 1e-8) -> list[Certificate]:
-    """Issue the optimality certificates for a sequence of family points.
-
-    The points are certified as one batch, and each certificate is
-    bit-for-bit the one certify gives for its point alone: no result
-    depends on what else is in the batch.  Every point passes the family
-    guard (at ON_FAMILY_TOL, whatever tol) and the t check in sequence order
-    before any numerical work, so an error comes from the first offending
-    point and carries its values.  The Hermiticity and roundoff checks then
-    run on the whole batch.
-    """
-    points = list(params_seq)
+def _certified(points: list, tol: float) -> tuple[list[Certificate], list[tuple]]:
+    """certify_many's Certificates for a list of points, and the kernel's cells they were built from."""
     weights = np.array([(p.a, p.b, p.c) for p in points], dtype=float).reshape(-1, 3)
     cells, dets, ok = _certificate_columns(weights, tol)
     sides = zip(*dets.reshape(4, -1).tolist(), *ok.tolist())
@@ -332,7 +327,21 @@ def certify_many(params_seq, tol: float = 1e-8) -> list[Certificate]:
                 det_m=det_m, det_mprime=det_mp, rank_m=rank_m, rank_mprime=rank_mp, note=note,
             ),
         ))
-    return certs
+    return certs, cells
+
+
+def certify_many(params_seq, tol: float = 1e-8) -> list[Certificate]:
+    """Issue the optimality certificates for a sequence of family points.
+
+    The points are certified as one batch, and each certificate is
+    bit-for-bit the one certify gives for its point alone: no result
+    depends on what else is in the batch.  Every point passes the family
+    guard (at ON_FAMILY_TOL, whatever tol) and the t check in sequence order
+    before any numerical work, so an error comes from the first offending
+    point and carries its values.  The Hermiticity and roundoff checks then
+    run on the whole batch.
+    """
+    return _certified(list(params_seq), tol)[0]
 
 
 def certify(p: MapParams, tol: float = 1e-8) -> Certificate:

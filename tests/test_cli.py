@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import io
 import json
@@ -11,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from choiwit import (
@@ -30,7 +29,6 @@ from choiwit.cli import (
     MAX_SAMPLES,
     MAX_STEPS,
     SCAN_BLOCK,
-    _certificate_payload,
     _csv_row,
     _scan_text,
     _scan_values,
@@ -53,6 +51,8 @@ def test_parse_alpha():
     assert parse_alpha("pi/3") == math.pi / 3
     assert parse_alpha("5pi/3") == 5 * math.pi / 3
     assert parse_alpha("0.5pi") == 0.5 * math.pi
+    assert parse_alpha(".5pi") == 0.5 * math.pi
+    assert parse_alpha("2*pi") == 2 * math.pi
     assert parse_alpha("1.25") == 1.25
     with pytest.raises(ValueError):
         parse_alpha("three")
@@ -164,17 +164,6 @@ def _library_row(rec):
     return _csv_row(tuple(rec.values()))
 
 
-def test_scan_records_follow_the_csv_header():
-    # check's JSON record starts with the CSV columns after alpha, in order.
-    certs = certify_many([family_from_alpha(a).params for a in (ALPHA_MIN, math.pi)])
-    for cert in certs:
-        record = scan_record(1.0, cert)
-        assert ",".join(record) == CSV_HEADER
-        del record["alpha"]
-        payload = _certificate_payload(cert, 0.0, argparse.Namespace(samples=1, seed=0))
-        assert list(payload.items())[:11] == list(record.items())
-
-
 def test_csv_rows_match_the_per_cell_oracle_on_scan_records():
     # The ends are a = 1 boundary rows with empty cells; pi is t = 1.
     alphas = [ALPHA_MIN, ALPHA_MIN + 1e-9, 2.0, math.pi, 4.5, ALPHA_MAX - 1e-9, ALPHA_MAX]
@@ -187,7 +176,6 @@ def test_csv_rows_match_the_per_cell_oracle_on_scan_records():
 
 # Angles next to both ends at which the certificate still runs: the boundary
 # (a = 1 within 1e-12), NotCertified rows near pi/3 and tiny t near 5pi/3.
-# At 5pi/3 - 1e-8, c rounds to 0 and the t check raises.
 END_WINDOWS = [
     ALPHA_MIN + 1e-12,
     ALPHA_MIN + 1e-9,
@@ -200,6 +188,47 @@ END_WINDOWS = [
     ALPHA_MAX - 1e-12,
 ]
 SCAN_ALPHAS = st.one_of(st.floats(ALPHA_MIN + 1e-7, ALPHA_MAX - 1e-7), st.sampled_from(END_WINDOWS))
+
+
+def _scan_record_of(alpha, tol):
+    """(exit code, stderr, the scan --format json record of alpha) from a two-point scan."""
+    ends = (alpha, ALPHA_MAX) if alpha < ALPHA_MAX else (ALPHA_MIN, alpha)
+    code, out, err, _ = _run_quietly([
+        "scan", "--alpha-start", repr(ends[0]), "--alpha-end", repr(ends[1]),
+        "--steps", "2", "--format", "json", "--tol", repr(tol),
+    ])
+    records = json.loads(out)["records"] if code == 0 else []
+    return code, err, next((rec for rec in records if rec["alpha"] == alpha), None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(SCAN_ALPHAS, st.sampled_from([ALPHA_MIN, ALPHA_MAX, math.pi])),
+    st.sampled_from([1e-8, 1e-12, 1e-16, 0.5]),
+)
+@example(ALPHA_MIN, 1e-8)
+@example(ALPHA_MAX, 1e-8)
+@example(math.pi, 1e-8)
+def test_check_prints_the_scan_record_of_its_point(alpha, tol):
+    # check --json starts with the scan record of the same point, without
+    # alpha, and its exit code follows the verdict rule.  Where either path
+    # raises, both exit 2 with the same message.
+    p = family_from_alpha(alpha).params
+    code, out, err, _ = _run_quietly([
+        "check", "--json", "--samples", "1", "--tol", repr(tol), repr(p.a), repr(p.b), repr(p.c),
+    ])
+    scan_code, scan_err, record = _scan_record_of(alpha, tol)
+    if scan_code == 2 or code == 2:
+        assert code == scan_code == 2
+        assert err == scan_err
+        assert out == "" and err.startswith("error: ")
+        return
+    assert (scan_code, err, scan_err) == (0, "", "")
+    assert ",".join(record) == CSV_HEADER
+    del record["alpha"]
+    payload = json.loads(out)
+    assert list(payload.items())[:11] == list(record.items())
+    assert code == (0 if record["verdict"] in ("IndecomposableOptimal", "OptimalOnly") else 1)
 
 
 def _certificate_records(alphas, tol):
@@ -605,6 +634,13 @@ _USAGE_ERRORS = [
      "not a family point: b*c = 0.0 differs from (1-a)^2 = 2.499999999999449e-09"),
     (("check", "0.99999", "1.00001", "1e-300"),
      "not a family point: b*c = 1.0000100000000001e-300 differs from (1-a)^2 = 9.99999999990898e-11"),
+    # A number part without a digit, or a '*' without a number, is not a fraction of pi.
+    (("scan", "--alpha-start", ".pi", "--alpha-end", "5pi/3", "--steps", "3"),
+     "could not convert string to float: '.pi'"),
+    (("scan", "--alpha-start", ".pi/3", "--alpha-end", "5pi/3", "--steps", "3"),
+     "could not convert string to float: '.pi/3'"),
+    (("scan", "--alpha-start", "pi/3", "--alpha-end", "*pi", "--steps", "3"),
+     "could not convert string to float: '*pi'"),
 ]
 
 
