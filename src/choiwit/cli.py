@@ -35,12 +35,6 @@ from .witness import (
 _SCAN_KEYS = ("alpha", "a", "b", "c") + RECORD_KEYS
 CSV_HEADER = ",".join(_SCAN_KEYS)
 
-#: Grid points per certify_many call in scan.  Blocks keep the kernel's
-#: working set small: one batch for a 1001-point grid raised the scan's peak
-#: RSS from 32 to 47 MB, blocks of 64 add about 0.5 MB.  Results do not
-#: depend on the block size.
-SCAN_BLOCK = 64
-
 #: Largest accepted --steps and --samples; a larger value is a usage error (exit 2).
 MAX_STEPS = 10**6
 MAX_SAMPLES = 10**6
@@ -101,18 +95,12 @@ def _fmt(x: float) -> str:
 def _scan_values(alphas: list[float], tol: float) -> list[tuple]:
     """One tuple per angle, in CSV_HEADER order: alpha and the weights, then the kernel's cells.
 
-    The weights of the whole grid come from one family_weights call; the
-    grid is certified in blocks of SCAN_BLOCK points.  Each tuple holds the
-    values check's JSON gives under the same keys for that point.
+    One family_weights call and one kernel call cover the grid.  Each tuple
+    holds the values check's JSON gives under the same keys for that point.
     """
-    grid_weights = family_weights(alphas)
-    values = []
-    for i in range(0, len(alphas), SCAN_BLOCK):
-        weights = grid_weights[i : i + SCAN_BLOCK]
-        cells = _certificate_columns(weights, tol)[0]
-        for alpha, abc, cell in zip(alphas[i : i + SCAN_BLOCK], weights.tolist(), cells):
-            values.append((alpha, *abc, *cell))
-    return values
+    weights = family_weights(alphas)
+    cells = _certificate_columns(weights, tol)[0]
+    return [(alpha, a, b, c, *cell) for alpha, a, b, c, cell in zip(alphas, *weights.T.tolist(), cells)]
 
 
 #: A CSV row in CSV_HEADER order: floats as _fmt prints them, ranks as integers.
@@ -147,7 +135,8 @@ def _write_output(text: str, out_path: str | None) -> int:
                 handle.write(text)
     except OSError as exc:
         if out_path is None:  # leave nothing in the buffer for the flush at exit to retry and fail on
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
         target = "stdout" if out_path is None else out_path
         print(f"error: cannot write {target}: {exc}", file=sys.stderr)
         return 3

@@ -192,14 +192,19 @@ def falsifier_minimum(a, b, c):
     return sigma, -sigma / (a + b + c)
 
 
-def certificate_flags(max_w, max_wgamma, rank_m, rank_mprime, tol):
-    """(w_optimal, wgamma_optimal, verdict value) of a certificate off the boundary.
+def certificate_flags(t, max_w, max_wgamma, rank_m, rank_mprime, tol):
+    """(w_optimal, wgamma_optimal, verdict value) of a certificate off the boundary at t.
 
     Each side is decided on its own numbers; the verdict follows from the
-    two flags.
+    two flags.  A side whose span matrix has determinant 0 is never
+    certified, whatever rank it was given.  The closed forms decide that:
+    det M = 8 t^4 sqrt(t) ((t^2 - 1)(2t - sqrt(t) + 2) - i t (1 + t)(t - 4 sqrt(t) + 1))
+    has no zero for t > 0 (its imaginary part vanishes only at sqrt(t) = 2 +- sqrt(3),
+    where its real part does not), and det M' = -8 t^4 sqrt(t) (t - 1)^3 (1 + i).
     """
+    det_mprime = -8 * t**4 * math.sqrt(t) * (t - 1) ** 3
     w_optimal = max_w <= tol and rank_m == 9
-    wgamma_optimal = max_wgamma <= tol and rank_mprime == 9
+    wgamma_optimal = max_wgamma <= tol and rank_mprime == 9 and det_mprime != 0
     if w_optimal and wgamma_optimal:
         return w_optimal, wgamma_optimal, "IndecomposableOptimal"
     return w_optimal, wgamma_optimal, "OptimalOnly" if w_optimal else "NotCertified"

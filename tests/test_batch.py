@@ -2,12 +2,16 @@
 depend on what else is in the batch."""
 
 import math
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choiwit import MapParams, Verdict, certify, certify_many, family_from_alpha
+from choiwit import MapParams, NonpositiveTError, OffFamilyError, Verdict, certify, certify_many, family_from_alpha
+from choiwit import optimality
 from choiwit.maps import ALPHA_MAX, ALPHA_MIN
 from oracles import certificate_flags
 
@@ -41,7 +45,7 @@ def test_certify_many_matches_certify_alone(size, data):
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.lists(ALPHAS, min_size=1, max_size=70), st.sampled_from([1e-8, 1e-12, 1e-16, 0.5]))
+@given(st.lists(ALPHAS, min_size=1, max_size=70), st.sampled_from([1e-8, 1e-12, 1e-16, 1e-17, 1e-300, 0.5]))
 def test_flags_and_verdict_follow_the_per_point_rule(alphas, tol):
     # The kernel decides the verdict in numpy and each flag on its own side.
     for cert in certify_many([family_from_alpha(a).params for a in alphas], tol):
@@ -50,7 +54,7 @@ def test_flags_and_verdict_follow_the_per_point_rule(alphas, tol):
             assert (cert.w_optimal, cert.wgamma_optimal, cert.verdict) == (False, False, Verdict.BOUNDARY)
             continue
         numbers = (d.max_abs_expectation_w, d.max_abs_expectation_wgamma, d.rank_m, d.rank_mprime)
-        assert (cert.w_optimal, cert.wgamma_optimal, cert.verdict.value) == certificate_flags(*numbers, tol)
+        assert (cert.w_optimal, cert.wgamma_optimal, cert.verdict.value) == certificate_flags(cert.t, *numbers, tol)
 
 
 def test_certify_many_of_nothing():
@@ -89,3 +93,63 @@ def test_a_batch_fails_on_its_first_bad_point(points):
     alone = [_error(lambda p=p: certify(p)) for p in points]
     first = next((error for error in alone if error is not None), None)
     assert _error(lambda: certify_many(points)) == first
+
+
+#: Kernel block sizes to compare: one point, uneven, the default, larger than any batch here.
+BLOCKS = (1, 7, 64, 1001)
+
+
+def _at_every_block_size(monkeypatch, call):
+    """The results of call() with the kernel's block size set to each of BLOCKS."""
+    results = []
+    for block in BLOCKS:
+        monkeypatch.setattr(optimality, "KERNEL_BLOCK", block)
+        results.append(call())
+    return results
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-17])
+def test_certificates_do_not_depend_on_the_block_size(monkeypatch, tol):
+    # More than two default blocks, with both a = 1 ends, t = 1 and points
+    # next to the ends mixed in.
+    alphas = np.linspace(ALPHA_MIN, ALPHA_MAX, 150).tolist() + [math.pi, ALPHA_MIN + 1e-9, ALPHA_MAX - 1e-7]
+    params = [family_from_alpha(a).params for a in alphas]
+    runs = _at_every_block_size(monkeypatch, lambda: [_bits(cert) for cert in certify_many(params, tol)])
+    assert all(run == runs[0] for run in runs)
+    verdicts = {cert.verdict for cert in certify_many(params, tol)}
+    assert {Verdict.BOUNDARY, Verdict.OPTIMAL_ONLY, Verdict.INDECOMPOSABLE_OPTIMAL} <= verdicts
+
+
+def test_a_batch_fails_on_the_same_first_point_at_every_block_size(monkeypatch):
+    # The guards run on the whole batch before any block: the off-family
+    # point at index 130 raises, not the t = 0 point after it.
+    params = [family_from_alpha(a).params for a in np.linspace(ALPHA_MIN, ALPHA_MAX, 200)]
+    params[130] = MapParams(1, 1, 1)
+    params[150] = MapParams(1 - 1e-9, 1 + 1e-9, 0)  # on the family within 1e-8, but t = 0
+    errors = _at_every_block_size(monkeypatch, lambda: _error(lambda: certify_many(params)))
+    assert errors == [(OffFamilyError, "not a family point: a+b+c = 3.0 differs from 2")] * len(BLOCKS)
+    params[130] = params[0]
+    errors = _at_every_block_size(monkeypatch, lambda: _error(lambda: certify_many(params)))
+    assert errors == [(NonpositiveTError, "t must be a positive finite real, got 0.0")] * len(BLOCKS)
+
+
+def test_certify_many_runs_in_flat_memory():
+    # The kernel works through a batch in blocks, so 20,000 points must not
+    # stack 20,000 witnesses and span matrices at once (about 14 KB a point).
+    pytest.importorskip("resource")
+    script = (
+        "import resource, sys\n"
+        "import numpy as np\n"
+        "from choiwit import MapParams, certify_many\n"
+        "from choiwit.maps import family_weights\n"
+        "params = [MapParams(*abc) for abc in family_weights(np.linspace(1.1, 5.1, 20000)).tolist()]\n"
+        "certify_many(params[:100])\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "certs = certify_many(params)\n"
+        "grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+        "print(len(certs), grown / (2**20 if sys.platform == 'darwin' else 2**10))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    count, grown_mb = proc.stdout.split()
+    assert int(count) == 20000
+    assert float(grown_mb) < 100

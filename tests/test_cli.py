@@ -23,12 +23,11 @@ from choiwit import (
     max_ent_projector,
     state_file_text,
 )
-from choiwit import cli
+from choiwit import optimality
 from choiwit.cli import (
     CSV_HEADER,
     MAX_SAMPLES,
     MAX_STEPS,
-    SCAN_BLOCK,
     _csv_row,
     _scan_text,
     _scan_values,
@@ -37,6 +36,7 @@ from choiwit.cli import (
     parse_weight,
 )
 from choiwit.maps import ALPHA_MAX, ALPHA_MIN
+from choiwit.optimality import KERNEL_BLOCK
 from oracles import certificate_flags, record_to_csv_row, scan_record
 
 DATA = Path(__file__).parent / "data"
@@ -239,7 +239,7 @@ def _certificate_records(alphas, tol):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.lists(SCAN_ALPHAS, max_size=2 * SCAN_BLOCK + 5),
+    st.lists(SCAN_ALPHAS, max_size=2 * KERNEL_BLOCK + 5),
     st.sampled_from([1e-8, 1e-12, 1e-16, 0.5]),
 )
 def test_scan_rows_equal_the_certificate_path(extra, tol):
@@ -265,7 +265,7 @@ def test_scan_rows_when_only_the_w_side_fails():
     cert = certify(cert.params, tol)
     d = cert.diagnostics
     assert (d.rank_m, d.rank_mprime) == (9, 9)
-    flags = certificate_flags(d.max_abs_expectation_w, d.max_abs_expectation_wgamma, 9, 9, tol)
+    flags = certificate_flags(cert.t, d.max_abs_expectation_w, d.max_abs_expectation_wgamma, 9, 9, tol)
     assert flags == (False, True, "NotCertified")
     assert (cert.w_optimal, cert.wgamma_optimal, cert.verdict.value) == flags
     assert _scan_values([alpha], tol)[0][-1] == "NotCertified"
@@ -314,11 +314,11 @@ def test_csv_rows_print_extreme_floats_like_the_oracle(x):
 def test_scan_bytes_do_not_depend_on_the_block_size(monkeypatch, capsys):
     outputs = {}
     for block in (1, 7, 64, 1001):
-        monkeypatch.setattr(cli, "SCAN_BLOCK", block)
-        for steps, fmt in ((13, "csv"), (13, "json"), (200, "csv")):
+        monkeypatch.setattr(optimality, "KERNEL_BLOCK", block)
+        for steps, fmt in ((13, "csv"), (13, "json"), (200, "csv"), (200, "json")):
             assert run_cli(*_SCAN, "--steps", str(steps), "--format", fmt) == 0
             outputs.setdefault((steps, fmt), set()).add(capsys.readouterr().out)
-    assert [len(texts) for texts in outputs.values()] == [1, 1, 1]
+    assert [len(texts) for texts in outputs.values()] == [1, 1, 1, 1]
     assert outputs[13, "csv"] == {(DATA / "scan_steps13.csv").read_text(encoding="utf-8")}
     assert outputs[13, "json"] == {(DATA / "scan_steps13.json").read_text(encoding="utf-8")}
 
@@ -359,11 +359,56 @@ def test_a_failed_write_exits_three(tmp_path):
             assert (proc.returncode, proc.stderr) == expected, (argv, "PYTHONUNBUFFERED" in env)
 
 
+@pytest.mark.skipif(
+    not (Path("/dev/full").exists() and Path("/proc/self/fd").is_dir()),
+    reason="needs the /dev/full device and /proc/self/fd",
+)
+def test_a_failed_write_to_stdout_leaves_no_descriptor_open():
+    # After a failed write, stdout is pointed at the null device; the
+    # descriptor opened for that must not stay open.
+    script = (
+        "import os, sys\n"
+        "from choiwit import cli\n"
+        "before = len(os.listdir('/proc/self/fd'))\n"
+        "code = cli.main(['vectors', '4'])\n"
+        "after = len(os.listdir('/proc/self/fd'))\n"
+        "print(code, before, after, file=sys.stderr)\n"
+    )
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-c", script], stdout=full, stderr=subprocess.PIPE, text=True)
+    code, before, after = map(int, proc.stderr.splitlines()[-1].split())
+    assert (proc.returncode, code, after) == (0, 3, before)
+
+
 def test_check_t_one_point(capsys):
     assert run_cli("check", "0", "1", "1") == 0
     out = capsys.readouterr().out
     assert "OptimalOnly" in out
     assert "separable sample min" in out
+
+
+@pytest.mark.parametrize("tol", ["1e-300", "1e-20", "1e-17"])
+def test_t_one_is_not_certified_on_the_transposed_side_at_any_tol(tol, capsys):
+    # det M' = 0 exactly at t = 1 (tests/test_exact.py).  Below tol ~ 1e-16
+    # the SVD of that singular matrix still counts roundoff singular values
+    # up to rank 9, which once certified the W^Gamma side there.
+    argv = ("check", "0", "1", "1", "--samples", "1", "--tol", tol)
+    assert run_cli(*argv) == 0
+    text = capsys.readouterr().out
+    assert "verdict: OptimalOnly\n" in text
+    assert "partial-transpose side optimal: no\n" in text
+    assert "note: span test for the partially transposed witness degenerates at t = 1" in text
+    assert run_cli(*argv, "--json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["verdict"], payload["w_optimal"], payload["wgamma_optimal"]) == ("OptimalOnly", True, False)
+    assert payload["abs_det_Mprime"] == 0 and payload["note"] is not None
+    # The same point as the scan row at alpha = pi, where t = 1 exactly.
+    assert run_cli(*_SCAN, "--steps", "13", "--tol", tol) == 0
+    row = capsys.readouterr().out.splitlines()[7].split(",")
+    assert (float(row[0]), float(row[4]), row[-1]) == (math.pi, 1.0, "OptimalOnly")
+    (cert,) = certify_many([family_from_alpha(math.pi).params], float(tol))
+    assert (cert.t, cert.wgamma_optimal, cert.verdict) == (1.0, False, Verdict.OPTIMAL_ONLY)
+    assert cert.diagnostics.note is not None
 
 
 def test_check_interior_point_json(capsys):
