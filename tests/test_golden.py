@@ -15,6 +15,11 @@ determinants by up to 6.9e-12, and turned the endpoint rows' tiny b or c
 into 0 or back.  Otherwise the files are not regenerated: a change that
 alters one digit of these outputs fails here.
 
+scan_steps101_tol1e-4.csv is a 101-step scan at tol 1e-4, captured before
+the rank cells were first decided by the determinant bound: at that tol 33
+of its 198 span matrices still reach the singular value decomposition and
+the bound proves rank 9 for the rest, so it pins both ways of deciding.
+
 The check files hold the stdout of check and check --json at five points
 (t = 1, the a = 1 boundary, README's example and one point next to each end
 of the angle range); check_goldens.json holds the argv and the exit code of
@@ -36,6 +41,7 @@ GOLDEN = {
     "scan_steps13.csv": SCAN + ["--steps", "13"],
     "scan_steps1001.csv": SCAN + ["--steps", "1001"],
     "scan_steps13.json": SCAN + ["--steps", "13", "--format", "json"],
+    "scan_steps101_tol1e-4.csv": SCAN + ["--steps", "101", "--tol", "1e-4"],
     "vectors_t4.txt": ["vectors", "4"],
     "vectors_t4_conjugated.txt": ["vectors", "4", "--conjugated"],
 }
