@@ -109,8 +109,8 @@ def lu_det(m):
 def rank_with_tol(m, tol):
     """Numerical rank: number of singular values above tol * (largest one).
 
-    A stack of matrices along leading axes gives an integer array of ranks
-    from one stacked singular value decomposition.
+    A stack of matrices along leading axes (empty ones too) gives an integer
+    array of ranks from one stacked singular value decomposition.
     """
     if not (tol > 0):
         raise ValueError("tol must be positive")

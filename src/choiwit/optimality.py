@@ -11,8 +11,10 @@ exact integer arithmetic, and the certificates report them.
 
 The whole test runs as one batched kernel on an array of weights, in
 blocks of KERNEL_BLOCK points: the pairs, span matrices and witnesses of a
-block are stacked along a leading axis and checked in stacked numpy calls.  The kernel turns the results into
-one record per point, the cells named by RECORD_KEYS, in one place.
+block are stacked along a leading axis and checked in stacked numpy calls.
+Where a determinant proves rank 9 (_RANK9_DET_BOUND), its matrix skips the
+stacked SVD, which counts the rest.  The kernel turns the results into one
+record per point, the cells named by RECORD_KEYS, in one place.
 certify_many wraps those records in Certificates, and certify is its
 one-point case; the scan command puts the angle and weights in front of
 them, and check prints the record of its point beside its Certificate.
@@ -246,6 +248,10 @@ _BOUNDARY_CELLS = (None,) * (len(RECORD_KEYS) - 1) + (Verdict.BOUNDARY.value,)
 #: add about 0.5 MB.  No result depends on the block size.
 KERNEL_BLOCK = 64
 
+#: sigma_min / sigma_max >= |det A| / this for a 9x9 A with unit columns: ||A||_F^2 = 9
+#: gives sigma_max <= 3, and by AM-GM the eight largest multiply to at most (9/8)^4.
+_RANK9_DET_BOUND = 3 * (9 / 8) ** 4
+
 #: Verdict values by code: 0 when the W side fails, 1 when only it passes, 2 for both.
 _VERDICT_BY_CODE = np.array(
     [Verdict.NOT_CERTIFIED.value, Verdict.OPTIMAL_ONLY.value, Verdict.INDECOMPOSABLE_OPTIMAL.value],
@@ -298,8 +304,6 @@ def _certificate_columns(weights: np.ndarray, tol: float) -> tuple[list[tuple], 
         forms = _quadratic_forms(_witness_sides(inner[i : i + KERNEL_BLOCK], 2), vectors, norm2)
         # Each expectation is taken on the unit vector: |v|^2 grows like t^3.
         max_exp = np.abs(forms / norm2).max(axis=-1)
-        spans /= norms[..., None, :]
-        ranks = rank_with_tol(spans, tol)
         # det of a column-normalized span matrix = closed form / product of
         # its column norms, divided as reals.  Below t ~ 1e-108 both underflow
         # to 0; the determinant, of order t^1.5, is then 0 too.
@@ -307,6 +311,10 @@ def _certificate_columns(weights: np.ndarray, tol: float) -> tuple[list[tuple], 
         num = np.stack(_det_parts(t, np.sqrt(t)))[[0, 1, 2, 2]]  # Re, Im of det M, then of det M'
         dets = np.divide(num, scale, out=np.zeros_like(num), where=scale > 0)
         abs_dets = np.hypot(dets[0::2], dets[1::2])
+        # Above tol by a roundoff margin, |det| / _RANK9_DET_BOUND proves rank 9.
+        ranks = np.full(abs_dets.shape, 9)
+        need = ~(abs_dets > _RANK9_DET_BOUND * tol + 1e-12)
+        ranks[need] = rank_with_tol(spans[need] / norms[need][:, None, :], tol)
         # det 0 proves rank < 9, whatever the SVD counts at a tiny tol (M' at t = 1).
         ok = (max_exp <= tol) & (ranks == 9) & (abs_dets > 0)
         verdicts = _VERDICT_BY_CODE[ok[0] * (1 + ok[1])]
@@ -361,7 +369,8 @@ def certify(p: MapParams, tol: float = 1e-8) -> Certificate:
     On the a = 1 boundary the verdict is Boundary and no numbers are
     produced.  Otherwise each witness side is certified optimal when its
     nine expectations on unit vectors vanish within tol and its column-normalized span
-    matrix has full rank at relative tolerance tol; both sides together
+    matrix has full rank at relative tolerance tol (proven from its determinant
+    where that suffices, else counted by the SVD); both sides together
     give IndecomposableOptimal.  A failed test yields OptimalOnly or
     NotCertified, which mean "not certified by this test", never a proof
     of non-optimality.

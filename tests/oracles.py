@@ -15,6 +15,10 @@ The exceptions are former library routines kept verbatim as references:
   from the certificate kernel's columns must equal value for value;
 - certificate_flags, the per-point verdict rule that the certificate
   kernel's numpy verdict must agree with;
+- span_ranks_svd, the certificate kernel's former rank path, one singular
+  value decomposition of every column-normalized span matrix, whose ranks
+  the kernel's rank cells must equal where the determinant bound decides
+  them as well as where the SVD still does;
 - family_weights_scalar, the former one-angle family formulas, whose range
   guard the batched maps.family_weights must match message for message;
 - parse_state_text_loop, the former state parser with one numpy item
@@ -34,7 +38,8 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from choiwit import DensityMatrix, InvalidStateError
+from choiwit import DensityMatrix, InvalidStateError, rank_with_tol
+from choiwit.optimality import _columns, _pair_arrays, _products
 
 
 def rank_row_reduction(mat, tol=1e-8):
@@ -208,6 +213,19 @@ def certificate_flags(t, max_w, max_wgamma, rank_m, rank_mprime, tol):
     if w_optimal and wgamma_optimal:
         return w_optimal, wgamma_optimal, "IndecomposableOptimal"
     return w_optimal, wgamma_optimal, "OptimalOnly" if w_optimal else "NotCertified"
+
+
+def span_ranks_svd(t, tol):
+    """(2, N) ranks of M and M' at each entry of the array t, from an SVD of every span matrix.
+
+    The matrices are built and their columns normalized as in the
+    certificate kernel, then all 2N go through one rank_with_tol call.
+    """
+    psi, phi = _pair_arrays(np.asarray(t, dtype=float))
+    spans = _columns(_products(psi, np.stack([phi, phi.conj()])))
+    norms = np.sqrt(np.add.reduce(spans.real * spans.real + spans.imag * spans.imag, axis=-2))
+    spans /= norms[..., None, :]
+    return rank_with_tol(spans, tol)
 
 
 def scan_record(alpha, cert):

@@ -153,6 +153,14 @@ def test_rank_with_tol():
         rank_with_tol(np.eye(9), 0.0)
 
 
+def test_rank_with_tol_of_an_empty_stack():
+    # The certificate kernel passes only the span matrices its determinant
+    # bound leaves undecided, often none, and calls rank_with_tol regardless.
+    ranks = rank_with_tol(np.zeros((0, 9, 9), dtype=complex), 1e-8)
+    assert isinstance(ranks, np.ndarray)
+    assert ranks.shape == (0,) and ranks.dtype.kind == "i"
+
+
 def test_rank_of_conjugated_span_matrix_at_t_one():
     # Frozen regression value, confirmed by the row-reduction oracle: the
     # conjugated span matrix at t = 1 has rank 6 (its columns are the nine

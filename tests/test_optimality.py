@@ -28,8 +28,9 @@ from choiwit import (
     zero_expectation_check,
 )
 from choiwit.linalg import quadratic_forms
-from choiwit.optimality import _certificate_columns, _columns, _pair_arrays, _products
-from oracles import pair_arrays_loop
+from choiwit.maps import ALPHA_MAX, ALPHA_MIN, family_weights
+from choiwit.optimality import _RANK9_DET_BOUND, _certificate_columns, _columns, _pair_arrays, _products
+from oracles import pair_arrays_loop, span_ranks_svd
 
 PI = math.pi
 
@@ -182,6 +183,60 @@ def test_conjugated_determinant_vanishes_cubically():
         for t in (1.0 + dt, 1.0 - dt):
             ratio = abs(lu_det(span_matrix(t, conjugated=True).mat)) / dt**3
             assert 5.0 < ratio < 20.0
+
+
+def _unitary(rng):
+    q, r = np.linalg.qr(rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    log_tiny=st.one_of(st.none(), st.floats(-15.0, -0.5)),
+    shrink=st.floats(0.9, 0.999999),
+)
+def test_the_determinant_bounds_the_singular_value_ratio(seed, log_tiny, shrink):
+    # Unit columns give sigma_min / sigma_max >= |det| / (3 (9/8)^4).  Gaussian
+    # columns sit far inside that bound.  With log_tiny the singular values
+    # are near (sqrt(2), 1, ..., 1, 10^log_tiny) before the columns are
+    # normalized, so |det| / (sigma_min / sigma_max) comes near 2, the most
+    # that ||A||_F^2 = 9 allows: a constant of 1.9 in place of 3 (9/8)^4 fails.
+    rng = np.random.default_rng(seed)
+    if log_tiny is None:
+        a = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    else:
+        s = np.exp(rng.normal(0.0, 0.02, 9))
+        s[0], s[-1] = math.sqrt(2.0), 10.0**log_tiny
+        a = (_unitary(rng) * s) @ _unitary(rng)
+    a /= np.linalg.norm(a, axis=0)
+    svals = np.linalg.svd(a, compute_uv=False)
+    abs_det = abs(np.linalg.det(a))
+    # Roundoff slack: the computed ratio and |det| are each off by at most
+    # about 1e-14 absolute for a matrix with unit columns.
+    assert abs_det / _RANK9_DET_BOUND <= svals[-1] / svals[0] + 1e-13
+    # The kernel's rule, at a tol just under what the bound proves: where it
+    # skips the SVD, the SVD would have counted 9.
+    tol = shrink * abs_det / _RANK9_DET_BOUND
+    if tol > 0 and abs_det > _RANK9_DET_BOUND * tol + 1e-12:
+        assert rank_with_tol(a, tol) == 9
+
+
+_NEAR = np.logspace(-9, -1, 40)
+# Inside both ends, both sides of pi, where det M' ~ (t - 1)^3, and t = 1 at pi.
+_ORACLE_ALPHAS = np.concatenate([
+    [ALPHA_MIN, ALPHA_MAX, PI], ALPHA_MIN + _NEAR, ALPHA_MAX - _NEAR, PI - _NEAR, PI + _NEAR,
+    np.linspace(ALPHA_MIN, ALPHA_MAX, 41),
+])
+
+
+@pytest.mark.parametrize("tol", [1e-300, 1e-17, 1e-16, 1e-12, 1e-8, 1e-4, 0.5, 0.99])
+def test_kernel_ranks_equal_an_svd_of_every_span_matrix(tol):
+    # The determinant bound decides most rank cells; each must still be the
+    # count the SVD gives.
+    cells = [cell for cell in _certificate_columns(family_weights(_ORACLE_ALPHAS), tol)[0] if cell[0] is not None]
+    rank_m, rank_mp = span_ranks_svd(np.array([cell[0] for cell in cells]), tol).tolist()
+    assert [cell[3:5] for cell in cells] == list(zip(rank_m, rank_mp))
 
 
 def test_zero_expectations_on_family():
