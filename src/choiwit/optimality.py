@@ -10,14 +10,15 @@ as columns have analytic determinants; tests/test_exact.py proves them in
 exact integer arithmetic, and the certificates report them.
 
 The whole test runs as one batched kernel on an array of weights, in
-blocks of KERNEL_BLOCK points: the pairs, span matrices and witnesses of a
-block are stacked along a leading axis and checked in stacked numpy calls.
-Where a determinant proves rank 9 (_RANK9_DET_BOUND), its matrix skips the
-stacked SVD, which counts the rest.  The kernel turns the results into one
-record per point, the cells named by RECORD_KEYS, in one place.
-certify_many wraps those records in Certificates, and certify is its
-one-point case; the scan command puts the angle and weights in front of
-them, and check prints the record of its point beside its Certificate.
+blocks of KERNEL_BLOCK points: the product vectors (one gather of an entry
+table) and witnesses of a block are stacked along a leading axis and checked
+in stacked numpy calls.  Only where no determinant proves rank 9
+(_RANK9_DET_BOUND) is a span matrix built, for a stacked SVD.  The kernel
+turns the results into one record per point, the cells named by
+RECORD_KEYS, in one place.  certify_many wraps those records in
+Certificates, and certify is its one-point case; the scan command puts the
+angle and weights in front of them, and check prints the record of its
+point beside its Certificate.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ def _check_t(t) -> float:
 
 #: Entry codes of the pair tables, psi then phi, row k - 1 for pair k: codes
 #: 0 to 4 stand for 0, 1, -1, 1j and -1j, codes 5, 6 and 7 for sqrt(t), t and
-#: -t*1j.
+#: -t*1j; code c + 8 stands for the conjugate of code c.
 _PAIR_CODES = np.array(
     [
         [[1, 1, 1], [1, 2, 1], [1, 3, 4], [0, 5, 1], [0, 5, 3],
@@ -126,53 +127,56 @@ _PAIR_CODES = np.array(
         [[1, 1, 1], [1, 2, 1], [1, 4, 3], [0, 5, 6], [0, 5, 7],
          [6, 0, 5], [7, 0, 5], [5, 6, 0], [5, 7, 0]],
     ]
-)[:, None]
+)
+
+#: Entry 3*i + j of product vector k is psi_k[i] * phi_k[j]: the codes of its
+#: left factor, shared by both sides, and of its right one on each side.
+_LEFT = np.repeat(_PAIR_CODES[0], 3, axis=-1)
+_RIGHT = np.tile(_PAIR_CODES[1], 3) + np.array([0, 8])[:, None, None]
 
 
-def _pair_arrays(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """psi and phi of the nine pairs for each entry of t, as C-contiguous (N, 9, 3) arrays.
+def _entry_table(t: np.ndarray) -> np.ndarray:
+    """The (N, 16) complex values of the entry codes at each entry of t.
 
-    Row k - 1 holds pair k.  Every entry is the same complex number the
-    one-point tables give, signed zeros included.  Both tables come from one
-    gather that writes a C-contiguous (2, N, 9, 3) array: the layout of the
-    pair products decides the summation order of the quadratic forms.
+    np.conjugate keeps signed zeros, so every entry is the same complex
+    number the one-point tables give, -0.0 parts included.
     """
-    entries = np.empty((len(t), 8), dtype=complex)
-    entries[:, :5] = (0, 1, -1, 1j, -1j)
-    entries[:, 5] = np.sqrt(t)
-    entries[:, 6] = t
-    entries[:, 7] = -t * 1j
-    out = entries[np.arange(len(t))[:, None, None], _PAIR_CODES]
-    return out[0], out[1]
+    table = np.empty((len(t), 16), dtype=complex)
+    table[:, :5] = (0, 1, -1, 1j, -1j)
+    table[:, 5] = np.sqrt(t)
+    table[:, 6] = t
+    table[:, 7] = -t * 1j
+    np.conjugate(table[:, :8], out=table[:, 8:])
+    return table
 
 
-def _products(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Row k - 1 of each 9x9 result is psi_k (x) phi_k, entry 3*i + j = psi_k[i] * phi_k[j]."""
-    outer = psi[..., :, None] * phi[..., None, :]
-    return outer.reshape(outer.shape[:-2] + (9,))
+def _vectors(t: np.ndarray) -> np.ndarray:
+    """The product vectors at each entry of t, as a C-contiguous (2, N, 9, 9) stack.
 
-
-def _columns(vectors: np.ndarray) -> np.ndarray:
-    """Span matrices with the given row vectors as columns, C-contiguous.
-
-    The layout matters: column norms of a C-contiguous stack sum in the
-    same order as for a single matrix.
+    Axis 0 is the side: psi_k (x) phi_k, then psi_k (x) conj(phi_k), row k - 1
+    for pair k; the layout decides the summation order of the quadratic forms.
+    The right factors are gathered into the stack (mode="clip": take does not
+    buffer, and every code is in range) and multiplied there in place.
     """
-    return np.ascontiguousarray(np.swapaxes(vectors, -1, -2))
+    table = _entry_table(t)
+    left = np.take(table, _LEFT, axis=1)
+    vectors = np.empty((2, len(t), 9, 9), dtype=complex)
+    for side, right in zip(vectors, _RIGHT):
+        np.take(table, right, axis=1, out=side, mode="clip")
+        np.multiply(left, side, out=side)
+    return vectors
 
 
 def product_vectors(t) -> list[ProductVectorPair]:
     """The nine product-vector pairs for a given t > 0."""
-    t = _check_t(t)
-    psi, phi = _pair_arrays(np.array([t]))
-    return [ProductVectorPair(k=k + 1, psi=psi[0, k], phi=phi[0, k]) for k in range(9)]
+    psi, phi = _entry_table(np.array([_check_t(t)]))[0, _PAIR_CODES]
+    return [ProductVectorPair(k=k + 1, psi=psi[k], phi=phi[k]) for k in range(9)]
 
 
 def span_matrix(t, conjugated: bool) -> SpanMatrix:
     """Assemble the 9x9 span matrix for t; columns follow the pair order k = 1..9."""
     t = _check_t(t)
-    psi, phi = _pair_arrays(np.array([t]))
-    mat = _columns(_products(psi, phi.conj() if conjugated else phi))[0]
+    mat = _vectors(np.array([t]))[int(conjugated), 0].T.copy()
     return SpanMatrix(mat=mat, t=t, conjugated=conjugated)
 
 
@@ -248,9 +252,10 @@ _BOUNDARY_CELLS = (None,) * (len(RECORD_KEYS) - 1) + (Verdict.BOUNDARY.value,)
 #: add about 0.5 MB.  No result depends on the block size.
 KERNEL_BLOCK = 64
 
-#: sigma_min / sigma_max >= |det A| / this for a 9x9 A with unit columns: ||A||_F^2 = 9
-#: gives sigma_max <= 3, and by AM-GM the eight largest multiply to at most (9/8)^4.
-_RANK9_DET_BOUND = 3 * (9 / 8) ** 4
+#: sigma_min / sigma_max >= |det A| / this for a 9x9 A with unit columns: |det A| / (sigma_min /
+#: sigma_max) = sigma_max^2 * prod(middle seven) <= 2 under sum sigma_i^2 = 9, the maximum at
+#: sigma_max^2 = 2 with the others at 1.
+_RANK9_DET_BOUND = 2
 
 #: Verdict values by code: 0 when the W side fails, 1 when only it passes, 2 for both.
 _VERDICT_BY_CODE = np.array(
@@ -294,12 +299,11 @@ def _certificate_columns(weights: np.ndarray, tol: float) -> tuple[list[tuple], 
         # Axis 0 of every stack below is the side: the plain pairs against W,
         # then the conjugated pairs against W^Gamma.  Axis 1 runs over the
         # block's points.
-        psi, phi = _pair_arrays(t)
-        vectors = _products(psi, np.stack([phi, phi.conj()]))
-        # Column norms summed down each column in row order, bit for bit what
-        # np.linalg.norm(spans, axis=-2) gives, without its complex temporaries.
-        spans = _columns(vectors)
-        norm2 = np.add.reduce(spans.real * spans.real + spans.imag * spans.imag, axis=-2)
+        vectors = _vectors(t)
+        # Column norms of the span matrices: each vector's re*re + im*im summed
+        # entry by entry, the order (and bits) of a sum down each column.
+        sq = vectors.real * vectors.real + vectors.imag * vectors.imag
+        norm2 = sum(np.moveaxis(sq, -1, 0))
         norms = np.sqrt(norm2)
         forms = _quadratic_forms(_witness_sides(inner[i : i + KERNEL_BLOCK], 2), vectors, norm2)
         # Each expectation is taken on the unit vector: |v|^2 grows like t^3.
@@ -307,14 +311,18 @@ def _certificate_columns(weights: np.ndarray, tol: float) -> tuple[list[tuple], 
         # det of a column-normalized span matrix = closed form / product of
         # its column norms, divided as reals.  Below t ~ 1e-108 both underflow
         # to 0; the determinant, of order t^1.5, is then 0 too.
-        scale = np.prod(norms, axis=-1)[[0, 0, 1, 1]]
-        num = np.stack(_det_parts(t, np.sqrt(t)))[[0, 1, 2, 2]]  # Re, Im of det M, then of det M'
-        dets = np.divide(num, scale, out=np.zeros_like(num), where=scale > 0)
+        m_scale, mp_scale = np.prod(norms, axis=-1)
+        dets = np.zeros((4, len(t)))  # Re, Im of det M, then of det M'
+        for row, num, scale in zip(dets, _det_parts(t, np.sqrt(t)), (m_scale, m_scale, mp_scale)):
+            np.divide(num, scale, out=row, where=scale > 0)
+        dets[3] = dets[2]
         abs_dets = np.hypot(dets[0::2], dets[1::2])
         # Above tol by a roundoff margin, |det| / _RANK9_DET_BOUND proves rank 9.
         ranks = np.full(abs_dets.shape, 9)
         need = ~(abs_dets > _RANK9_DET_BOUND * tol + 1e-12)
-        ranks[need] = rank_with_tol(spans[need] / norms[need][:, None, :], tol)
+        if need.any():
+            spans = np.swapaxes(vectors[need], -1, -2)
+            ranks[need] = rank_with_tol(spans / norms[need][:, None, :], tol)
         # det 0 proves rank < 9, whatever the SVD counts at a tiny tol (M' at t = 1).
         ok = (max_exp <= tol) & (ranks == 9) & (abs_dets > 0)
         verdicts = _VERDICT_BY_CODE[ok[0] * (1 + ok[1])]

@@ -11,6 +11,10 @@ The exceptions are former library routines kept verbatim as references:
   per-point witness, the per-entry pair tables and the per-cell CSV row
   that witness_stack, the pair-table gather and the scan row formatter
   must match bit for bit and byte for byte;
+- product_vectors_outer and span_columns, the certificate kernel's former
+  construction of the product vectors (one broadcast outer product of the
+  pair tables) and of the C-contiguous span matrices, which the kernel's
+  single gather must match bit for bit, signed zeros included;
 - scan_record, the record of one certificate, which the scan rows zipped
   from the certificate kernel's columns must equal value for value;
 - certificate_flags, the per-point verdict rule that the certificate
@@ -39,7 +43,6 @@ from decimal import Decimal, localcontext
 import numpy as np
 
 from choiwit import DensityMatrix, InvalidStateError, rank_with_tol
-from choiwit.optimality import _columns, _pair_arrays, _products
 
 
 def rank_row_reduction(mat, tol=1e-8):
@@ -124,6 +127,22 @@ def pair_arrays_loop(t):
             for j, entry in enumerate(row):
                 out[m, :, k, j] = entry
     return out[0], out[1]
+
+
+def product_vectors_outer(t):
+    """(2, N, 9, 9) product vectors at each entry of the array t: psi_k (x) phi_k, then psi_k (x) conj(phi_k).
+
+    Row k - 1 of each 9x9 holds pair k, entry 3*i + j = psi_k[i] * phi_k[j],
+    from the pair tables of pair_arrays_loop and one broadcast outer product.
+    """
+    psi, phi = pair_arrays_loop(np.asarray(t, dtype=float))
+    outer = psi[..., :, None] * np.stack([phi, phi.conj()])[..., None, :]
+    return outer.reshape(outer.shape[:-2] + (9,))
+
+
+def span_columns(vectors):
+    """Span matrices with the given row vectors as columns, C-contiguous."""
+    return np.ascontiguousarray(np.swapaxes(vectors, -1, -2))
 
 
 def family_weights_scalar(alpha):
@@ -218,11 +237,10 @@ def certificate_flags(t, max_w, max_wgamma, rank_m, rank_mprime, tol):
 def span_ranks_svd(t, tol):
     """(2, N) ranks of M and M' at each entry of the array t, from an SVD of every span matrix.
 
-    The matrices are built and their columns normalized as in the
-    certificate kernel, then all 2N go through one rank_with_tol call.
+    The matrices are built by the former construction and their columns
+    normalized, then all 2N go through one rank_with_tol call.
     """
-    psi, phi = _pair_arrays(np.asarray(t, dtype=float))
-    spans = _columns(_products(psi, np.stack([phi, phi.conj()])))
+    spans = span_columns(product_vectors_outer(t))
     norms = np.sqrt(np.add.reduce(spans.real * spans.real + spans.imag * spans.imag, axis=-2))
     spans /= norms[..., None, :]
     return rank_with_tol(spans, tol)

@@ -154,8 +154,8 @@ def test_rank_with_tol():
 
 
 def test_rank_with_tol_of_an_empty_stack():
-    # The certificate kernel passes only the span matrices its determinant
-    # bound leaves undecided, often none, and calls rank_with_tol regardless.
+    # The certificate kernel skips the call when its determinant bound
+    # decides every span matrix; an empty stack still gets an empty answer.
     ranks = rank_with_tol(np.zeros((0, 9, 9), dtype=complex), 1e-8)
     assert isinstance(ranks, np.ndarray)
     assert ranks.shape == (0,) and ranks.dtype.kind == "i"

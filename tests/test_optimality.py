@@ -27,10 +27,11 @@ from choiwit import (
     witness_stack,
     zero_expectation_check,
 )
+from choiwit import optimality
 from choiwit.linalg import quadratic_forms
 from choiwit.maps import ALPHA_MAX, ALPHA_MIN, family_weights
-from choiwit.optimality import _RANK9_DET_BOUND, _certificate_columns, _columns, _pair_arrays, _products
-from oracles import pair_arrays_loop, span_ranks_svd
+from choiwit.optimality import _PAIR_CODES, _RANK9_DET_BOUND, _certificate_columns, _entry_table, _vectors
+from oracles import pair_arrays_loop, product_vectors_outer, span_columns, span_ranks_svd
 
 PI = math.pi
 
@@ -62,25 +63,49 @@ def test_product_vectors_rejects_bad_t(t):
         ppt_state(t)
 
 
-@pytest.mark.parametrize(
-    "t",
-    [[1.0], [1e-300], [1e200], [1.0, 1e-300, 1e200], np.random.default_rng(3).lognormal(0, 8, 67)],
-)
+_FORMER_T = [[1.0], [1e-300], [1e200], [1.0, 1e-300, 1e200], np.random.default_rng(3).lognormal(0, 8, 67)]
+
+
+def _same_bits(got, want):
+    # Equal bits, signed zeros included (-1j has real part -0.0).
+    got, want = np.ascontiguousarray(got).view(float), np.ascontiguousarray(want).view(float)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("t", _FORMER_T)
 def test_pair_arrays_match_the_former_loop(t):
     t = np.asarray(t, dtype=float)
-    for got, want in zip(_pair_arrays(t), pair_arrays_loop(t)):
-        assert got.shape == want.shape == (len(t), 9, 3)
-        assert got.flags.c_contiguous
-        # Equal bits, signed zeros included (-1j has real part -0.0).
-        assert np.array_equal(got.view(float), want.view(float))
-        assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+    got = _entry_table(t)[:, _PAIR_CODES]
+    for side, want in enumerate(pair_arrays_loop(t)):
+        assert got[:, side].shape == want.shape == (len(t), 9, 3)
+        _same_bits(got[:, side], want)
+
+
+@pytest.mark.parametrize("t", _FORMER_T)
+def test_product_vectors_match_the_former_outer_product(t):
+    # One gather from the entry table, conjugates included, must give the
+    # former outer product of the pair tables, in the C-contiguous layout
+    # that fixes the summation order of the quadratic forms.
+    t = np.asarray(t, dtype=float)
+    got = _vectors(t)
+    want = product_vectors_outer(t)
+    assert got.shape == want.shape == (2, len(t), 9, 9)
+    assert got.flags.c_contiguous
+    _same_bits(got, want)
+    for i, ti in enumerate(t.tolist()):
+        for side in (0, 1):
+            mat = span_matrix(ti, conjugated=bool(side)).mat
+            assert mat.flags.c_contiguous
+            _same_bits(mat, span_columns(want[side, i]))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=70))
 def test_kernel_maxima_are_the_public_quadratic_forms_over_the_column_norms(exponents):
     # The kernel fills W and W^Gamma in one stack and hands its column norms
-    # to the forms; its maxima must be bit for bit the public path's.
+    # to the forms; its maxima must be bit for bit the public path's, on the
+    # former product vectors and their column norms summed down each column.
     t = np.array([10.0**e for e in exponents])
     d = t * t - t + 1.0
     weights = np.stack([(t - 1.0) ** 2 / d, 1.0 / d, t * t / d], axis=-1)
@@ -88,11 +113,10 @@ def test_kernel_maxima_are_the_public_quadratic_forms_over_the_column_norms(expo
     assert all(cell[0] is not None for cell in cells)
     t_kernel = np.array([cell[0] for cell in cells])
     max_exp = np.array([cell[5:7] for cell in cells]).T
-    psi, phi = _pair_arrays(t_kernel)
-    vectors = _products(psi, np.stack([phi, phi.conj()]))
+    vectors = product_vectors_outer(t_kernel)
     w = witness_stack(weights)
     forms = quadratic_forms(np.stack([w, partial_transpose_second(w)]), vectors)
-    spans = _columns(vectors)
+    spans = span_columns(vectors)
     norm2 = np.add.reduce(spans.real * spans.real + spans.imag * spans.imag, axis=-2)
     expected = np.abs(forms / norm2).max(axis=-1)
     np.testing.assert_array_equal(max_exp.view(np.int64), expected.view(np.int64))
@@ -197,11 +221,11 @@ def _unitary(rng):
     shrink=st.floats(0.9, 0.999999),
 )
 def test_the_determinant_bounds_the_singular_value_ratio(seed, log_tiny, shrink):
-    # Unit columns give sigma_min / sigma_max >= |det| / (3 (9/8)^4).  Gaussian
-    # columns sit far inside that bound.  With log_tiny the singular values
-    # are near (sqrt(2), 1, ..., 1, 10^log_tiny) before the columns are
-    # normalized, so |det| / (sigma_min / sigma_max) comes near 2, the most
-    # that ||A||_F^2 = 9 allows: a constant of 1.9 in place of 3 (9/8)^4 fails.
+    # Unit columns give sigma_min / sigma_max >= |det| / 2.  Gaussian columns
+    # sit far inside that bound.  With log_tiny the singular values are near
+    # (sqrt(2), 1, ..., 1, 10^log_tiny) before the columns are normalized, so
+    # |det| / (sigma_min / sigma_max) comes near 2, the most that
+    # ||A||_F^2 = 9 allows: a constant of 1.9 in place of 2 fails.
     rng = np.random.default_rng(seed)
     if log_tiny is None:
         a = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
@@ -237,6 +261,24 @@ def test_kernel_ranks_equal_an_svd_of_every_span_matrix(tol):
     cells = [cell for cell in _certificate_columns(family_weights(_ORACLE_ALPHAS), tol)[0] if cell[0] is not None]
     rank_m, rank_mp = span_ranks_svd(np.array([cell[0] for cell in cells]), tol).tolist()
     assert [cell[3:5] for cell in cells] == list(zip(rank_m, rank_mp))
+
+
+def test_the_svd_runs_only_where_the_determinant_leaves_rank_open(monkeypatch):
+    calls = []  # the number of span matrices in each rank_with_tol call
+
+    def counting(m, tol):
+        calls.append(len(m))
+        return rank_with_tol(m, tol)
+
+    monkeypatch.setattr(optimality, "rank_with_tol", counting)
+    # On the scan grid at tol 1e-8 the bound decides all but the M' matrices
+    # nearest pi, which sit in one block.
+    _certificate_columns(family_weights(np.linspace(ALPHA_MIN, ALPHA_MAX, 1001)), 1e-8)
+    assert calls == [11]
+    # Away from pi, |det M'| is large enough everywhere: no call at all.
+    calls.clear()
+    _certificate_columns(family_weights(np.linspace(ALPHA_MIN, 2.5, 1001)), 1e-8)
+    assert calls == []
 
 
 def test_zero_expectations_on_family():
