@@ -9,16 +9,16 @@ certified indecomposable optimal.  The 9x9 matrices collecting the vectors
 as columns have analytic determinants; tests/test_exact.py proves them in
 exact integer arithmetic, and the certificates report them.
 
-The whole test runs as one batched kernel on an array of weights, in
-blocks of KERNEL_BLOCK points: the product vectors (one gather of an entry
-table) and witnesses of a block are stacked along a leading axis and checked
-in stacked numpy calls.  Only where no determinant proves rank 9
-(_RANK9_DET_BOUND) is a span matrix built, for a stacked SVD.  The kernel
-turns the results into one record per point, the cells named by
-RECORD_KEYS, in one place.  certify_many wraps those records in
-Certificates, and certify is its one-point case; the scan command puts the
-angle and weights in front of them, and check prints the record of its
-point beside its Certificate.
+The whole test runs as one batched kernel on an array of weights: slices
+of KERNEL_BLOCK points stack their product vectors (one gather of an entry
+table) and witnesses along a leading axis, check them in stacked numpy
+calls and write whole-batch columns.  Only where no determinant proves
+rank 9 (_RANK9_DET_BOUND) is a span matrix built, for a stacked SVD.  The
+verdicts are decided once over the columns, and each point's record, the
+cells named by RECORD_KEYS, is built in one pass.  certify_many zips those
+records and columns into Certificates, and certify is its one-point case;
+the scan command puts the angle and weights in front of them, and check
+prints the record of its point beside its Certificate.
 """
 
 from __future__ import annotations
@@ -264,19 +264,20 @@ _VERDICT_BY_CODE = np.array(
 )
 
 
-def _certificate_columns(weights: np.ndarray, tol: float) -> tuple[list[tuple], list[tuple]]:
+def _certificate_columns(weights: np.ndarray, tol: float) -> tuple[list[tuple], np.ndarray, np.ndarray]:
     """The certificate kernel on an (N, 3) array of valid MapParams weights.
 
-    Returns (cells, sides).  cells is the one per-point record: a list of
+    Returns (cells, dets, ok).  cells is the one per-point record: a list of
     N tuples (t, |det M|, |det M'|, rank_M, rank_M', max_W, max_WG, verdict),
     the values of RECORD_KEYS, in plain Python numbers, with _BOUNDARY_CELLS
-    for a point on the a = 1 boundary.  sides holds one tuple per point off
-    the boundary, in order: (Re det M, Im det M, Re det M', Im det M',
-    w_ok, wg_ok), the flags telling whether each side is certified optimal.
-    The family guard (at ON_FAMILY_TOL) and the t check run first, on all N:
-    the first point that fails either raises, OffFamilyError before
-    NonpositiveTError.  The numerical passes then run in blocks of
-    KERNEL_BLOCK points: memory does not grow with N beyond the results.
+    for a point on the a = 1 boundary.  dets (4, N) holds Re and Im of det M,
+    then of det M'; ok (2, N) tells whether the W and the W^Gamma side are
+    certified optimal, False on the boundary.  The family guard (at
+    ON_FAMILY_TOL) and the t check run first, on all N: the first point that
+    fails either raises, OffFamilyError before NonpositiveTError.  The
+    numerical passes then fill whole-batch columns a slice of KERNEL_BLOCK
+    points at a time, a boundary point at a stand-in t = 2 whose results are
+    dropped, and the verdict is decided once, after the last slice.
     """
     if not (tol > 0):
         raise ValueError("tol must be positive")
@@ -292,59 +293,55 @@ def _certificate_columns(weights: np.ndarray, tol: float) -> tuple[list[tuple], 
             reason = family_violation(MapParams(*weights[i].tolist()), ON_FAMILY_TOL)
             raise OffFamilyError(f"not a family point: {reason}")
         _check_t(t[i])  # t[i] is not a positive finite real
-    t_all, inner = t[interior], weights[interior]
-    rows, sides = [], []
-    for i in range(0, len(t_all), KERNEL_BLOCK):
-        t = t_all[i : i + KERNEL_BLOCK]
+    t[~interior] = 2.0  # a stand-in for the boundary, both determinants clear of the SVD at tol 1e-8
+    dets = np.zeros((4, len(t)))  # Re, Im of det M, then of det M'
+    abs_dets, max_exp = np.empty((2, 2, len(t)))
+    ranks = np.full((2, len(t)), 9)
+    for i in range(0, len(t), KERNEL_BLOCK):
+        s = slice(i, i + KERNEL_BLOCK)
         # Axis 0 of every stack below is the side: the plain pairs against W,
         # then the conjugated pairs against W^Gamma.  Axis 1 runs over the
-        # block's points.
-        vectors = _vectors(t)
+        # slice's points.
+        vectors = _vectors(t[s])
         # Column norms of the span matrices: each vector's re*re + im*im summed
         # entry by entry, the order (and bits) of a sum down each column.
         sq = vectors.real * vectors.real + vectors.imag * vectors.imag
         norm2 = sum(np.moveaxis(sq, -1, 0))
         norms = np.sqrt(norm2)
-        forms = _quadratic_forms(_witness_sides(inner[i : i + KERNEL_BLOCK], 2), vectors, norm2)
+        forms = _quadratic_forms(_witness_sides(weights[s], 2), vectors, norm2)
         # Each expectation is taken on the unit vector: |v|^2 grows like t^3.
-        max_exp = np.abs(forms / norm2).max(axis=-1)
+        max_exp[:, s] = np.abs(forms / norm2).max(axis=-1)
         # det of a column-normalized span matrix = closed form / product of
         # its column norms, divided as reals.  Below t ~ 1e-108 both underflow
         # to 0; the determinant, of order t^1.5, is then 0 too.
         m_scale, mp_scale = np.prod(norms, axis=-1)
-        dets = np.zeros((4, len(t)))  # Re, Im of det M, then of det M'
-        for row, num, scale in zip(dets, _det_parts(t, np.sqrt(t)), (m_scale, m_scale, mp_scale)):
+        re, im, part = _det_parts(t[s], np.sqrt(t[s]))
+        for row, num, scale in zip(dets[:, s], (re, im, part, part), (m_scale, m_scale, mp_scale, mp_scale)):
             np.divide(num, scale, out=row, where=scale > 0)
-        dets[3] = dets[2]
-        abs_dets = np.hypot(dets[0::2], dets[1::2])
+        np.hypot(dets[0::2, s], dets[1::2, s], out=abs_dets[:, s])
         # Above tol by a roundoff margin, |det| / _RANK9_DET_BOUND proves rank 9.
-        ranks = np.full(abs_dets.shape, 9)
-        need = ~(abs_dets > _RANK9_DET_BOUND * tol + 1e-12)
+        need = ~(abs_dets[:, s] > _RANK9_DET_BOUND * tol + 1e-12)
         if need.any():
             spans = np.swapaxes(vectors[need], -1, -2)
-            ranks[need] = rank_with_tol(spans / norms[need][:, None, :], tol)
-        # det 0 proves rank < 9, whatever the SVD counts at a tiny tol (M' at t = 1).
-        ok = (max_exp <= tol) & (ranks == 9) & (abs_dets > 0)
-        verdicts = _VERDICT_BY_CODE[ok[0] * (1 + ok[1])]
-        rows += zip(t.tolist(), *abs_dets.tolist(), *ranks.tolist(), *max_exp.tolist(), verdicts)
-        sides += zip(*dets.tolist(), *ok.tolist())
-    rows = iter(rows)
-    cells = [next(rows) if inside else _BOUNDARY_CELLS for inside in interior.tolist()]
-    return cells, sides
+            ranks[:, s][need] = rank_with_tol(spans / norms[need][:, None, :], tol)
+    # det 0 proves rank < 9, whatever the SVD counts at a tiny tol (M' at t = 1).
+    ok = (max_exp <= tol) & (ranks == 9) & (abs_dets > 0) & interior
+    verdicts = _VERDICT_BY_CODE[ok[0] * (1 + ok[1])]
+    rows = zip(t.tolist(), *abs_dets.tolist(), *ranks.tolist(), *max_exp.tolist(), verdicts)
+    cells = [row if inside else _BOUNDARY_CELLS for row, inside in zip(rows, interior.tolist())]
+    return cells, dets, ok
 
 
 def _certified(points: list, tol: float) -> tuple[list[Certificate], list[tuple]]:
-    """certify_many's Certificates for a list of points, and the kernel's cells they were built from."""
+    """certify_many's Certificates for a list of points, zipped from the kernel's columns, and its cells."""
     weights = np.array([(p.a, p.b, p.c) for p in points], dtype=float).reshape(-1, 3)
-    cells, sides = _certificate_columns(weights, tol)
-    sides = iter(sides)
+    cells, dets, ok = _certificate_columns(weights, tol)
     certs = []
-    for p, (t, _, abs_det_mp, rank_m, rank_mp, max_w, max_wg, verdict) in zip(points, cells):
+    for p, cell, re_m, im_m, re_mp, im_mp, w_ok, wg_ok in zip(points, cells, *dets.tolist(), *ok.tolist()):
+        t, _, abs_det_mp, rank_m, rank_mp, max_w, max_wg, verdict = cell
         if t is None:  # the a = 1 boundary: no determinants, neither side certified
             det_m = det_mp = note = None
-            w_ok = wg_ok = False
         else:
-            re_m, im_m, re_mp, im_mp, w_ok, wg_ok = next(sides)
             det_m, det_mp = complex(re_m, im_m), complex(re_mp, im_mp)
             note = _T1_NOTE if abs(t - 1.0) <= T_ONE_WINDOW and (rank_mp < 9 or abs_det_mp == 0) else None
         certs.append(Certificate(

@@ -4,13 +4,24 @@ depend on what else is in the batch."""
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choiwit import MapParams, NonpositiveTError, OffFamilyError, Verdict, certify, certify_many, family_from_alpha
+from choiwit import (
+    Certificate,
+    CertificateDiagnostics,
+    MapParams,
+    NonpositiveTError,
+    OffFamilyError,
+    Verdict,
+    certify,
+    certify_many,
+    family_from_alpha,
+)
 from choiwit import optimality
 from choiwit.maps import ALPHA_MAX, ALPHA_MIN
 from oracles import certificate_flags
@@ -108,7 +119,7 @@ def _at_every_block_size(monkeypatch, call):
     return results
 
 
-@pytest.mark.parametrize("tol", [1e-8, 1e-17])
+@pytest.mark.parametrize("tol", [1e-8, 1e-17, 0.03, 0.5])
 def test_certificates_do_not_depend_on_the_block_size(monkeypatch, tol):
     # More than two default blocks, with both a = 1 ends, t = 1 and points
     # next to the ends mixed in.
@@ -116,8 +127,25 @@ def test_certificates_do_not_depend_on_the_block_size(monkeypatch, tol):
     params = [family_from_alpha(a).params for a in alphas]
     runs = _at_every_block_size(monkeypatch, lambda: [_bits(cert) for cert in certify_many(params, tol)])
     assert all(run == runs[0] for run in runs)
-    verdicts = {cert.verdict for cert in certify_many(params, tol)}
-    assert {Verdict.BOUNDARY, Verdict.OPTIMAL_ONLY, Verdict.INDECOMPOSABLE_OPTIMAL} <= verdicts
+    # At tol 0.5 every span matrix reaches the SVD, which counts a rank below 9.
+    kinds = {Verdict.OPTIMAL_ONLY, Verdict.INDECOMPOSABLE_OPTIMAL} if tol < 0.5 else {Verdict.NOT_CERTIFIED}
+    assert {Verdict.BOUNDARY, *kinds} <= {cert.verdict for cert in certify_many(params, tol)}
+    # a = 1 points on both edges of the first two default blocks, pi between
+    # them.  The kernel runs them at a stand-in t, through the SVD at tol 0.5;
+    # at tol 0.03 the stand-in's W side passes against W(1, 0, 1).  None of
+    # that may reach a cell, a flag or a Certificate.
+    params = [family_from_alpha(math.pi).params] * 128
+    for i, alpha in zip((0, 63, 64, 127), (ALPHA_MIN, ALPHA_MAX, ALPHA_MAX, ALPHA_MIN)):
+        params[i] = family_from_alpha(alpha).params
+    boundary = Certificate(
+        params=None, t=None, w_optimal=False, wgamma_optimal=False, verdict=Verdict.BOUNDARY,
+        diagnostics=CertificateDiagnostics(None, None, None, None, None, None),
+    )
+    expected = [_bits(replace(boundary, params=p) if p.a == 1 else certify(p, tol)) for p in params]
+    runs = _at_every_block_size(monkeypatch, lambda: optimality._certified(params, tol))
+    for certs, cells in runs:
+        assert [_bits(cert) for cert in certs] == expected
+        assert [i for i, cell in enumerate(cells) if cell == optimality._BOUNDARY_CELLS] == [0, 63, 64, 127]
 
 
 def test_a_batch_fails_on_the_same_first_point_at_every_block_size(monkeypatch):

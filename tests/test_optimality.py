@@ -279,6 +279,15 @@ def test_the_svd_runs_only_where_the_determinant_leaves_rank_open(monkeypatch):
     calls.clear()
     _certificate_columns(family_weights(np.linspace(ALPHA_MIN, 2.5, 1001)), 1e-8)
     assert calls == []
+    # Within the roundoff margin of the bound, rank 9 is not taken as proven:
+    # 2 tol + 1e-12 exceeds |det M| by 5e-13, so M reaches the SVD with M'.
+    weights = family_weights([2.0])
+    abs_det_m = _certificate_columns(weights, 1e-8)[0][0][1]
+    tol = (abs_det_m - 5e-13) / _RANK9_DET_BOUND
+    calls.clear()
+    (cell,) = _certificate_columns(weights, tol)[0]
+    assert calls == [2]
+    assert list(cell[3:5]) == span_ranks_svd(np.array([cell[0]]), tol)[:, 0].tolist()
 
 
 def test_zero_expectations_on_family():
