@@ -137,11 +137,11 @@ def quadratic_forms(w, v):
 
     ``w`` has shape (..., n, n) and ``v`` shape (..., k, n); the result has
     shape (..., k), one form per row of v against the matrix in front of it.
-    Each form is W @ v followed by the conjugated dot product, both as
-    stacked matmuls, so every value is bit-for-bit what one matrix-vector
-    product and np.vdot give.  Every W must be Hermitian within 1e-12.  The
-    imaginary part of each raw form is checked against a scale-aware
-    roundoff bound and then discarded.
+    Each form is W @ v as a stacked matmul, then np.vecdot of v with it,
+    which is np.vdot's conjugating dot with no conjugate copy of v, so every
+    value is bit-for-bit what one matrix-vector product and np.vdot give.
+    Every W must be Hermitian within 1e-12.  The imaginary part of each raw
+    form is checked against a scale-aware roundoff bound and then discarded.
     """
     return _quadratic_forms(w, v)
 
@@ -149,18 +149,16 @@ def quadratic_forms(w, v):
 def _quadratic_forms(w, v, norm2=None):
     """quadratic_forms, with the squared norms of the rows of v given as ``norm2`` (..., k).
 
-    The norms enter only the roundoff bound on the imaginary parts, so a
-    caller that has them saves the stacked <v|v> matmul; without them they
-    are computed here.  The forms do not depend on them.
+    The norms enter only the roundoff bound on the imaginary parts; without
+    them they are computed here, as np.vecdot(v, v).real.  The forms do not
+    depend on them.
     """
     wm = _as_square(w, "w", batched=True)
     vv = _as_stack(v, (wm.shape[-1],), "v")
     _require_hermitian(wm, HERMITICITY_TOL)
-    bra = vv.conj()[..., None, :]
-    ket = vv[..., None]
-    val = np.matmul(bra, np.matmul(wm[..., None, :, :], ket))[..., 0, 0]
+    val = np.vecdot(vv, np.matmul(wm[..., None, :, :], vv[..., None])[..., 0])
     if norm2 is None:
-        norm2 = np.matmul(bra, ket)[..., 0, 0].real
+        norm2 = np.vecdot(vv, vv).real
     bound = 1e-10 * (1.0 + norm2 * np.abs(wm).max(axis=(-2, -1))[..., None])
     bad = np.flatnonzero(np.abs(val.imag) > bound)
     if bad.size:

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choiwit import (
     MapParams,
@@ -254,6 +256,45 @@ def test_quadratic_forms_core_keeps_every_guard():
         _quadratic_forms(stack[..., :8], v, norm2)
     with pytest.raises(ValueError, match="trailing shape"):
         _quadratic_forms(stack, v[..., :8], norm2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 11),
+    batch=st.lists(st.integers(1, 3), max_size=2),
+    k=st.integers(1, 5),
+    w_exp=st.floats(-3, 3),
+    v_exp=st.floats(-3, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_quadratic_forms_are_one_matvec_and_vdot_bit_for_bit(n, batch, k, w_exp, v_exp, seed):
+    rng = np.random.default_rng(seed)
+    shape = tuple(batch)
+    g = rng.standard_normal(shape + (n, n)) + 1j * rng.standard_normal(shape + (n, n))
+    w = 10.0**w_exp * (g + np.conj(np.swapaxes(g, -1, -2))) / 2.0  # exactly Hermitian
+    v = 10.0**v_exp * (rng.standard_normal(shape + (k, n)) + 1j * rng.standard_normal(shape + (k, n)))
+    ref = np.array([
+        [np.vdot(vk, wm @ vk).real for vk in vs] for wm, vs in zip(w.reshape(-1, n, n), v.reshape(-1, k, n))
+    ]).reshape(shape + (k,))
+    norm2 = np.add.reduce(v.real * v.real + v.imag * v.imag, axis=-1)
+    assert quadratic_forms(w, v).tobytes() == ref.tobytes()
+    assert _quadratic_forms(w, v, norm2).tobytes() == ref.tobytes()
+    one = (0,) * len(shape)
+    assert np.float64(expectation(w[one], v[one][0])).tobytes() == ref[one][0].tobytes()
+
+
+def test_quadratic_forms_reject_an_imaginary_part_beyond_the_roundoff_bound():
+    # Anti-Hermitian by 8e-13, inside the Hermiticity tolerance, but
+    # <v|W|v> = 400 * 8e-13j = 3.2e-10j against a bound of about 1e-10.
+    w = np.array([[0.0, 4e-13j], [4e-13j, 0.0]])
+    v = np.array([[20.0, 20.0]])
+    message = r"quadratic form has imaginary part 3\.2e-10 beyond roundoff bound 1e-10"
+    with pytest.raises(ArithmeticError, match=message):
+        quadratic_forms(w, v)
+    with pytest.raises(ArithmeticError, match=message):
+        _quadratic_forms(w, v, np.array([800.0]))
+    with pytest.raises(ArithmeticError, match=message):
+        expectation(w, v[0])
 
 
 def test_expectation_zero_on_family_pair():
