@@ -143,23 +143,11 @@ def quadratic_forms(w, v):
     Every W must be Hermitian within 1e-12.  The imaginary part of each raw
     form is checked against a scale-aware roundoff bound and then discarded.
     """
-    return _quadratic_forms(w, v)
-
-
-def _quadratic_forms(w, v, norm2=None):
-    """quadratic_forms, with the squared norms of the rows of v given as ``norm2`` (..., k).
-
-    The norms enter only the roundoff bound on the imaginary parts; without
-    them they are computed here, as np.vecdot(v, v).real.  The forms do not
-    depend on them.
-    """
     wm = _as_square(w, "w", batched=True)
     vv = _as_stack(v, (wm.shape[-1],), "v")
     _require_hermitian(wm, HERMITICITY_TOL)
-    val = np.vecdot(vv, np.matmul(wm[..., None, :, :], vv[..., None])[..., 0])
-    if norm2 is None:
-        norm2 = np.vecdot(vv, vv).real
-    bound = 1e-10 * (1.0 + norm2 * np.abs(wm).max(axis=(-2, -1))[..., None])
+    val = _forms(wm, vv)
+    bound = 1e-10 * (1.0 + np.vecdot(vv, vv).real * np.abs(wm).max(axis=(-2, -1))[..., None])
     bad = np.flatnonzero(np.abs(val.imag) > bound)
     if bad.size:
         imag, limit = val.imag.flat[bad[0]], bound.flat[bad[0]]
@@ -167,6 +155,12 @@ def _quadratic_forms(w, v, norm2=None):
             f"quadratic form has imaginary part {imag:g} beyond roundoff bound {limit:g}"
         )
     return val.real
+
+
+def _forms(w, v):
+    """quadratic_forms' raw complex forms with none of its checks, for complex
+    w and v that are finite, of matching shapes and Hermitian by construction."""
+    return np.vecdot(v, np.matmul(w[..., None, :, :], v[..., None])[..., 0])
 
 
 def expectation(w, v):

@@ -30,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import BoundaryCaseError, NonpositiveTError, OffFamilyError
-from .linalg import _quadratic_forms, rank_with_tol
+from .linalg import _forms, rank_with_tol
 from .maps import BOUNDARY_TOL, MapParams, _family_breaks, family_violation
 from .witness import DensityMatrix, _witness_sides
 
@@ -308,7 +308,8 @@ def _certificate_columns(weights: np.ndarray, tol: float) -> tuple[list[tuple], 
         sq = vectors.real * vectors.real + vectors.imag * vectors.imag
         norm2 = sum(np.moveaxis(sq, -1, 0))
         norms = np.sqrt(norm2)
-        forms = _quadratic_forms(_witness_sides(weights[s], 2), vectors, norm2)
+        # Unchecked forms: past the guard, the fill makes W and W^Gamma finite and real symmetric.
+        forms = _forms(_witness_sides(weights[s], 2), vectors).real
         # Each expectation is taken on the unit vector: |v|^2 grows like t^3.
         max_exp[:, s] = np.abs(forms / norm2).max(axis=-1)
         # det of a column-normalized span matrix = closed form / product of
@@ -362,8 +363,8 @@ def certify_many(params_seq, tol: float = 1e-8) -> list[Certificate]:
     depends on what else is in the batch.  Every point passes the family
     guard (at ON_FAMILY_TOL, whatever tol) and the t check in sequence order
     before any numerical work, so an error comes from the first offending
-    point and carries its values.  The Hermiticity and roundoff checks then
-    run on blocks of KERNEL_BLOCK points, so memory grows only with the results.
+    point and carries its values.  The numerical work then runs on blocks of
+    KERNEL_BLOCK points, so memory grows only with the results.
     """
     return _certified(list(params_seq), tol)[0]
 

@@ -53,12 +53,16 @@ class DensityMatrix:
             m = _as_complex(self.mat, (9, 9), "state")
         except ValueError as exc:
             raise InvalidStateError(str(exc)) from exc
-        if float(np.abs(m - m.conj().T).max()) > STATE_TOL:
-            raise InvalidStateError("state is not Hermitian within 1e-10")
-        if abs(complex(np.trace(m)) - 1.0) > STATE_TOL:
-            raise InvalidStateError("state trace differs from 1 by more than 1e-10")
-        # m is finite and Hermitian within STATE_TOL: diagonalize its Hermitian part.
-        if np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0] < -STATE_TOL:
+        # Near the float limit the difference, the trace and the eigenvalues
+        # may overflow to inf or NaN; every comparison below fails on NaN.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.abs(m - m.conj().T).max() <= STATE_TOL:
+                raise InvalidStateError("state is not Hermitian within 1e-10")
+            if not np.abs(np.trace(m) - 1.0) <= STATE_TOL:
+                raise InvalidStateError("state trace differs from 1 by more than 1e-10")
+        # m is finite and Hermitian within STATE_TOL: diagonalize its Hermitian
+        # part, halved before the sum so that the sum cannot overflow.
+        if not np.linalg.eigvalsh(m / 2.0 + m.conj().T / 2.0)[0] >= -STATE_TOL:
             raise InvalidStateError("state has an eigenvalue below -1e-10")
         object.__setattr__(self, "mat", m)
 

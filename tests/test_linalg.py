@@ -19,7 +19,7 @@ from choiwit import (
     span_matrix,
     witness_matrix,
 )
-from choiwit.linalg import _quadratic_forms, quadratic_forms
+from choiwit.linalg import _forms, quadratic_forms
 from oracles import eig3_min_cubic, random_hermitian, rank_row_reduction
 
 
@@ -234,28 +234,34 @@ def test_quadratic_forms_reject_a_stack_off_hermitian_by_2e_12(delta):
     stack[1, 2, 3, 7] += delta
     with pytest.raises(NotHermitianError):
         quadratic_forms(stack, v)
-    with pytest.raises(NotHermitianError):
-        _quadratic_forms(stack, v, np.full((2, 3, 4), 9.0))
 
 
 def test_quadratic_forms_core_keeps_every_guard():
-    # The certificate kernel passes its own squared norms to the core; they
-    # only enter the roundoff bound, and every input check still runs.
+    # The certificate kernel's layout, with the finite and shape checks that
+    # the kernel's unchecked _forms skips: public callers still get all of them.
     w = np.stack([witness_matrix(MapParams(a, 1.0, 1.0)).mat for a in (0.0, 0.5, 1.0)])
     stack = np.stack([w, partial_transpose_second(w)])
     v = np.arange(2 * 3 * 4 * 9).reshape(2, 3, 4, 9) * (1 - 2j)
-    norm2 = np.add.reduce(v.real * v.real + v.imag * v.imag, axis=-1)
-    assert _quadratic_forms(stack, v, norm2).tobytes() == quadratic_forms(stack, v).tobytes()
+    assert quadratic_forms(stack, v).tobytes() == _forms(stack, v).real.tobytes()
     nan = v.copy()
     nan[1, 0, 2, 5] = np.nan
     with pytest.raises(ValueError, match="NaN"):
-        _quadratic_forms(stack, nan, norm2)
+        quadratic_forms(stack, nan)
     with pytest.raises(ValueError, match="NaN"):
-        _quadratic_forms(np.where(stack == 0, np.inf, stack), v, norm2)
+        quadratic_forms(np.where(stack == 0, np.inf, stack), v)
     with pytest.raises(ValueError, match="square"):
-        _quadratic_forms(stack[..., :8], v, norm2)
+        quadratic_forms(stack[..., :8], v)
     with pytest.raises(ValueError, match="trailing shape"):
-        _quadratic_forms(stack, v[..., :8], norm2)
+        quadratic_forms(stack, v[..., :8])
+    # expectation, the one-vector case, keeps them too.
+    with pytest.raises(ValueError, match="NaN"):
+        expectation(stack[1, 0], nan[1, 0, 2])
+    with pytest.raises(ValueError, match="NaN"):
+        expectation(np.where(stack[1, 0] == 0, np.inf, stack[1, 0]), v[1, 0, 2])
+    with pytest.raises(ValueError, match="square"):
+        expectation(stack[1], v[1, 0, 2])
+    with pytest.raises(ValueError, match="must have shape"):
+        expectation(stack[1, 0], v[1, 0, 2, :8])
 
 
 @settings(max_examples=80, deadline=None)
@@ -276,9 +282,8 @@ def test_quadratic_forms_are_one_matvec_and_vdot_bit_for_bit(n, batch, k, w_exp,
     ref = np.array([
         [np.vdot(vk, wm @ vk).real for vk in vs] for wm, vs in zip(w.reshape(-1, n, n), v.reshape(-1, k, n))
     ]).reshape(shape + (k,))
-    norm2 = np.add.reduce(v.real * v.real + v.imag * v.imag, axis=-1)
     assert quadratic_forms(w, v).tobytes() == ref.tobytes()
-    assert _quadratic_forms(w, v, norm2).tobytes() == ref.tobytes()
+    assert _forms(w, v).real.tobytes() == ref.tobytes()
     one = (0,) * len(shape)
     assert np.float64(expectation(w[one], v[one][0])).tobytes() == ref[one][0].tobytes()
 
@@ -291,8 +296,6 @@ def test_quadratic_forms_reject_an_imaginary_part_beyond_the_roundoff_bound():
     message = r"quadratic form has imaginary part 3\.2e-10 beyond roundoff bound 1e-10"
     with pytest.raises(ArithmeticError, match=message):
         quadratic_forms(w, v)
-    with pytest.raises(ArithmeticError, match=message):
-        _quadratic_forms(w, v, np.array([800.0]))
     with pytest.raises(ArithmeticError, match=message):
         expectation(w, v[0])
 

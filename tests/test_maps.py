@@ -75,6 +75,10 @@ def test_phi_apply_linear_and_trace_preserving():
         ((1, 1, 0), True),
         ((0.5, 1.45, 0.05), False),
         ((1, 0.5, 0.5), True),
+        # a+b+c short of 2 by 1e-7, far beyond the 1e-12 slack.
+        ((0.5, 0.5, 1 - 1e-7), False),
+        # b*c short of (1-a)^2 by 1e-7, with a+b+c >= 2.
+        ((0, 2, 0.49999995), False),
     ],
 )
 def test_positivity_predicate(triple, expected):

@@ -103,9 +103,9 @@ def test_product_vectors_match_the_former_outer_product(t):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=70))
 def test_kernel_maxima_are_the_public_quadratic_forms_over_the_column_norms(exponents):
-    # The kernel fills W and W^Gamma in one stack and hands its column norms
-    # to the forms; its maxima must be bit for bit the public path's, on the
-    # former product vectors and their column norms summed down each column.
+    # The kernel takes its forms unchecked, on W and W^Gamma filled in one
+    # stack; its maxima must be bit for bit the fully guarded public path's,
+    # on the former product vectors and their column norms summed down each column.
     t = np.array([10.0**e for e in exponents])
     d = t * t - t + 1.0
     weights = np.stack([(t - 1.0) ** 2 / d, 1.0 / d, t * t / d], axis=-1)
@@ -327,6 +327,22 @@ def test_certify_t_one_point():
     assert cert.diagnostics.rank_mprime == 6  # frozen regression value
     assert abs(cert.diagnostics.det_mprime) <= 1e-9
     assert cert.diagnostics.note is not None
+
+
+@pytest.mark.parametrize(
+    "params, noted",
+    [
+        # t = 1.0005: M' is rank deficient at tol 1e-4, but t lies outside the window.
+        (MapParams(2.4987500002460195e-07, 0.9995000001249376, 1.0004997500000623), False),
+        # t = 1 + 5e-7, inside the window.
+        (MapParams(2.499998750698889e-13, 0.9999994999999999, 1.00000049999975), True),
+    ],
+    ids=["t=1.0005", "t=1+5e-7"],
+)
+def test_the_t_one_note_keeps_to_its_window(params, noted):
+    d = certify(params, tol=1e-4).diagnostics
+    assert d.rank_mprime == 6
+    assert (d.note is not None) is noted
 
 
 def test_certify_boundary_point():

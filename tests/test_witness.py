@@ -200,6 +200,34 @@ def test_detect_rejects_invalid_states():
         detect(w, indefinite)
 
 
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        # m - m^H overflows to inf.
+        ({(0, 1): 1.7e308, (1, 0): -1.7e308}, "state is not Hermitian within 1e-10"),
+        # Hermitian with unit trace, but (m + m^H) / 2 would overflow.
+        ({(0, 1): 1e308, (1, 0): 1e308}, "state has an eigenvalue below -1e-10"),
+        # The trace sums to inf - inf = NaN.
+        ({(i, i): x for i, x in enumerate([1.7e308, 1.7e308, -1.7e308, -1.7e308])},
+         "state trace differs from 1 by more than 1e-10"),
+        # Hermitian with unit trace; eigvalsh gives NaN eigenvalues.
+        ({(0, 1): 1.7e308 + 1.7e308j, (1, 0): 1.7e308 - 1.7e308j}, "state has an eigenvalue below -1e-10"),
+    ],
+    ids=["difference-overflows", "sum-would-overflow", "nan-trace", "nan-eigenvalues"],
+)
+def test_a_finite_non_state_near_the_float_limit_is_invalid_without_a_warning(entries, message):
+    m = np.eye(9, dtype=complex) / 9  # the maximally mixed state, with entries written over it
+    for index, value in entries.items():
+        m[index] = value
+    text = "\n".join(" ".join(repr(complex(z)) for z in row) for row in m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidStateError, match=f"^{message}$"):
+            DensityMatrix(m)
+        with pytest.raises(InvalidStateError, match=f"^{message}$"):
+            parse_state_text(text)
+
+
 def test_separable_samples_nonnegative_on_family():
     for p in family_params():
         low = separable_sample_check(witness_matrix(p), n=10_000, seed=0)
