@@ -52,11 +52,13 @@ def _as_square(x, name, batched=False):
 def _require_hermitian(m, tol):
     """Raise NotHermitianError unless every matrix of the stack m is Hermitian within tol."""
     # The conjugate transpose is written C-contiguous and the difference
-    # into it: numpy subtracts contiguous operands on its fast loop.
+    # into it: numpy subtracts contiguous operands on its fast loop.  Near the
+    # float limit the difference may overflow to inf or NaN, which fail the test.
     diff = np.conjugate(np.swapaxes(m, -1, -2), order="C")
-    np.subtract(m, diff, out=diff)
-    if float(np.abs(diff).max(initial=0.0)) > tol:  # an empty stack passes
-        raise NotHermitianError(f"matrix is not Hermitian within {tol:g}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(m, diff, out=diff)
+        if not float(np.abs(diff).max(initial=0.0)) <= tol:  # an empty stack passes
+            raise NotHermitianError(f"matrix is not Hermitian within {tol:g}")
 
 
 def kron_vec(u, v):
@@ -124,12 +126,13 @@ def herm_eig_min(m, tol=HERMITICITY_TOL):
     """Smallest eigenvalue of a Hermitian matrix, by np.linalg.eigvalsh.
 
     The input must satisfy max|M - M^dagger| <= tol, otherwise
-    NotHermitianError is raised; the Hermitian part (M + M^dagger)/2 is
-    what gets diagonalized.
+    NotHermitianError is raised; the Hermitian part M/2 + M^dagger/2,
+    halved before the sum so that the sum cannot overflow, is what gets
+    diagonalized.
     """
     a = _as_square(m, "m")
     _require_hermitian(a, tol)
-    return float(np.linalg.eigvalsh((a + a.conj().T) / 2.0)[0])
+    return float(np.linalg.eigvalsh(a / 2.0 + a.conj().T / 2.0)[0])
 
 
 def quadratic_forms(w, v):
@@ -146,7 +149,7 @@ def quadratic_forms(w, v):
     wm = _as_square(w, "w", batched=True)
     vv = _as_stack(v, (wm.shape[-1],), "v")
     _require_hermitian(wm, HERMITICITY_TOL)
-    val = _forms(wm, vv)
+    val = np.vecdot(vv, np.matmul(wm[..., None, :, :], vv[..., None])[..., 0])
     bound = 1e-10 * (1.0 + np.vecdot(vv, vv).real * np.abs(wm).max(axis=(-2, -1))[..., None])
     bad = np.flatnonzero(np.abs(val.imag) > bound)
     if bad.size:
@@ -155,12 +158,6 @@ def quadratic_forms(w, v):
             f"quadratic form has imaginary part {imag:g} beyond roundoff bound {limit:g}"
         )
     return val.real
-
-
-def _forms(w, v):
-    """quadratic_forms' raw complex forms with none of its checks, for complex
-    w and v that are finite, of matching shapes and Hermitian by construction."""
-    return np.vecdot(v, np.matmul(w[..., None, :, :], v[..., None])[..., 0])
 
 
 def expectation(w, v):

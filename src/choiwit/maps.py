@@ -31,6 +31,9 @@ ALPHA_MAX = 5 * math.pi / 3
 #: to roundoff in floating point.
 BOUNDARY_TOL = 1e-12
 
+#: pi - math.pi, rounded to a float: math.pi + _PI_LO is pi to about 1e-32.
+_PI_LO = 1.2246467991473532e-16
+
 # Comparison slack for the positivity predicate.  Family points sit exactly
 # on the boundary of both inequalities, so roundoff of order 1e-16 must not
 # flip the answer.
@@ -205,8 +208,11 @@ def family_weights(alphas) -> np.ndarray:
 
     Half-angle forms, free of cancellation at both ends: b = (4/3) s^2, c = (4/3) r^2 and
     1 - a = (4/3) s r, with one math.sin each for s = sin((alpha - pi/3)/2) and
-    r = sin((5*pi/3 - alpha)/2).  The first offending angle raises: OutOfRangeError, or
-    ArithmeticError off the family.
+    r = sin((5*pi/3 - alpha)/2).  On the middle third [2pi/3, 4pi/3], where 1 - (4/3) s r
+    cancels towards a = 0 at pi, a = (4/3) sin^2((pi - alpha)/2) instead, with pi - alpha
+    as (math.pi - alpha) + _PI_LO: the difference is exact there (Sterbenz), and _PI_LO is
+    pi - math.pi rounded, so every printed digit of a holds up to pi.  The first offending
+    angle raises: OutOfRangeError, or ArithmeticError off the family.
     """
     x = np.asarray(alphas, dtype=float).reshape(-1)
     inside = (ALPHA_MIN - 1e-12 <= x) & (x <= ALPHA_MAX + 1e-12)
@@ -215,10 +221,11 @@ def family_weights(alphas) -> np.ndarray:
     s, r = np.array([math.sin(v) for v in half.ravel().tolist()]).reshape(2, n)
     w = np.empty((n, 3))
     w[:, 0] = 1.0 - (4.0 / 3.0) * s * r
+    middle = np.flatnonzero((2 * math.pi / 3 <= x[:n]) & (x[:n] <= 4 * math.pi / 3))
+    u = np.array([math.sin(v) for v in (((math.pi - x[middle]) + _PI_LO) / 2).tolist()])
+    w[middle, 0] = (4.0 / 3.0) * u * u
     w[:, 1] = (4.0 / 3.0) * s * s
     w[:, 2] = (4.0 / 3.0) * r * r
-    # a, zero in closed form at pi, may round to a tiny negative.
-    w[(-1e-12 <= w) & (w < 0.0)] = 0.0
     off = _family_breaks(w, 1e-12) > 0
     if off.any():
         raise ArithmeticError(f"family conditions violated at alpha={x[np.argmax(off)].item()!r}")

@@ -11,8 +11,9 @@ exact integer arithmetic, and the certificates report them.
 
 The whole test runs as one batched kernel on an array of weights: slices
 of KERNEL_BLOCK points stack their product vectors (one gather of an entry
-table) and witnesses along a leading axis, check them in stacked numpy
-calls and write whole-batch columns.  Only where no determinant proves
+table) along a leading axis, take their witness expectations from the
+witnesses' entries (no witness matrix is built) and write whole-batch
+columns.  Only where no determinant proves
 rank 9 (_RANK9_DET_BOUND) is a span matrix built, for a stacked SVD.  The
 verdicts are decided once over the columns, and each point's record, the
 cells named by RECORD_KEYS, is built in one pass.  certify_many zips those
@@ -30,9 +31,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import BoundaryCaseError, NonpositiveTError, OffFamilyError
-from .linalg import _forms, rank_with_tol
+from .linalg import rank_with_tol
 from .maps import BOUNDARY_TOL, MapParams, _family_breaks, family_violation
-from .witness import DensityMatrix, _witness_sides
+from .witness import DensityMatrix, _witness_forms
 
 #: Family-membership tolerance used by the guards in this module.
 ON_FAMILY_TOL = 1e-8
@@ -304,12 +305,12 @@ def _certificate_columns(weights: np.ndarray, tol: float) -> tuple[list[tuple], 
         # slice's points.
         vectors = _vectors(t[s])
         # Column norms of the span matrices: each vector's re*re + im*im summed
-        # entry by entry, the order (and bits) of a sum down each column.
+        # entry by entry, the order (and bits) of a sum down each column.  The
+        # forms read the same re*re + im*im.
         sq = vectors.real * vectors.real + vectors.imag * vectors.imag
         norm2 = sum(np.moveaxis(sq, -1, 0))
         norms = np.sqrt(norm2)
-        # Unchecked forms: past the guard, the fill makes W and W^Gamma finite and real symmetric.
-        forms = _forms(_witness_sides(weights[s], 2), vectors).real
+        forms = _witness_forms(weights[s], vectors, sq)
         # Each expectation is taken on the unit vector: |v|^2 grows like t^3.
         max_exp[:, s] = np.abs(forms / norm2).max(axis=-1)
         # det of a column-normalized span matrix = closed form / product of

@@ -20,13 +20,12 @@ from .maps import MapParams, phi_apply
 _DIAG = np.arange(9)
 #: Weight (0 = a, 1 = b, 2 = c) on each diagonal entry of the witness.
 _DIAG_WEIGHT = np.array([0, 1, 2, 2, 0, 1, 1, 2, 0])
-#: Off-diagonal entries, rows then columns, of W: (0,4), (0,8), (4,8) and their
-#: transposes; then of W^Gamma, where the partial transpose moves them to (1,3),
-#: (2,6), (5,7) and their transposes.  The diagonal is the same on both sides.
-_OFF_ENTRIES = (
-    (np.array([0, 0, 4, 4, 8, 8]), np.array([4, 8, 0, 8, 0, 4])),
-    (np.array([1, 3, 2, 6, 5, 7]), np.array([3, 1, 6, 2, 7, 5])),
-)
+#: The entry pairs (i, j), i < j, that hold -scale at (i, j) and (j, i): in W (0,4), (0,8),
+#: (4,8); then in W^Gamma, where the partial transpose moves them to (1,3), (2,6), (5,7).  The
+#: diagonal is the same on both sides.
+_OFF_ENTRIES = (((0, 4), (0, 8), (4, 8)), ((1, 3), (2, 6), (5, 7)))
+#: The diagonal entries that carry a, then b, then c, each three in index order.
+_WEIGHT_ENTRIES = [np.flatnonzero(_DIAG_WEIGHT == k).tolist() for k in range(3)]
 
 #: Validation tolerances for density matrices; loose enough to accept
 #: states read back from text files with 12 printed digits.
@@ -74,12 +73,14 @@ def max_ent_projector() -> np.ndarray:
     return np.outer(omega, omega.conj())
 
 
-def _witness_sides(weights, sides: int) -> np.ndarray:
-    """W, and with sides = 2 also W^Gamma, for an (N, 3) weight array, as a C-contiguous
-    (sides, N, 9, 9) stack.
+def witness_stack(weights) -> np.ndarray:
+    """Witnesses for an (N, 3) array of weights (a, b, c), as an (N, 9, 9) stack.
 
-    The one fill and scale guard behind witness_stack and the certificate
-    kernel; side 1 is bit for bit partial_transpose_second of side 0.
+    Each matrix is filled by fancy indexing from its row of weights; the
+    stack holds exactly the values the loop over witness_matrix would give.
+    Raises ValueError when a scale 1/(3(a+b+c)) is not finite, as for a
+    weight sum below about 2e-309, or is zero, as for a weight sum whose
+    triple overflows.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or w.shape[1] != 3:
@@ -90,23 +91,35 @@ def _witness_sides(weights, sides: int) -> np.ndarray:
         raise ValueError("the witness scale 1/(3(a+b+c)) is not finite; the weight sum is too small")
     if not scale.all():
         raise ValueError("the witness scale 1/(3(a+b+c)) is zero; the weight sum overflows")
-    out = np.zeros((sides, len(w), 9, 9), dtype=complex)
-    out[:, :, _DIAG, _DIAG] = w[:, _DIAG_WEIGHT] * scale
-    for side, (rows, cols) in zip(out, _OFF_ENTRIES):
-        side[:, rows, cols] = -scale
+    out = np.zeros((len(w), 9, 9), dtype=complex)
+    out[:, _DIAG, _DIAG] = w[:, _DIAG_WEIGHT] * scale
+    rows, cols = np.array(_OFF_ENTRIES[0]).T
+    out[:, rows, cols] = out[:, cols, rows] = -scale
     return out
 
 
-def witness_stack(weights) -> np.ndarray:
-    """Witnesses for an (N, 3) array of weights (a, b, c), as an (N, 9, 9) stack.
+def _witness_forms(weights: np.ndarray, vectors: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """The real forms <v|W|v>, then <v|W^Gamma|v>, of a (2, N, k, 9) vector stack: (2, N, k).
 
-    Each matrix is filled by fancy indexing from its row of weights; the
-    stack holds exactly the values the loop over witness_matrix would give.
-    Raises ValueError when a scale 1/(3(a+b+c)) is not finite, as for a
-    weight sum below about 2e-309, or is zero, as for a weight sum whose
-    triple overflows.
+    Side 0 of ``vectors`` goes against W, side 1 against W^Gamma, of the N rows of valid
+    MapParams ``weights``; ``sq`` is the stack's re*re + im*im.  Both witnesses are real
+    symmetric, so with v = x + iy each form is scale * (sum_k w_k sq_k - 2 sum_pairs
+    (x_i x_j + y_i y_j)) over the side's _OFF_ENTRIES, in elementwise float operations (no
+    BLAS, so no CPU-dependent bits) in this order: the three sq entries of a, of b and of
+    c added in index order and times their weight, those three added a, b, c; each pair's
+    x_i x_j + y_i y_j, added in table order; the first part minus twice the second; times
+    scale = 1/(3(a+b+c)) last, so that exact terms that cancel, as at (0, 1, 1), give 0.
     """
-    return _witness_sides(weights, 1)[0]
+    x, y = vectors.real, vectors.imag
+    diag = sum(
+        wk[:, None] * (sq[..., i] + sq[..., j] + sq[..., k]) for wk, (i, j, k) in zip(weights.T, _WEIGHT_ENTRIES)
+    )
+    pairs = np.stack([
+        sum(xs[..., i] * xs[..., j] + ys[..., i] * ys[..., j] for i, j in entries)
+        for xs, ys, entries in zip(x, y, _OFF_ENTRIES)
+    ])
+    scale = 1.0 / (3.0 * (weights[:, 0] + weights[:, 1] + weights[:, 2]))
+    return (diag - 2.0 * pairs) * scale[:, None]
 
 
 def witness_matrix(p: MapParams) -> WitnessMatrix:

@@ -28,8 +28,13 @@ The exceptions are former library routines kept verbatim as references:
 - parse_state_text_loop, the former state parser with one numpy item
   assignment per entry, whose matrix and error messages
   witness.parse_state_text must match bit for bit and word for word.
+witness_forms_float is the certificate kernel's witness forms and their
+maxima on unit vectors, one Python float operation at a time in the order
+witness._witness_forms documents, from literal tables of the witness
+entries; the kernel must match it bit for bit.
 The family weights themselves are checked against family_weights_decimal,
-the half-angle forms at 40 significant digits with a Taylor sine.
+the half-angle forms at 40 significant digits with a Taylor sine, and a
+against family_a_decimal, its own half angle at 60 digits.
 falsifier_minimum is the closed-form minimum that positivity_search must
 reach on maps that are not positive.
 Determinants need no oracle here: the library's lu_det is itself the
@@ -200,6 +205,52 @@ def family_weights_decimal(alpha):
         b = third * _sin_decimal(pi / 4 - (x + pi / 6) / 2) ** 2
         c = third * _sin_decimal(pi / 4 + (x - pi / 6) / 2) ** 2
         return 1 - one_minus_a, b, c, one_minus_a
+
+
+def family_a_decimal(alpha):
+    """a = (4/3) sin^2((pi - alpha)/2) of the family point at the float alpha, as a 60-digit Decimal.
+
+    Computed directly, so it resolves a near pi to 60 significant digits,
+    where 1 - (1 - a) from family_weights_decimal holds only about 40 digits
+    of 1.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return Decimal(4) / 3 * _sin_decimal((_PI - Decimal(alpha)) / 2) ** 2
+
+
+def witness_forms_float(weights, vectors):
+    """(forms, maxima) of an (N, 3) weight array against a (2, N, k, 9) complex vector stack.
+
+    forms (2, N, k) holds <v|W|v> on side 0 and <v|W^Gamma|v> on side 1 as
+    scale * (sum_k w_k |v_k|^2 - 2 sum_pairs (x_i x_j + y_i y_j)) with v = x + iy and
+    scale = 1/(3(a+b+c)), one Python float operation at a time: each |v_k|^2 as
+    x*x + y*y; the entries of a (0, 4, 8), of b (1, 5, 6) and of c (2, 3, 7) added in
+    that order and times their weight, the three products added a, b, c; the pair
+    terms x_i x_j + y_i y_j added to 0.0 in the order (0,4), (0,8), (4,8) for W and
+    (1,3), (2,6), (5,7) for W^Gamma; the diagonal part minus twice the pair part;
+    times scale.  maxima (2, N) is max over k of |form / |v|^2|, with |v|^2 the
+    entries' x*x + y*y added to 0 in index order.
+    """
+    vectors = np.asarray(vectors)
+    forms = np.empty(vectors.shape[:-1])
+    maxima = np.empty(vectors.shape[:-2])
+    for side, pairs in enumerate((((0, 4), (0, 8), (4, 8)), ((1, 3), (2, 6), (5, 7)))):
+        for n, (a, b, c) in enumerate(np.asarray(weights, dtype=float).tolist()):
+            scale = 1.0 / (3.0 * (a + b + c))
+            largest = 0.0
+            for k, v in enumerate(vectors[side, n].tolist()):
+                x = [z.real for z in v]
+                y = [z.imag for z in v]
+                sq = [xi * xi + yi * yi for xi, yi in zip(x, y)]
+                diag = a * (sq[0] + sq[4] + sq[8]) + b * (sq[1] + sq[5] + sq[6]) + c * (sq[2] + sq[3] + sq[7])
+                pair = 0.0
+                for i, j in pairs:
+                    pair += x[i] * x[j] + y[i] * y[j]
+                forms[side, n, k] = form = (diag - 2.0 * pair) * scale
+                largest = max(largest, abs(form / sum(sq)))
+            maxima[side, n] = largest
+    return forms, maxima
 
 
 def falsifier_minimum(a, b, c):

@@ -254,7 +254,7 @@ def test_scan_rows_equal_the_certificate_path(extra, tol):
 def test_scan_rows_when_only_the_w_side_fails():
     # At a tol between the two expectation maxima of a point, the W side fails
     # and the W^Gamma side passes: NotCertified, with wgamma_optimal still set.
-    alphas = np.linspace(ALPHA_MIN, ALPHA_MAX, 41)[1:-1].tolist()
+    alphas = np.linspace(ALPHA_MIN, ALPHA_MAX, 101)[1:-1].tolist()
     for alpha, cert in zip(alphas, certify_many([family_from_alpha(a).params for a in alphas])):
         d = cert.diagnostics
         if 0 < d.max_abs_expectation_wgamma < d.max_abs_expectation_w:

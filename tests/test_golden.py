@@ -12,8 +12,21 @@ unit vectors (largest value on the 1001-point grid 1.2e-9 before, 3.7e-17
 after), and the weights came from cancellation-free half-angle forms, which
 moved a by up to 1.9e-11 relative (near pi), t by up to 4.7e-12 and the
 determinants by up to 6.9e-12, and turned the endpoint rows' tiny b or c
-into 0 or back.  Otherwise the files are not regenerated: a change that
-alters one digit of these outputs fails here.
+into 0 or back.  They were re-captured a third time, with no verdict or
+rank changed, when the certificate's forms moved from BLAS to the
+witness's entries (witness._witness_forms) and a on the middle third of
+the angle range to its own half angle.  Before, the bytes held only under
+the OpenBLAS kernel they were captured with; now they hold under every
+kernel.  On the 1001-point grid 998 of the 1001 rows' max_expectation_W and
+max_expectation_WGamma cells changed, at roundoff level (largest values
+3.7e-17 and 3.1e-17 before, 3.6e-17 and 3.3e-17 after; exact zeros went
+from 1 to 404 and 395); 458 a cells changed, the one at pi from 0 to its
+true value and the rest by up to 1.5e-11 relative; t and the determinants
+moved in the last digits (at most 3.7e-16, 1.5e-15 and 1.4e-13 relative) in 222,
+198 and 213 rows.  check_third, check_near_start and check_near_end, text
+and JSON, changed only in their two expectation maxima, also at roundoff
+level.  Otherwise the files are not regenerated: a change that alters one
+digit of these outputs fails here.
 
 scan_steps101_tol1e-4.csv is a 101-step scan at tol 1e-4, captured before
 the rank cells were first decided by the determinant bound: at that tol 33

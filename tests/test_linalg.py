@@ -19,7 +19,7 @@ from choiwit import (
     span_matrix,
     witness_matrix,
 )
-from choiwit.linalg import _forms, quadratic_forms
+from choiwit.linalg import quadratic_forms
 from oracles import eig3_min_cubic, random_hermitian, rank_row_reduction
 
 
@@ -211,6 +211,22 @@ def test_herm_eig_min_rejects_non_hermitian():
         herm_eig_min(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_hermiticity_guards_near_the_float_limit_raise_no_warning():
+    # A Hermitian M whose M + M^dagger overflows is diagonalized; one whose
+    # M - M^dagger overflows is rejected.  Neither lets a numpy warning out.
+    m = np.zeros((3, 3))
+    m[0, 1] = m[1, 0] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert herm_eig_min(m) == pytest.approx(-1e308, rel=1e-15)
+        m[1, 0] = -1.7e308
+        m[0, 1] = 1.7e308
+        with pytest.raises(NotHermitianError, match="not Hermitian within 1e-12"):
+            herm_eig_min(m)
+        with pytest.raises(NotHermitianError, match="not Hermitian within 1e-12"):
+            expectation(m, np.ones(3))
+
+
 def test_expectation_identity():
     v = np.zeros(9)
     v[0] = 1.0
@@ -226,7 +242,7 @@ def test_expectation_rejects_non_hermitian():
 
 @pytest.mark.parametrize("delta", [2e-12, 2e-12j])
 def test_quadratic_forms_reject_a_stack_off_hermitian_by_2e_12(delta):
-    # The certificate kernel's layout: W and W^Gamma stacked over the points.
+    # W and W^Gamma stacked over the points.
     w = np.stack([witness_matrix(MapParams(a, 1.0, 1.0)).mat for a in (0.0, 0.5, 1.0)])
     stack = np.stack([w, partial_transpose_second(w)])
     v = np.ones((2, 3, 4, 9))
@@ -237,12 +253,12 @@ def test_quadratic_forms_reject_a_stack_off_hermitian_by_2e_12(delta):
 
 
 def test_quadratic_forms_core_keeps_every_guard():
-    # The certificate kernel's layout, with the finite and shape checks that
-    # the kernel's unchecked _forms skips: public callers still get all of them.
+    # A W and W^Gamma stack over three points, with the finite and shape
+    # checks that every public caller gets.
     w = np.stack([witness_matrix(MapParams(a, 1.0, 1.0)).mat for a in (0.0, 0.5, 1.0)])
     stack = np.stack([w, partial_transpose_second(w)])
     v = np.arange(2 * 3 * 4 * 9).reshape(2, 3, 4, 9) * (1 - 2j)
-    assert quadratic_forms(stack, v).tobytes() == _forms(stack, v).real.tobytes()
+    quadratic_forms(stack, v)
     nan = v.copy()
     nan[1, 0, 2, 5] = np.nan
     with pytest.raises(ValueError, match="NaN"):
@@ -283,7 +299,6 @@ def test_quadratic_forms_are_one_matvec_and_vdot_bit_for_bit(n, batch, k, w_exp,
         [np.vdot(vk, wm @ vk).real for vk in vs] for wm, vs in zip(w.reshape(-1, n, n), v.reshape(-1, k, n))
     ]).reshape(shape + (k,))
     assert quadratic_forms(w, v).tobytes() == ref.tobytes()
-    assert _forms(w, v).real.tobytes() == ref.tobytes()
     one = (0,) * len(shape)
     assert np.float64(expectation(w[one], v[one][0])).tobytes() == ref[one][0].tobytes()
 

@@ -23,7 +23,7 @@ from choiwit import (
     t_param,
 )
 from choiwit.maps import ALPHA_MAX, ALPHA_MIN, family_weights
-from oracles import falsifier_minimum, family_weights_decimal, family_weights_scalar
+from oracles import falsifier_minimum, family_a_decimal, family_weights_decimal, family_weights_scalar
 
 PI = math.pi
 
@@ -322,6 +322,22 @@ def test_family_weights_are_accurate_at_the_ends():
 
 def test_family_weights_are_accurate_on_a_grid():
     _assert_rows_are_accurate(np.linspace(ALPHA_MIN, ALPHA_MAX, 4001).tolist())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(2 * PI / 3, 4 * PI / 3), max_size=40))
+def test_a_keeps_every_digit_on_the_middle_third(alphas):
+    # a = (4/3) sin^2(((math.pi - alpha) + pi_lo) / 2) there.  With u = eps/2:
+    # the angle is within 2u relative of pi - alpha (the difference is exact, pi_lo
+    # and the sum round once each, and |pi - alpha| >= pi - math.pi), sin adds at
+    # most 1 ulp (2u) and passes the angle's error on at most once, the square
+    # doubles those 4u, and 4/3 and the two products round once each: 11u.
+    near_pi = [x for k in range(1, 16) for x in (PI - 10.0**-k, PI + 10.0**-k)]
+    alphas = alphas + near_pi + [PI, math.nextafter(PI, 0.0), math.nextafter(PI, 4.0)]
+    bound = Decimal(5.5) * Decimal(np.finfo(float).eps)
+    for alpha, a in zip(alphas, family_weights(alphas)[:, 0].tolist()):
+        ref = family_a_decimal(alpha)
+        assert abs(Decimal(a) - ref) <= bound * ref, alpha
 
 
 @pytest.mark.parametrize("bad", [ALPHA_MIN - 2e-12, ALPHA_MAX + 2e-12, 0.0, 7.0, math.nan, -math.inf])

@@ -31,7 +31,8 @@ from choiwit import optimality
 from choiwit.linalg import quadratic_forms
 from choiwit.maps import ALPHA_MAX, ALPHA_MIN, family_weights
 from choiwit.optimality import _PAIR_CODES, _RANK9_DET_BOUND, _certificate_columns, _entry_table, _vectors
-from oracles import pair_arrays_loop, product_vectors_outer, span_columns, span_ranks_svd
+from choiwit.witness import _witness_forms
+from oracles import pair_arrays_loop, product_vectors_outer, span_columns, span_ranks_svd, witness_forms_float
 
 PI = math.pi
 
@@ -100,26 +101,82 @@ def test_product_vectors_match_the_former_outer_product(t):
             _same_bits(mat, span_columns(want[side, i]))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=70))
-def test_kernel_maxima_are_the_public_quadratic_forms_over_the_column_norms(exponents):
-    # The kernel takes its forms unchecked, on W and W^Gamma filled in one
-    # stack; its maxima must be bit for bit the fully guarded public path's,
-    # on the former product vectors and their column norms summed down each column.
-    t = np.array([10.0**e for e in exponents])
-    d = t * t - t + 1.0
-    weights = np.stack([(t - 1.0) ** 2 / d, 1.0 / d, t * t / d], axis=-1)
+#: Interior family angles: a grid, 10^-k inside both ends and on both sides of pi, and pi.
+ORACLE_ALPHAS = (
+    np.linspace(ALPHA_MIN, ALPHA_MAX, 201)[1:-1].tolist()
+    + [x for k in range(1, 12) for x in (ALPHA_MIN + 10.0**-k, ALPHA_MAX - 10.0**-k, PI - 10.0**-k, PI + 10.0**-k)]
+    + [PI]
+)
+
+
+def test_kernel_forms_and_maxima_are_the_plain_float_oracle_bit_for_bit():
+    # The kernel's forms follow witness._witness_forms' documented order, which
+    # the oracle spells out one Python float at a time from literal tables.
+    weights = family_weights(ORACLE_ALPHAS)
     cells = _certificate_columns(weights, 1e-8)[0]
     assert all(cell[0] is not None for cell in cells)
-    t_kernel = np.array([cell[0] for cell in cells])
-    max_exp = np.array([cell[5:7] for cell in cells]).T
-    vectors = product_vectors_outer(t_kernel)
-    w = witness_stack(weights)
-    forms = quadratic_forms(np.stack([w, partial_transpose_second(w)]), vectors)
-    spans = span_columns(vectors)
-    norm2 = np.add.reduce(spans.real * spans.real + spans.imag * spans.imag, axis=-2)
-    expected = np.abs(forms / norm2).max(axis=-1)
-    np.testing.assert_array_equal(max_exp.view(np.int64), expected.view(np.int64))
+    vectors = _vectors(np.array([cell[0] for cell in cells]))
+    forms, maxima = witness_forms_float(weights, vectors)
+    sq = vectors.real * vectors.real + vectors.imag * vectors.imag
+    assert _witness_forms(weights, vectors, sq).tobytes() == forms.tobytes()
+    assert np.array([cell[5:7] for cell in cells]).T.tobytes() == maxima.tobytes()
+
+
+#: Roundings on the longest path of either evaluation of a form, at most: 13 in the
+#: structured one (x*x, + y*y, two additions in a weight's group, times the weight, two
+#: additions over a, b and c, the subtraction, and scale with its own four roundings),
+#: 32 in the BLAS one (scale's four and one to W's entries, then W @ v, a product and
+#: 8 additions, then the conjugating dot, a product and at most 17 additions).  With
+#: u = eps/2 their difference is within (13 + 32) u < 23 eps of the terms' absolute sum.
+FORM_ROUNDINGS_EPS = 23
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    family=st.booleans(),
+    alphas=st.lists(st.floats(ALPHA_MIN + 1e-9, ALPHA_MAX - 1e-9), min_size=1, max_size=6),
+    weights=st.lists(
+        st.tuples(*[st.one_of(st.sampled_from([0.0, 1.0, 2 / 3]), st.floats(1e-100, 1e100))] * 3).filter(any),
+        min_size=6, max_size=6,
+    ),
+    v_exp=st.floats(-3, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_witness_forms_are_the_guarded_quadratic_forms_within_the_rounding_bound(family, alphas, weights, v_exp, seed):
+    # On the family with its own vectors, or on random weights with random vectors,
+    # against quadratic_forms on witness_stack and its partial transpose (Higham,
+    # Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.1).
+    if family:
+        w = family_weights(alphas)
+        vectors = _vectors(w[:, 2] / (1.0 - w[:, 0]))
+    else:
+        w = np.array(weights)[: len(alphas)]
+        rng = np.random.default_rng(seed)
+        vectors = 10.0**v_exp * (rng.standard_normal((2, len(w), 9, 9)) + 1j * rng.standard_normal((2, len(w), 9, 9)))
+    stack = witness_stack(w)
+    expected = quadratic_forms(np.stack([stack, partial_transpose_second(stack)]), vectors)
+    x, y = vectors.real, vectors.imag
+    got = _witness_forms(w, vectors, x * x + y * y)
+    scale = 1.0 / (3.0 * w.sum(axis=1))[:, None]
+    diag = (w[:, None, [0, 1, 2, 2, 0, 1, 1, 2, 0]] * (x * x + y * y)).sum(axis=-1)
+    mags = [sum(np.abs(x[s][..., i] * x[s][..., j]) + np.abs(y[s][..., i] * y[s][..., j]) for i, j in pairs)
+            for s, pairs in enumerate((((0, 4), (0, 8), (4, 8)), ((1, 3), (2, 6), (5, 7))))]
+    bound = FORM_ROUNDINGS_EPS * np.finfo(float).eps * scale * (diag + 2.0 * np.stack(mags))
+    assert np.all(np.abs(got - expected) <= bound)
+
+
+def test_forms_at_0_1_1_are_exactly_zero():
+    # Every entry of the t = 1 vectors is 0, +-1 or +-1j and the weights are 0, 1, 1:
+    # each term is exact, and scale comes last, so the forms vanish exactly.
+    weights = np.array([[0.0, 1.0, 1.0]])
+    vectors = _vectors(np.array([1.0]))
+    forms = _witness_forms(weights, vectors, vectors.real * vectors.real + vectors.imag * vectors.imag)
+    assert forms.tobytes() == np.zeros((2, 1, 9)).tobytes()
+    for tol in (1e-17, 1e-300):
+        cert = certify(MapParams(0, 1, 1), tol)
+        d = cert.diagnostics
+        assert (d.max_abs_expectation_w, d.max_abs_expectation_wgamma) == (0.0, 0.0)
+        assert cert.verdict is Verdict.OPTIMAL_ONLY and cert.w_optimal and not cert.wgamma_optimal
 
 
 def test_span_matrix_columns():

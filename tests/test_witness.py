@@ -22,7 +22,7 @@ from choiwit import (
     witness_matrix,
     witness_stack,
 )
-from choiwit.witness import _form_matrix, _hermitian_coords, _witness_sides, format_complex
+from choiwit.witness import _DIAG_WEIGHT, _OFF_ENTRIES, _form_matrix, _hermitian_coords, format_complex
 from oracles import (
     parse_state_text_loop,
     random_hermitian,
@@ -95,15 +95,19 @@ def test_witness_stack_is_bit_equal_to_the_loop(triples, at):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(WEIGHTS, WEIGHTS, WEIGHTS), min_size=0, max_size=8), st.integers(0, 8))
 def test_witness_pair_stack_is_the_stack_and_its_partial_transpose(triples, at):
-    # The certificate kernel fills W and W^Gamma straight from the weights;
-    # each side must be bit for bit what the former stack-and-transpose gave.
+    # The certificate kernel's forms read W and W^Gamma from the diagonal weights
+    # and the pair tables alone: a matrix filled from each side's table must be bit
+    # for bit the stack, then its partial transpose.
     triples.insert(min(at, len(triples)), (1.0, 1.0, 0.0))
-    weights = [w for w in triples if sum(w) > 0]
-    pairs = _witness_sides(weights, 2)
+    weights = np.array([w for w in triples if sum(w) > 0]).reshape(-1, 3)
     w = witness_stack(weights)
-    expected = np.stack([w, partial_transpose_second(w)])
-    assert pairs.shape == expected.shape and pairs.dtype == complex and pairs.flags.c_contiguous
-    np.testing.assert_array_equal(pairs.view(np.int64), expected.view(np.int64))
+    scale = 1.0 / (3.0 * (weights[:, 0] + weights[:, 1] + weights[:, 2]))
+    for entries, expected in zip(_OFF_ENTRIES, (w, partial_transpose_second(w))):
+        filled = np.zeros_like(w)
+        filled[:, range(9), range(9)] = weights[:, _DIAG_WEIGHT] * scale[:, None]
+        for i, j in entries:
+            filled[:, i, j] = filled[:, j, i] = -scale
+        np.testing.assert_array_equal(filled.view(np.int64), expected.view(np.int64))
 
 
 def test_witness_stack_rejects_bad_shapes():
@@ -117,9 +121,8 @@ def test_witness_stack_rejects_a_weight_sum_too_small():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for weights in ([(5e-324, 0.0, 0.0)], [(0.0, 1.0, 1.0), (0.0, 0.0, 1e-320)]):
-            for build in (witness_stack, lambda w: _witness_sides(w, 2)):
-                with pytest.raises(ValueError, match="not finite; the weight sum is too small"):
-                    build(weights)
+            with pytest.raises(ValueError, match="not finite; the weight sum is too small"):
+                witness_stack(weights)
         with pytest.raises(ValueError, match="not finite"):
             witness_matrix(MapParams(5e-324, 0, 0))
         assert np.isfinite(witness_matrix(MapParams(1e-300, 0, 0)).mat).all()
@@ -130,9 +133,8 @@ def test_witness_stack_rejects_a_weight_sum_that_overflows():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for weights in ([(1e308, 1e308, 0.0)], [(0.0, 1.0, 1.0), (1e308, 0.0, 0.0)]):
-            for build in (witness_stack, lambda w: _witness_sides(w, 2)):
-                with pytest.raises(ValueError, match="is zero; the weight sum overflows"):
-                    build(weights)
+            with pytest.raises(ValueError, match="is zero; the weight sum overflows"):
+                witness_stack(weights)
         with pytest.raises(ValueError, match="is zero; the weight sum overflows"):
             witness_matrix(MapParams(1e308, 1e308, 0))
         assert witness_matrix(MapParams(1e307, 0, 0)).scale > 0
