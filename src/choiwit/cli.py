@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ChoiwitError
 from .maps import ALPHA_MAX, ALPHA_MIN, MapParams, family_weights
-from .optimality import RECORD_KEYS, Verdict, _certificate_columns, _certified
+from .optimality import RECORD_KEYS, _certificate_columns, _certified
 from .optimality import product_vectors, span_matrix
 from .witness import (
     detect,
@@ -187,8 +187,7 @@ def cmd_check(args) -> int:
         if note:
             lines.append(f"note: {note}")
         lines.append(f"separable sample min (n={args.samples}, seed={args.seed}): {_fmt(sample_min)}")
-    certified = cert.verdict in (Verdict.INDECOMPOSABLE_OPTIMAL, Verdict.OPTIMAL_ONLY)
-    return _write_output("\n".join(lines) + "\n", None) or (0 if certified else 1)
+    return _write_output("\n".join(lines) + "\n", None) or (0 if cert.w_optimal else 1)
 
 
 def cmd_vectors(args) -> int:

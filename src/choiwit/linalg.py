@@ -5,9 +5,9 @@ and length-9 vectors, 3x3 and 9x9 matrices.  The tensor-product index (i, j)
 of a bipartite object always maps to the flat index 3*i + j, i.e. row-major
 with the first factor outermost.  All functions are pure and accept anything
 ``np.asarray`` can turn into the right shape; NaN or infinite entries are
-rejected.  partial_transpose_second, rank_with_tol and quadratic_forms also
-take stacks of matrices along leading axes, and give each matrix of a stack
-the result it gets alone, bit for bit.
+rejected.  Each function takes one vector or matrix, except rank_with_tol,
+which also takes a stack of matrices along leading axes for the certificate
+kernel's one stacked singular value decomposition.
 """
 
 from __future__ import annotations
@@ -33,14 +33,6 @@ def _as_complex(x, shape, name):
     return _finite(arr, name)
 
 
-def _as_stack(x, shape, name):
-    """Like _as_complex, but any axes in front of ``shape`` are batch axes."""
-    arr = np.asarray(x, dtype=complex)
-    if arr.shape[arr.ndim - len(shape) :] != shape:
-        raise ValueError(f"{name} must have trailing shape {shape}, got {arr.shape}")
-    return _finite(arr, name)
-
-
 def _as_square(x, name, batched=False):
     """A square matrix; with ``batched``, a stack of them along leading axes."""
     arr = np.asarray(x, dtype=complex)
@@ -49,16 +41,12 @@ def _as_square(x, name, batched=False):
     return _finite(arr, name)
 
 
-def _require_hermitian(m, tol):
-    """Raise NotHermitianError unless every matrix of the stack m is Hermitian within tol."""
-    # The conjugate transpose is written C-contiguous and the difference
-    # into it: numpy subtracts contiguous operands on its fast loop.  Near the
-    # float limit the difference may overflow to inf or NaN, which fail the test.
-    diff = np.conjugate(np.swapaxes(m, -1, -2), order="C")
+def _require_hermitian(m):
+    """Raise NotHermitianError unless the square matrix m is Hermitian within HERMITICITY_TOL."""
+    # Near the float limit the difference may overflow to inf or NaN, which fail the test.
     with np.errstate(over="ignore", invalid="ignore"):
-        np.subtract(m, diff, out=diff)
-        if not float(np.abs(diff).max(initial=0.0)) <= tol:  # an empty stack passes
-            raise NotHermitianError(f"matrix is not Hermitian within {tol:g}")
+        if not float(np.abs(m - m.conj().T).max()) <= HERMITICITY_TOL:
+            raise NotHermitianError(f"matrix is not Hermitian within {HERMITICITY_TOL:g}")
 
 
 def kron_vec(u, v):
@@ -74,14 +62,14 @@ def conj_vec(v):
 
 
 def partial_transpose_second(m):
-    """Transpose the second tensor factor of a 9x9 matrix, or of each in a stack.
+    """Transpose the second tensor factor of a 9x9 matrix.
 
     Viewing the matrix as a 3x3 grid of 3x3 blocks, each block is replaced
     by its own transpose.  The operation is a linear involution and maps
     Hermitian matrices to Hermitian matrices.
     """
-    mm = _as_stack(m, (9, 9), "m")
-    return mm.reshape(mm.shape[:-2] + (3, 3, 3, 3)).swapaxes(-3, -1).reshape(mm.shape)
+    mm = _as_complex(m, (9, 9), "m")
+    return mm.reshape(3, 3, 3, 3).swapaxes(1, 3).reshape(9, 9)
 
 
 def lu_det(m):
@@ -122,46 +110,41 @@ def rank_with_tol(m, tol):
     return int(ranks) if a.ndim == 2 else ranks
 
 
-def herm_eig_min(m, tol=HERMITICITY_TOL):
+def herm_eig_min(m):
     """Smallest eigenvalue of a Hermitian matrix, by np.linalg.eigvalsh.
 
-    The input must satisfy max|M - M^dagger| <= tol, otherwise
+    The input must satisfy max|M - M^dagger| <= 1e-12, otherwise
     NotHermitianError is raised; the Hermitian part M/2 + M^dagger/2,
     halved before the sum so that the sum cannot overflow, is what gets
-    diagonalized.
+    diagonalized.  ArithmeticError is raised when the eigenvalue overflows
+    the float range.
     """
     a = _as_square(m, "m")
-    _require_hermitian(a, tol)
-    return float(np.linalg.eigvalsh(a / 2.0 + a.conj().T / 2.0)[0])
-
-
-def quadratic_forms(w, v):
-    """Real quadratic forms <v_k|W|v_k> for a stack of Hermitian matrices.
-
-    ``w`` has shape (..., n, n) and ``v`` shape (..., k, n); the result has
-    shape (..., k), one form per row of v against the matrix in front of it.
-    Each form is W @ v as a stacked matmul, then np.vecdot of v with it,
-    which is np.vdot's conjugating dot with no conjugate copy of v, so every
-    value is bit-for-bit what one matrix-vector product and np.vdot give.
-    Every W must be Hermitian within 1e-12.  The imaginary part of each raw
-    form is checked against a scale-aware roundoff bound and then discarded.
-    """
-    wm = _as_square(w, "w", batched=True)
-    vv = _as_stack(v, (wm.shape[-1],), "v")
-    _require_hermitian(wm, HERMITICITY_TOL)
-    val = np.vecdot(vv, np.matmul(wm[..., None, :, :], vv[..., None])[..., 0])
-    bound = 1e-10 * (1.0 + np.vecdot(vv, vv).real * np.abs(wm).max(axis=(-2, -1))[..., None])
-    bad = np.flatnonzero(np.abs(val.imag) > bound)
-    if bad.size:
-        imag, limit = val.imag.flat[bad[0]], bound.flat[bad[0]]
-        raise ArithmeticError(
-            f"quadratic form has imaginary part {imag:g} beyond roundoff bound {limit:g}"
-        )
-    return val.real
+    _require_hermitian(a)
+    value = float(np.linalg.eigvalsh(a / 2.0 + a.conj().T / 2.0)[0])
+    if not np.isfinite(value):
+        raise ArithmeticError("smallest eigenvalue overflows the float range")
+    return value
 
 
 def expectation(w, v):
-    """Real quadratic form <v|W|v> of a Hermitian matrix; quadratic_forms for one vector."""
+    """Real quadratic form <v|W|v> of a Hermitian matrix, as np.vdot(v, W @ v).
+
+    W must be Hermitian within 1e-12.  ArithmeticError is raised when the
+    form overflows the float range, or when its imaginary part exceeds a
+    scale-aware roundoff bound; the imaginary part is then discarded.
+    """
     wm = _as_square(w, "w")
     vv = _as_complex(v, (wm.shape[0],), "v")
-    return float(quadratic_forms(wm, vv[None])[0])
+    _require_hermitian(wm)
+    # Near the float limit the form and its bound may overflow to inf or NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = complex(np.vdot(vv, wm @ vv))
+        bound = 1e-10 * (1.0 + float(np.vdot(vv, vv).real) * float(np.abs(wm).max()))
+    if not np.isfinite(val):
+        raise ArithmeticError("quadratic form overflows the float range")
+    if abs(val.imag) > bound:
+        raise ArithmeticError(
+            f"quadratic form has imaginary part {val.imag:g} beyond roundoff bound {bound:g}"
+        )
+    return val.real

@@ -17,7 +17,6 @@ from .errors import InvalidStateError
 from .linalg import _as_complex
 from .maps import MapParams, phi_apply
 
-_DIAG = np.arange(9)
 #: Weight (0 = a, 1 = b, 2 = c) on each diagonal entry of the witness.
 _DIAG_WEIGHT = np.array([0, 1, 2, 2, 0, 1, 1, 2, 0])
 #: The entry pairs (i, j), i < j, that hold -scale at (i, j) and (j, i): in W (0,4), (0,8),
@@ -73,31 +72,6 @@ def max_ent_projector() -> np.ndarray:
     return np.outer(omega, omega.conj())
 
 
-def witness_stack(weights) -> np.ndarray:
-    """Witnesses for an (N, 3) array of weights (a, b, c), as an (N, 9, 9) stack.
-
-    Each matrix is filled by fancy indexing from its row of weights; the
-    stack holds exactly the values the loop over witness_matrix would give.
-    Raises ValueError when a scale 1/(3(a+b+c)) is not finite, as for a
-    weight sum below about 2e-309, or is zero, as for a weight sum whose
-    triple overflows.
-    """
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 2 or w.shape[1] != 3:
-        raise ValueError(f"weights must have shape (N, 3), got {w.shape}")
-    with np.errstate(divide="ignore", over="ignore"):
-        scale = (1.0 / (3.0 * (w[:, 0] + w[:, 1] + w[:, 2])))[:, None]
-    if not np.isfinite(scale).all():
-        raise ValueError("the witness scale 1/(3(a+b+c)) is not finite; the weight sum is too small")
-    if not scale.all():
-        raise ValueError("the witness scale 1/(3(a+b+c)) is zero; the weight sum overflows")
-    out = np.zeros((len(w), 9, 9), dtype=complex)
-    out[:, _DIAG, _DIAG] = w[:, _DIAG_WEIGHT] * scale
-    rows, cols = np.array(_OFF_ENTRIES[0]).T
-    out[:, rows, cols] = out[:, cols, rows] = -scale
-    return out
-
-
 def _witness_forms(weights: np.ndarray, vectors: np.ndarray, sq: np.ndarray) -> np.ndarray:
     """The real forms <v|W|v>, then <v|W^Gamma|v>, of a (2, N, k, 9) vector stack: (2, N, k).
 
@@ -123,9 +97,21 @@ def _witness_forms(weights: np.ndarray, vectors: np.ndarray, sq: np.ndarray) -> 
 
 
 def witness_matrix(p: MapParams) -> WitnessMatrix:
-    """The witness for weights p: witness_stack of one point."""
-    mat = witness_stack([(p.a, p.b, p.c)])[0]
-    return WitnessMatrix(mat=mat, params=p, scale=float(-mat[0, 4].real))  # W[0,4] = -scale
+    """The witness for weights p, filled from _DIAG_WEIGHT and the W side of _OFF_ENTRIES.
+
+    Raises ValueError when the scale 1/(3(a+b+c)) is not finite, as for a
+    weight sum below about 2e-309, or is zero, as for a weight sum whose
+    triple overflows.
+    """
+    scale = 1.0 / (3.0 * (p.a + p.b + p.c))  # float division: inf or 0.0 at the extremes, no warning
+    if np.isinf(scale):
+        raise ValueError("the witness scale 1/(3(a+b+c)) is not finite; the weight sum is too small")
+    if not scale:
+        raise ValueError("the witness scale 1/(3(a+b+c)) is zero; the weight sum overflows")
+    mat = np.diag(np.array([p.a, p.b, p.c])[_DIAG_WEIGHT] * scale).astype(complex)
+    rows, cols = np.array(_OFF_ENTRIES[0]).T
+    mat[rows, cols] = mat[cols, rows] = -scale
+    return WitnessMatrix(mat=mat, params=p, scale=scale)
 
 
 def witness_from_map(p: MapParams) -> WitnessMatrix:

@@ -9,7 +9,7 @@ The exceptions are former library routines kept verbatim as references:
   Hermitian-coordinate one must match up to roundoff;
 - witness_matrix_loop, pair_arrays_loop and record_to_csv_row, the
   per-point witness, the per-entry pair tables and the per-cell CSV row
-  that witness_stack, the pair-table gather and the scan row formatter
+  that witness_matrix, the pair-table gather and the scan row formatter
   must match bit for bit and byte for byte;
 - product_vectors_outer and span_columns, the certificate kernel's former
   construction of the product vectors (one broadcast outer product of the

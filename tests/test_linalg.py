@@ -19,7 +19,6 @@ from choiwit import (
     span_matrix,
     witness_matrix,
 )
-from choiwit.linalg import quadratic_forms
 from oracles import eig3_min_cubic, random_hermitian, rank_row_reduction
 
 
@@ -242,77 +241,81 @@ def test_expectation_rejects_non_hermitian():
 
 @pytest.mark.parametrize("delta", [2e-12, 2e-12j])
 def test_quadratic_forms_reject_a_stack_off_hermitian_by_2e_12(delta):
-    # W and W^Gamma stacked over the points.
-    w = np.stack([witness_matrix(MapParams(a, 1.0, 1.0)).mat for a in (0.0, 0.5, 1.0)])
-    stack = np.stack([w, partial_transpose_second(w)])
-    v = np.ones((2, 3, 4, 9))
-    quadratic_forms(stack, v)
-    stack[1, 2, 3, 7] += delta
-    with pytest.raises(NotHermitianError):
-        quadratic_forms(stack, v)
+    # W and W^Gamma at three points; expectation guards each one.
+    w = [witness_matrix(MapParams(a, 1.0, 1.0)).mat for a in (0.0, 0.5, 1.0)]
+    v = np.ones(9)
+    for m in w + [partial_transpose_second(m) for m in w]:
+        expectation(m, v)
+        m[3, 7] += delta
+        with pytest.raises(NotHermitianError):
+            expectation(m, v)
 
 
 def test_quadratic_forms_core_keeps_every_guard():
-    # A W and W^Gamma stack over three points, with the finite and shape
-    # checks that every public caller gets.
-    w = np.stack([witness_matrix(MapParams(a, 1.0, 1.0)).mat for a in (0.0, 0.5, 1.0)])
-    stack = np.stack([w, partial_transpose_second(w)])
-    v = np.arange(2 * 3 * 4 * 9).reshape(2, 3, 4, 9) * (1 - 2j)
-    quadratic_forms(stack, v)
+    # The finite and shape checks of expectation, on a W^Gamma.
+    wg = partial_transpose_second(witness_matrix(MapParams(0.5, 1.0, 1.0)).mat)
+    v = np.arange(9) * (1 - 2j)
+    expectation(wg, v)
     nan = v.copy()
-    nan[1, 0, 2, 5] = np.nan
+    nan[5] = np.nan
     with pytest.raises(ValueError, match="NaN"):
-        quadratic_forms(stack, nan)
+        expectation(wg, nan)
     with pytest.raises(ValueError, match="NaN"):
-        quadratic_forms(np.where(stack == 0, np.inf, stack), v)
+        expectation(np.where(wg == 0, np.inf, wg), v)
     with pytest.raises(ValueError, match="square"):
-        quadratic_forms(stack[..., :8], v)
-    with pytest.raises(ValueError, match="trailing shape"):
-        quadratic_forms(stack, v[..., :8])
-    # expectation, the one-vector case, keeps them too.
-    with pytest.raises(ValueError, match="NaN"):
-        expectation(stack[1, 0], nan[1, 0, 2])
-    with pytest.raises(ValueError, match="NaN"):
-        expectation(np.where(stack[1, 0] == 0, np.inf, stack[1, 0]), v[1, 0, 2])
+        expectation(wg[:, :8], v)
     with pytest.raises(ValueError, match="square"):
-        expectation(stack[1], v[1, 0, 2])
+        expectation(np.stack([wg, wg]), v)
     with pytest.raises(ValueError, match="must have shape"):
-        expectation(stack[1, 0], v[1, 0, 2, :8])
+        expectation(wg, v[:8])
+    with pytest.raises(ValueError, match="must have shape"):
+        expectation(wg, np.stack([v, v]))
 
 
 @settings(max_examples=80, deadline=None)
 @given(
     n=st.integers(1, 11),
-    batch=st.lists(st.integers(1, 3), max_size=2),
-    k=st.integers(1, 5),
     w_exp=st.floats(-3, 3),
     v_exp=st.floats(-3, 3),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_quadratic_forms_are_one_matvec_and_vdot_bit_for_bit(n, batch, k, w_exp, v_exp, seed):
+def test_quadratic_forms_are_one_matvec_and_vdot_bit_for_bit(n, w_exp, v_exp, seed):
     rng = np.random.default_rng(seed)
-    shape = tuple(batch)
-    g = rng.standard_normal(shape + (n, n)) + 1j * rng.standard_normal(shape + (n, n))
-    w = 10.0**w_exp * (g + np.conj(np.swapaxes(g, -1, -2))) / 2.0  # exactly Hermitian
-    v = 10.0**v_exp * (rng.standard_normal(shape + (k, n)) + 1j * rng.standard_normal(shape + (k, n)))
-    ref = np.array([
-        [np.vdot(vk, wm @ vk).real for vk in vs] for wm, vs in zip(w.reshape(-1, n, n), v.reshape(-1, k, n))
-    ]).reshape(shape + (k,))
-    assert quadratic_forms(w, v).tobytes() == ref.tobytes()
-    one = (0,) * len(shape)
-    assert np.float64(expectation(w[one], v[one][0])).tobytes() == ref[one][0].tobytes()
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    w = 10.0**w_exp * (g + g.conj().T) / 2.0  # exactly Hermitian
+    v = 10.0**v_exp * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    ref = np.vdot(v, w @ v).real
+    assert np.float64(expectation(w, v)).tobytes() == ref.tobytes()
 
 
 def test_quadratic_forms_reject_an_imaginary_part_beyond_the_roundoff_bound():
     # Anti-Hermitian by 8e-13, inside the Hermiticity tolerance, but
     # <v|W|v> = 400 * 8e-13j = 3.2e-10j against a bound of about 1e-10.
     w = np.array([[0.0, 4e-13j], [4e-13j, 0.0]])
-    v = np.array([[20.0, 20.0]])
     message = r"quadratic form has imaginary part 3\.2e-10 beyond roundoff bound 1e-10"
     with pytest.raises(ArithmeticError, match=message):
-        quadratic_forms(w, v)
-    with pytest.raises(ArithmeticError, match=message):
-        expectation(w, v[0])
+        expectation(w, np.array([20.0, 20.0]))
+
+
+def test_an_overflowing_form_raises_without_a_warning():
+    # Finite Hermitian input whose form overflows the float range: numpy's
+    # overflow warnings stay inside, and no NaN comes back.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match="quadratic form overflows the float range"):
+            expectation(1e308 * np.eye(3), np.full(3, 1e10))
+        assert expectation(1e300 * np.eye(3), np.ones(3)) == pytest.approx(3e300, rel=1e-15)
+
+
+def test_an_overflowing_eigenvalue_raises_without_a_warning():
+    # Finite and Hermitian, with eigenvalues +-2.4e308: no NaN comes back.
+    h = np.zeros((3, 3), dtype=complex)
+    h[0, 1], h[1, 0] = 1.7e308 + 1.7e308j, 1.7e308 - 1.7e308j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match="smallest eigenvalue overflows the float range"):
+            herm_eig_min(h)
+        assert herm_eig_min(h / 2.0) == pytest.approx(-1.7e308 / np.sqrt(2.0), rel=1e-15)
 
 
 def test_expectation_zero_on_family_pair():

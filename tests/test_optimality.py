@@ -24,11 +24,9 @@ from choiwit import (
     rank_with_tol,
     span_matrix,
     witness_matrix,
-    witness_stack,
     zero_expectation_check,
 )
 from choiwit import optimality
-from choiwit.linalg import quadratic_forms
 from choiwit.maps import ALPHA_MAX, ALPHA_MIN, family_weights
 from choiwit.optimality import _PAIR_CODES, _RANK9_DET_BOUND, _certificate_columns, _entry_table, _vectors
 from choiwit.witness import _witness_forms
@@ -144,7 +142,7 @@ FORM_ROUNDINGS_EPS = 23
 )
 def test_witness_forms_are_the_guarded_quadratic_forms_within_the_rounding_bound(family, alphas, weights, v_exp, seed):
     # On the family with its own vectors, or on random weights with random vectors,
-    # against quadratic_forms on witness_stack and its partial transpose (Higham,
+    # against expectation on each row's witness_matrix and its partial transpose (Higham,
     # Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.1).
     if family:
         w = family_weights(alphas)
@@ -153,8 +151,11 @@ def test_witness_forms_are_the_guarded_quadratic_forms_within_the_rounding_bound
         w = np.array(weights)[: len(alphas)]
         rng = np.random.default_rng(seed)
         vectors = 10.0**v_exp * (rng.standard_normal((2, len(w), 9, 9)) + 1j * rng.standard_normal((2, len(w), 9, 9)))
-    stack = witness_stack(w)
-    expected = quadratic_forms(np.stack([stack, partial_transpose_second(stack)]), vectors)
+    mats = [witness_matrix(MapParams(*row)).mat for row in w.tolist()]
+    expected = np.array([
+        [[expectation(m, v) for v in vs] for m, vs in zip(side, side_vectors)]
+        for side, side_vectors in zip((mats, [partial_transpose_second(m) for m in mats]), vectors)
+    ])
     x, y = vectors.real, vectors.imag
     got = _witness_forms(w, vectors, x * x + y * y)
     scale = 1.0 / (3.0 * w.sum(axis=1))[:, None]

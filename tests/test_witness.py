@@ -20,7 +20,6 @@ from choiwit import (
     state_file_text,
     witness_from_map,
     witness_matrix,
-    witness_stack,
 )
 from choiwit.witness import _DIAG_WEIGHT, _OFF_ENTRIES, _form_matrix, _hermitian_coords, format_complex
 from oracles import (
@@ -82,14 +81,13 @@ WEIGHTS = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(WEIGHTS, WEIGHTS, WEIGHTS), min_size=0, max_size=8), st.integers(0, 8))
 def test_witness_stack_is_bit_equal_to_the_loop(triples, at):
+    # The witnesses of a list of points, each bit for bit the loop oracle's.
     triples.insert(min(at, len(triples)), (1.0, 1.0, 0.0))
-    params = [MapParams(*w) for w in triples if sum(w) > 0]
-    stack = witness_stack([(p.a, p.b, p.c) for p in params])
-    assert stack.shape == (len(params), 9, 9) and stack.dtype == complex
-    for mat, p in zip(stack, params):
-        assert mat.tobytes() == witness_matrix_loop(p).tobytes()
-        assert witness_matrix(p).mat.tobytes() == mat.tobytes()
-        assert witness_matrix(p).scale == 1.0 / (3.0 * p.total)
+    for p in [MapParams(*w) for w in triples if sum(w) > 0]:
+        w = witness_matrix(p)
+        assert w.mat.shape == (9, 9) and w.mat.dtype == complex
+        assert w.mat.tobytes() == witness_matrix_loop(p).tobytes()
+        assert w.scale == 1.0 / (3.0 * p.total)
 
 
 @settings(max_examples=200, deadline=None)
@@ -97,34 +95,26 @@ def test_witness_stack_is_bit_equal_to_the_loop(triples, at):
 def test_witness_pair_stack_is_the_stack_and_its_partial_transpose(triples, at):
     # The certificate kernel's forms read W and W^Gamma from the diagonal weights
     # and the pair tables alone: a matrix filled from each side's table must be bit
-    # for bit the stack, then its partial transpose.
+    # for bit each point's witness, then its partial transpose.
     triples.insert(min(at, len(triples)), (1.0, 1.0, 0.0))
-    weights = np.array([w for w in triples if sum(w) > 0]).reshape(-1, 3)
-    w = witness_stack(weights)
-    scale = 1.0 / (3.0 * (weights[:, 0] + weights[:, 1] + weights[:, 2]))
-    for entries, expected in zip(_OFF_ENTRIES, (w, partial_transpose_second(w))):
-        filled = np.zeros_like(w)
-        filled[:, range(9), range(9)] = weights[:, _DIAG_WEIGHT] * scale[:, None]
-        for i, j in entries:
-            filled[:, i, j] = filled[:, j, i] = -scale
-        np.testing.assert_array_equal(filled.view(np.int64), expected.view(np.int64))
-
-
-def test_witness_stack_rejects_bad_shapes():
-    for bad in ([1.0, 1.0, 0.0], [[1.0, 1.0]], np.ones((2, 3, 1))):
-        with pytest.raises(ValueError, match="shape"):
-            witness_stack(bad)
+    for weights in [np.array(w) for w in triples if sum(w) > 0]:
+        w = witness_matrix(MapParams(*weights)).mat
+        scale = 1.0 / (3.0 * (weights[0] + weights[1] + weights[2]))
+        for entries, expected in zip(_OFF_ENTRIES, (w, partial_transpose_second(w))):
+            filled = np.zeros((9, 9), dtype=complex)
+            filled[range(9), range(9)] = weights[_DIAG_WEIGHT] * scale
+            for i, j in entries:
+                filled[i, j] = filled[j, i] = -scale
+            np.testing.assert_array_equal(filled.view(np.int64), expected.view(np.int64))
 
 
 def test_witness_stack_rejects_a_weight_sum_too_small():
     # 1/(3 * 5e-324) overflows; 0 * inf would put NaN in the witness.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for weights in ([(5e-324, 0.0, 0.0)], [(0.0, 1.0, 1.0), (0.0, 0.0, 1e-320)]):
+        for weights in ((5e-324, 0.0, 0.0), (0.0, 0.0, 1e-320)):
             with pytest.raises(ValueError, match="not finite; the weight sum is too small"):
-                witness_stack(weights)
-        with pytest.raises(ValueError, match="not finite"):
-            witness_matrix(MapParams(5e-324, 0, 0))
+                witness_matrix(MapParams(*weights))
         assert np.isfinite(witness_matrix(MapParams(1e-300, 0, 0)).mat).all()
 
 
@@ -132,11 +122,9 @@ def test_witness_stack_rejects_a_weight_sum_that_overflows():
     # 3(a+b+c) overflows to inf, so the scale would be 0 and the witness all zeros.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for weights in ([(1e308, 1e308, 0.0)], [(0.0, 1.0, 1.0), (1e308, 0.0, 0.0)]):
+        for weights in ((1e308, 1e308, 0.0), (1e308, 0.0, 0.0)):
             with pytest.raises(ValueError, match="is zero; the weight sum overflows"):
-                witness_stack(weights)
-        with pytest.raises(ValueError, match="is zero; the weight sum overflows"):
-            witness_matrix(MapParams(1e308, 1e308, 0))
+                witness_matrix(MapParams(*weights))
         assert witness_matrix(MapParams(1e307, 0, 0)).scale > 0
 
 
