@@ -77,22 +77,28 @@ def lu_det(m):
 
     Row swaps are tracked explicitly so the sign is exact.  An exact zero
     pivot yields 0, other singular input a value at roundoff distance from
-    zero.  This is the independent cross-check of the closed forms.
+    zero.  ArithmeticError is raised when the determinant, or a step of the
+    elimination, overflows the float range.  This is the independent
+    cross-check of the closed forms.
     """
     a = _as_square(m, "m").copy()
     n = a.shape[0]
     det = complex(1.0)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if a[p, k] == 0:
-            return complex(0.0)
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            det = -det
-        det *= a[k, k]
-        if k < n - 1:
-            a[k + 1 :, k] /= a[k, k]
-            a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k], a[k, k + 1 :])
+    # Near the float limit the products may overflow to inf or NaN, rejected below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            p = k + int(np.argmax(np.abs(a[k:, k])))
+            if a[p, k] == 0:
+                return complex(0.0)
+            if p != k:
+                a[[k, p]] = a[[p, k]]
+                det = -det
+            det *= a[k, k]
+            if k < n - 1:
+                a[k + 1 :, k] /= a[k, k]
+                a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k], a[k, k + 1 :])
+    if not np.isfinite(det):
+        raise ArithmeticError("determinant overflows the float range")
     return complex(det)
 
 
@@ -100,11 +106,17 @@ def rank_with_tol(m, tol):
     """Numerical rank: number of singular values above tol * (largest one).
 
     A stack of matrices along leading axes (empty ones too) gives an integer
-    array of ranks from one stacked singular value decomposition.
+    array of ranks from one stacked singular value decomposition.  Each matrix
+    is first divided by the power of two that brings its largest real or
+    imaginary part into [0.5, 1): exact short of underflow, and the rank is
+    scale-invariant, so no singular value of a finite matrix overflows.
     """
     if not (tol > 0):
         raise ValueError("tol must be positive")
     a = _as_square(m, "m", batched=True)
+    peak = np.maximum(np.abs(a.real), np.abs(a.imag)).max(axis=(-2, -1), keepdims=True, initial=0.0)
+    # 2**1022 at most, for subnormal entries: a larger power of two is not a float.
+    a = a * np.ldexp(1.0, -np.maximum(np.frexp(peak)[1], -1022))
     svals = np.linalg.svd(a, compute_uv=False)
     ranks = np.count_nonzero(svals > tol * svals[..., :1], axis=-1)
     return int(ranks) if a.ndim == 2 else ranks

@@ -9,12 +9,15 @@ certified indecomposable optimal.  The 9x9 matrices collecting the vectors
 as columns have analytic determinants; tests/test_exact.py proves them in
 exact integer arithmetic, and the certificates report them.
 
-The whole test runs as one batched kernel on an array of weights: slices
-of KERNEL_BLOCK points stack their product vectors (one gather of an entry
-table) along a leading axis, take their witness expectations from the
-witnesses' entries (no witness matrix is built) and write whole-batch
-columns.  Only where no determinant proves
-rank 9 (_RANK9_DET_BOUND) is a span matrix built, for a stacked SVD.  The
+The whole test runs as one batched kernel on an array of weights.  Every
+entry of every product vector is +-m or +-m*1j for one of six reals m: 0,
+1, s, t, s*s and s*t, with s = sqrt(t).  So slices of KERNEL_BLOCK points
+take their column norms and witness expectations from those six magnitude
+columns, gathered through static tables derived from the pair codes, in
+real elementwise operations with the bits of the complex ones (no vector
+stack and no witness matrix is built), and write whole-batch columns.
+Only where no determinant proves rank 9 (_RANK9_DET_BOUND) are the product
+vectors of a point built, as span matrices for a stacked SVD.  The
 verdicts are decided once over the columns, and each point's record, the
 cells named by RECORD_KEYS, is built in one pass.  certify_many zips those
 records and columns into Certificates, and certify is its one-point case;
@@ -33,7 +36,7 @@ import numpy as np
 from .errors import BoundaryCaseError, NonpositiveTError, OffFamilyError
 from .linalg import rank_with_tol
 from .maps import BOUNDARY_TOL, MapParams, _family_breaks, family_violation
-from .witness import DensityMatrix, _witness_forms
+from .witness import _OFF_ENTRIES, _WEIGHT_ENTRIES, DensityMatrix
 
 #: Family-membership tolerance used by the guards in this module.
 ON_FAMILY_TOL = 1e-8
@@ -155,9 +158,10 @@ def _vectors(t: np.ndarray) -> np.ndarray:
     """The product vectors at each entry of t, as a C-contiguous (2, N, 9, 9) stack.
 
     Axis 0 is the side: psi_k (x) phi_k, then psi_k (x) conj(phi_k), row k - 1
-    for pair k; the layout decides the summation order of the quadratic forms.
-    The right factors are gathered into the stack (mode="clip": take does not
-    buffer, and every code is in range) and multiplied there in place.
+    for pair k.  The certificate kernel builds it only for the span matrices
+    that reach the SVD.  The right factors are gathered into the stack
+    (mode="clip": take does not buffer, and every code is in range) and
+    multiplied there in place.
     """
     table = _entry_table(t)
     left = np.take(table, _LEFT, axis=1)
@@ -166,6 +170,52 @@ def _vectors(t: np.ndarray) -> np.ndarray:
         np.take(table, right, axis=1, out=side, mode="clip")
         np.multiply(left, side, out=side)
     return vectors
+
+
+#: The product of a left factor 0, 1 or s (rows) and a right factor 0, 1, s or t (columns), as
+#: a row of _magnitudes: the kernel's magnitude columns are 0, 1, s, t, s*s and s*t.
+_PRODUCT_MAGNITUDE = np.array([[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 4, 5]])
+
+
+def _magnitude_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kernel's static tables, from _PAIR_CODES through _entry_table and _vectors.
+
+    Every entry of every product vector is +-m or +-m*1j for a magnitude m in the
+    rows of _magnitudes, the rounded product of its two factors.  Returns the row of
+    m for each (entry, side, pair), (9, 2, 9); for each _OFF_ENTRIES pair p of each
+    side, the rows of m_i and m_j, (3, 2, 2, 9) as (p, i or j, side, pair); and the
+    sign of x_i x_j + y_i y_j with v = x + iy, (3, 2, 9, 1): +-1 where both entries
+    are real or both imaginary, 0 where one is real and the other imaginary.  At
+    t = 4 the factors 0, 1, s = 2 and t = 4 tell every code apart, and every
+    entry's part and sign show.
+    """
+    factor = np.searchsorted([0.0, 1.0, 2.0, 4.0], np.abs(_entry_table(np.array([4.0]))[0]))
+    rows = _PRODUCT_MAGNITUDE[factor[_LEFT], factor[_RIGHT]]
+    probe = _vectors(np.array([4.0]))[:, 0]
+    imag = probe.imag != 0
+    sign = np.sign(probe.real + probe.imag)
+    i, j = np.array(_OFF_ENTRIES).transpose(2, 1, 0)[..., None]  # (3, 2, 1) each: pair p, side
+    sides, pairs = np.arange(2)[:, None], np.arange(9)
+    pair_rows = np.stack([rows[sides, pairs, i], rows[sides, pairs, j]], axis=1)
+    same_part = imag[sides, pairs, i] == imag[sides, pairs, j]
+    pair_sign = np.where(same_part, sign[sides, pairs, i] * sign[sides, pairs, j], 0.0)
+    return np.moveaxis(rows, -1, 0), pair_rows, pair_sign[..., None]
+
+
+def _magnitudes(t: np.ndarray) -> np.ndarray:
+    """The (6, N) magnitude columns 0, 1, s, t, s*s and s*t at each entry of t, s = sqrt(t).
+
+    Each is the magnitude _vectors' complex product gives its entries: a factor 1
+    is exact, and s*s and s*t round as there.
+    """
+    mags = np.empty((6, len(t)))
+    mags[:2] = ((0.0,), (1.0,))
+    mags[2], mags[3] = np.sqrt(t), t
+    np.multiply(mags[2], mags[2:4], out=mags[4:])
+    return mags
+
+
+_MAGNITUDE_ROWS, _PAIR_ROWS, _PAIR_SIGN = _magnitude_tables()
 
 
 def product_vectors(t) -> list[ProductVectorPair]:
@@ -248,10 +298,10 @@ RECORD_KEYS = ("t", "abs_det_M", "abs_det_Mprime", "rank_M", "rank_Mprime",
 _BOUNDARY_CELLS = (None,) * (len(RECORD_KEYS) - 1) + (Verdict.BOUNDARY.value,)
 
 
-#: Points per stacked pass of the certificate kernel.  One pass over a
-#: 1001-point grid raised the scan's peak RSS from 32 to 47 MB, blocks of 64
-#: add about 0.5 MB.  No result depends on the block size.
-KERNEL_BLOCK = 64
+#: Points per stacked pass of the certificate kernel.  A pass holds a few (2, 9, n)
+#: float columns, 147 KB each at n = 1024; a 1001-step scan peaks within 0.1 MB of
+#: its peak at blocks of 64.  No result depends on the block size.
+KERNEL_BLOCK = 1024
 
 #: sigma_min / sigma_max >= |det A| / this for a 9x9 A with unit columns: |det A| / (sigma_min /
 #: sigma_max) = sigma_max^2 * prod(middle seven) <= 2 under sum sigma_i^2 = 9, the maximum at
@@ -278,7 +328,12 @@ def _certificate_columns(weights: np.ndarray, tol: float) -> tuple[list[tuple], 
     fails either raises, OffFamilyError before NonpositiveTError.  The
     numerical passes then fill whole-batch columns a slice of KERNEL_BLOCK
     points at a time, a boundary point at a stand-in t = 2 whose results are
-    dropped, and the verdict is decided once, after the last slice.
+    dropped, and the verdict is decided once, after the last slice.  A slice
+    works on its (6, n) magnitude columns (_magnitudes) in real arithmetic and
+    builds complex product vectors (_vectors) only for the points with a
+    span matrix whose |det| leaves rank 9 open; every cell, determinant and
+    flag has the bits of the complex evaluation (tests/oracles.py keeps it
+    as certificate_columns_stacked).
     """
     if not (tol > 0):
         raise ValueError("tol must be positive")
@@ -300,31 +355,46 @@ def _certificate_columns(weights: np.ndarray, tol: float) -> tuple[list[tuple], 
     ranks = np.full((2, len(t)), 9)
     for i in range(0, len(t), KERNEL_BLOCK):
         s = slice(i, i + KERNEL_BLOCK)
-        # Axis 0 of every stack below is the side: the plain pairs against W,
-        # then the conjugated pairs against W^Gamma.  Axis 1 runs over the
-        # slice's points.
-        vectors = _vectors(t[s])
-        # Column norms of the span matrices: each vector's re*re + im*im summed
-        # entry by entry, the order (and bits) of a sum down each column.  The
-        # forms read the same re*re + im*im.
-        sq = vectors.real * vectors.real + vectors.imag * vectors.imag
-        norm2 = sum(np.moveaxis(sq, -1, 0))
-        norms = np.sqrt(norm2)
-        forms = _witness_forms(weights[s], vectors, sq)
+        # Every (2, 9, n) column below has axis 0 for the side, the plain pairs
+        # against W, then the conjugated pairs against W^Gamma; axis 1 for the pair
+        # k and axis 2 for the slice's points.  Each product-vector entry is +-m or
+        # +-m*1j, so its re*re + im*im is m*m and a pair's x_i x_j + y_i y_j is
+        # +-m_i*m_j or 0, the bits of the complex vectors' terms.
+        mags = _magnitudes(t[s])
+        sqm = mags * mags
+
+        def sq(e):
+            return sqm[_MAGNITUDE_ROWS[e]]
+
+        # Squared column norms of the span matrices, entry by entry: a sum down each column.
+        norm2 = sum(sqm[rows] for rows in _MAGNITUDE_ROWS)
+        # The forms <v|W|v>, then <v|W^Gamma|v>: both witnesses are real symmetric, so
+        # each is scale * (sum_k w_k |v_k|^2 - 2 sum_pairs (x_i x_j + y_i y_j)) in this
+        # order: the three |v_k|^2 of a, of b and of c added in index order and times
+        # their weight, those three added a, b, c; the side's _OFF_ENTRIES pairs added in
+        # table order; the first part minus twice the second; times scale = 1/(3(a+b+c))
+        # last, so that exact terms that cancel, as at (0, 1, 1), give 0.
+        diag = sum(wk * (sq(e0) + sq(e1) + sq(e2)) for wk, (e0, e1, e2) in zip(weights[s].T, _WEIGHT_ENTRIES))
+        pairs = sum(sign * mags[i] * mags[j] for sign, (i, j) in zip(_PAIR_SIGN, _PAIR_ROWS))
+        witness_scale = 1.0 / (3.0 * (weights[s, 0] + weights[s, 1] + weights[s, 2]))
         # Each expectation is taken on the unit vector: |v|^2 grows like t^3.
-        max_exp[:, s] = np.abs(forms / norm2).max(axis=-1)
+        max_exp[:, s] = np.abs((diag - 2.0 * pairs) * witness_scale / norm2).max(axis=1)
         # det of a column-normalized span matrix = closed form / product of
         # its column norms, divided as reals.  Below t ~ 1e-108 both underflow
         # to 0; the determinant, of order t^1.5, is then 0 too.
+        norms = np.sqrt(norm2).transpose(0, 2, 1)  # (2, n, 9): a span matrix's nine in a row
         m_scale, mp_scale = np.prod(norms, axis=-1)
-        re, im, part = _det_parts(t[s], np.sqrt(t[s]))
+        re, im, part = _det_parts(t[s], mags[2])
         for row, num, scale in zip(dets[:, s], (re, im, part, part), (m_scale, m_scale, mp_scale, mp_scale)):
             np.divide(num, scale, out=row, where=scale > 0)
         np.hypot(dets[0::2, s], dets[1::2, s], out=abs_dets[:, s])
         # Above tol by a roundoff margin, |det| / _RANK9_DET_BOUND proves rank 9.
         need = ~(abs_dets[:, s] > _RANK9_DET_BOUND * tol + 1e-12)
         if need.any():
-            spans = np.swapaxes(vectors[need], -1, -2)
+            # The span matrices of the other columns, from the product vectors of
+            # their points alone, normalized by the same norms.
+            cols = need.any(axis=0)
+            spans = np.swapaxes(_vectors(t[s][cols])[need[:, cols]], -1, -2)
             ranks[:, s][need] = rank_with_tol(spans / norms[need][:, None, :], tol)
     # det 0 proves rank < 9, whatever the SVD counts at a tiny tol (M' at t = 1).
     ok = (max_exp <= tol) & (ranks == 9) & (abs_dets > 0) & interior

@@ -72,30 +72,6 @@ def max_ent_projector() -> np.ndarray:
     return np.outer(omega, omega.conj())
 
 
-def _witness_forms(weights: np.ndarray, vectors: np.ndarray, sq: np.ndarray) -> np.ndarray:
-    """The real forms <v|W|v>, then <v|W^Gamma|v>, of a (2, N, k, 9) vector stack: (2, N, k).
-
-    Side 0 of ``vectors`` goes against W, side 1 against W^Gamma, of the N rows of valid
-    MapParams ``weights``; ``sq`` is the stack's re*re + im*im.  Both witnesses are real
-    symmetric, so with v = x + iy each form is scale * (sum_k w_k sq_k - 2 sum_pairs
-    (x_i x_j + y_i y_j)) over the side's _OFF_ENTRIES, in elementwise float operations (no
-    BLAS, so no CPU-dependent bits) in this order: the three sq entries of a, of b and of
-    c added in index order and times their weight, those three added a, b, c; each pair's
-    x_i x_j + y_i y_j, added in table order; the first part minus twice the second; times
-    scale = 1/(3(a+b+c)) last, so that exact terms that cancel, as at (0, 1, 1), give 0.
-    """
-    x, y = vectors.real, vectors.imag
-    diag = sum(
-        wk[:, None] * (sq[..., i] + sq[..., j] + sq[..., k]) for wk, (i, j, k) in zip(weights.T, _WEIGHT_ENTRIES)
-    )
-    pairs = np.stack([
-        sum(xs[..., i] * xs[..., j] + ys[..., i] * ys[..., j] for i, j in entries)
-        for xs, ys, entries in zip(x, y, _OFF_ENTRIES)
-    ])
-    scale = 1.0 / (3.0 * (weights[:, 0] + weights[:, 1] + weights[:, 2]))
-    return (diag - 2.0 * pairs) * scale[:, None]
-
-
 def witness_matrix(p: MapParams) -> WitnessMatrix:
     """The witness for weights p, filled from _DIAG_WEIGHT and the W side of _OFF_ENTRIES.
 

@@ -28,10 +28,15 @@ The exceptions are former library routines kept verbatim as references:
 - parse_state_text_loop, the former state parser with one numpy item
   assignment per entry, whose matrix and error messages
   witness.parse_state_text must match bit for bit and word for word.
+- witness_forms_stacked and certificate_columns_stacked, the certificate
+  kernel's former forms and numerical passes on complex (2, n, 9, 9) vector
+  stacks, whose cells, determinants and flags the kernel's real magnitude
+  columns must give bit for bit.
 witness_forms_float is the certificate kernel's witness forms and their
 maxima on unit vectors, one Python float operation at a time in the order
-witness._witness_forms documents, from literal tables of the witness
-entries; the kernel must match it bit for bit.
+witness_forms_stacked documents, from literal tables of the witness
+entries; witness_forms_stacked and the kernel's maxima must match it bit
+for bit.
 The family weights themselves are checked against family_weights_decimal,
 the half-angle forms at 40 significant digits with a Taylor sine, and a
 against family_a_decimal, its own half angle at 60 digits.
@@ -48,6 +53,9 @@ from decimal import Decimal, localcontext
 import numpy as np
 
 from choiwit import DensityMatrix, InvalidStateError, rank_with_tol
+from choiwit.maps import BOUNDARY_TOL
+from choiwit.optimality import _BOUNDARY_CELLS, _RANK9_DET_BOUND, _VERDICT_BY_CODE, _det_parts, _vectors
+from choiwit.witness import _OFF_ENTRIES, _WEIGHT_ENTRIES
 
 
 def rank_row_reduction(mat, tol=1e-8):
@@ -251,6 +259,70 @@ def witness_forms_float(weights, vectors):
                 largest = max(largest, abs(form / sum(sq)))
             maxima[side, n] = largest
     return forms, maxima
+
+
+def witness_forms_stacked(weights, vectors, sq):
+    """The real forms <v|W|v>, then <v|W^Gamma|v>, of a (2, N, k, 9) vector stack: (2, N, k).
+
+    Side 0 of ``vectors`` goes against W, side 1 against W^Gamma, of the N rows of valid
+    MapParams ``weights``; ``sq`` is the stack's re*re + im*im.  Both witnesses are real
+    symmetric, so with v = x + iy each form is scale * (sum_k w_k sq_k - 2 sum_pairs
+    (x_i x_j + y_i y_j)) over the side's _OFF_ENTRIES, in elementwise float operations in
+    this order: the three sq entries of a, of b and of c added in index order and times
+    their weight, those three added a, b, c; each pair's x_i x_j + y_i y_j, added in table
+    order; the first part minus twice the second; times scale = 1/(3(a+b+c)) last.
+    """
+    x, y = vectors.real, vectors.imag
+    diag = sum(
+        wk[:, None] * (sq[..., i] + sq[..., j] + sq[..., k]) for wk, (i, j, k) in zip(weights.T, _WEIGHT_ENTRIES)
+    )
+    pairs = np.stack([
+        sum(xs[..., i] * xs[..., j] + ys[..., i] * ys[..., j] for i, j in entries)
+        for xs, ys, entries in zip(x, y, _OFF_ENTRIES)
+    ])
+    scale = 1.0 / (3.0 * (weights[:, 0] + weights[:, 1] + weights[:, 2]))
+    return (diag - 2.0 * pairs) * scale[:, None]
+
+
+def certificate_columns_stacked(weights, tol, block=64):
+    """(cells, dets, ok) of the certificate kernel on valid family weights, from complex vector stacks.
+
+    The kernel's former numerical passes, in slices of block points: each slice's
+    (2, n, 9, 9) product vectors from optimality._vectors, their re*re + im*im
+    summed entry by entry into the squared column norms, the forms from
+    witness_forms_stacked, and the span matrices of every column whose |det|
+    leaves rank 9 open cut from the slice's whole stack.  No family guard runs.
+    """
+    a, c = weights[:, 0], weights[:, 2]
+    interior = a < 1.0 - BOUNDARY_TOL
+    with np.errstate(all="ignore"):
+        t = c / (1.0 - a)
+    t[~interior] = 2.0
+    dets = np.zeros((4, len(t)))
+    abs_dets, max_exp = np.empty((2, 2, len(t)))
+    ranks = np.full((2, len(t)), 9)
+    for i in range(0, len(t), block):
+        s = slice(i, i + block)
+        vectors = _vectors(t[s])
+        sq = vectors.real * vectors.real + vectors.imag * vectors.imag
+        norm2 = sum(np.moveaxis(sq, -1, 0))
+        norms = np.sqrt(norm2)
+        forms = witness_forms_stacked(weights[s], vectors, sq)
+        max_exp[:, s] = np.abs(forms / norm2).max(axis=-1)
+        m_scale, mp_scale = np.prod(norms, axis=-1)
+        re, im, part = _det_parts(t[s], np.sqrt(t[s]))
+        for row, num, scale in zip(dets[:, s], (re, im, part, part), (m_scale, m_scale, mp_scale, mp_scale)):
+            np.divide(num, scale, out=row, where=scale > 0)
+        np.hypot(dets[0::2, s], dets[1::2, s], out=abs_dets[:, s])
+        need = ~(abs_dets[:, s] > _RANK9_DET_BOUND * tol + 1e-12)
+        if need.any():
+            spans = np.swapaxes(vectors[need], -1, -2)
+            ranks[:, s][need] = rank_with_tol(spans / norms[need][:, None, :], tol)
+    ok = (max_exp <= tol) & (ranks == 9) & (abs_dets > 0) & interior
+    verdicts = _VERDICT_BY_CODE[ok[0] * (1 + ok[1])]
+    rows = zip(t.tolist(), *abs_dets.tolist(), *ranks.tolist(), *max_exp.tolist(), verdicts)
+    cells = [row if inside else _BOUNDARY_CELLS for row, inside in zip(rows, interior.tolist())]
+    return cells, dets, ok
 
 
 def falsifier_minimum(a, b, c):

@@ -106,7 +106,7 @@ def test_a_batch_fails_on_its_first_bad_point(points):
     assert _error(lambda: certify_many(points)) == first
 
 
-#: Kernel block sizes to compare: one point, uneven, the default, larger than any batch here.
+#: Kernel block sizes to compare: one point, uneven, a few blocks a batch, larger than any batch here (as the default is).
 BLOCKS = (1, 7, 64, 1001)
 
 
@@ -121,7 +121,7 @@ def _at_every_block_size(monkeypatch, call):
 
 @pytest.mark.parametrize("tol", [1e-8, 1e-17, 0.03, 0.5])
 def test_certificates_do_not_depend_on_the_block_size(monkeypatch, tol):
-    # More than two default blocks, with both a = 1 ends, t = 1 and points
+    # More than two blocks of 64, with both a = 1 ends, t = 1 and points
     # next to the ends mixed in.
     alphas = np.linspace(ALPHA_MIN, ALPHA_MAX, 150).tolist() + [math.pi, ALPHA_MIN + 1e-9, ALPHA_MAX - 1e-7]
     params = [family_from_alpha(a).params for a in alphas]
@@ -130,7 +130,7 @@ def test_certificates_do_not_depend_on_the_block_size(monkeypatch, tol):
     # At tol 0.5 every span matrix reaches the SVD, which counts a rank below 9.
     kinds = {Verdict.OPTIMAL_ONLY, Verdict.INDECOMPOSABLE_OPTIMAL} if tol < 0.5 else {Verdict.NOT_CERTIFIED}
     assert {Verdict.BOUNDARY, *kinds} <= {cert.verdict for cert in certify_many(params, tol)}
-    # a = 1 points on both edges of the first two default blocks, pi between
+    # a = 1 points on both edges of the first two blocks of 64, pi between
     # them.  The kernel runs them at a stand-in t, through the SVD at tol 0.5;
     # at tol 0.03 the stand-in's W side passes against W(1, 0, 1).  None of
     # that may reach a cell, a flag or a Certificate.

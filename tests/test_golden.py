@@ -14,8 +14,10 @@ moved a by up to 1.9e-11 relative (near pi), t by up to 4.7e-12 and the
 determinants by up to 6.9e-12, and turned the endpoint rows' tiny b or c
 into 0 or back.  They were re-captured a third time, with no verdict or
 rank changed, when the certificate's forms moved from BLAS to the
-witness's entries (witness._witness_forms) and a on the middle third of
-the angle range to its own half angle.  Before, the bytes held only under
+witness's entries and a on the middle third of the angle range to its
+own half angle.  The forms' order is the one tests/oracles.py documents in
+witness_forms_stacked, and the kernel's real magnitude columns keep every
+bit of it.  Before, the bytes held only under
 the OpenBLAS kernel they were captured with; now they hold under every
 kernel.  On the 1001-point grid 998 of the 1001 rows' max_expectation_W and
 max_expectation_WGamma cells changed, at roundoff level (largest values

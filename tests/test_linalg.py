@@ -125,6 +125,18 @@ def test_lu_det_exact_zero_pivot():
         assert lu_det(a) == 0
 
 
+def test_an_overflowing_determinant_raises_without_a_warning():
+    # Finite input whose determinant leaves the float range: numpy's overflow
+    # warnings stay inside, and no NaN comes back.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match="determinant overflows the float range"):
+            lu_det(1e200 * np.eye(9))
+        with pytest.raises(ArithmeticError, match="determinant overflows the float range"):
+            lu_det(1.7e308 * np.array([[1.0, 1.0], [-1.0, 1.0]]))
+        assert lu_det(1e34 * np.eye(9)) == pytest.approx(1e306, rel=1e-14)
+
+
 def test_lu_det_rejects_stacks():
     with pytest.raises(ValueError):
         lu_det(np.stack([np.eye(9), np.eye(9)]))
@@ -152,6 +164,26 @@ def test_rank_with_tol():
     assert rank_with_tol(np.zeros((9, 9)), 1e-8) == 0
     with pytest.raises(ValueError):
         rank_with_tol(np.eye(9), 0.0)
+
+
+def test_rank_with_tol_near_the_float_limit():
+    # Rank is scale-invariant: finite matrices whose singular values would
+    # overflow, or whose entries are subnormal, keep their rank, with no warning.
+    full = np.random.default_rng(1).standard_normal((9, 9))
+    full /= np.abs(full).max()
+    stack = [
+        1e308 * np.ones((9, 9)),
+        1e308 * full,
+        np.diag(np.full(9, 1.7e308 + 1.7e308j)),
+        np.outer(np.arange(1.0, 10.0) / 9, np.full(9, 1e308)),
+        5e-324 * np.eye(9),
+        np.zeros((9, 9)),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rank_with_tol(np.array(stack), 1e-8).tolist() == [1, 9, 9, 1, 9, 0]
+        assert rank_with_tol(1e308 * np.ones((9, 9)), 1e-8) == 1
+        assert rank_with_tol(1e300 * np.ones((9, 9)), 1e-8) == 1
 
 
 def test_rank_with_tol_of_an_empty_stack():

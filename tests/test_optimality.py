@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,8 +30,15 @@ from choiwit import (
 from choiwit import optimality
 from choiwit.maps import ALPHA_MAX, ALPHA_MIN, family_weights
 from choiwit.optimality import _PAIR_CODES, _RANK9_DET_BOUND, _certificate_columns, _entry_table, _vectors
-from choiwit.witness import _witness_forms
-from oracles import pair_arrays_loop, product_vectors_outer, span_columns, span_ranks_svd, witness_forms_float
+from oracles import (
+    certificate_columns_stacked,
+    pair_arrays_loop,
+    product_vectors_outer,
+    span_columns,
+    span_ranks_svd,
+    witness_forms_float,
+    witness_forms_stacked,
+)
 
 PI = math.pi
 
@@ -85,7 +93,7 @@ def test_pair_arrays_match_the_former_loop(t):
 def test_product_vectors_match_the_former_outer_product(t):
     # One gather from the entry table, conjugates included, must give the
     # former outer product of the pair tables, in the C-contiguous layout
-    # that fixes the summation order of the quadratic forms.
+    # that the span matrices and the stacked reference read.
     t = np.asarray(t, dtype=float)
     got = _vectors(t)
     want = product_vectors_outer(t)
@@ -99,6 +107,24 @@ def test_product_vectors_match_the_former_outer_product(t):
             _same_bits(mat, span_columns(want[side, i]))
 
 
+@pytest.mark.parametrize("t", [[1.0], [1e-300], [1e-160, 1e13], np.random.default_rng(3).lognormal(0, 8, 67)])
+def test_magnitude_columns_give_every_entry_and_pair_term(t):
+    # Each complex entry is a magnitude column in its real or its imaginary
+    # part, 0 in the other; each pair's x_i x_j + y_i y_j is sign * m_i * m_j.
+    # The family's t lie within about 1e-162 and 1e13, where no product overflows.
+    t = np.asarray(t, dtype=float)
+    vectors = _vectors(t)
+    mags = optimality._magnitudes(t)
+    for e, rows in enumerate(optimality._MAGNITUDE_ROWS):
+        x, y = vectors[..., e].real, vectors[..., e].imag
+        assert np.all((x == 0) | (y == 0))
+        assert np.array_equal(np.abs(x) + np.abs(y), np.moveaxis(mags[rows], -1, 1))
+    x, y = vectors.real, vectors.imag
+    for sign, (i, j), entries in zip(optimality._PAIR_SIGN, optimality._PAIR_ROWS, zip(*optimality._OFF_ENTRIES)):
+        want = np.stack([xs[..., a] * xs[..., b] + ys[..., a] * ys[..., b] for xs, ys, (a, b) in zip(x, y, entries)])
+        assert np.array_equal(sign * mags[i] * mags[j], np.moveaxis(want, 1, -1))
+
+
 #: Interior family angles: a grid, 10^-k inside both ends and on both sides of pi, and pi.
 ORACLE_ALPHAS = (
     np.linspace(ALPHA_MIN, ALPHA_MAX, 201)[1:-1].tolist()
@@ -108,15 +134,16 @@ ORACLE_ALPHAS = (
 
 
 def test_kernel_forms_and_maxima_are_the_plain_float_oracle_bit_for_bit():
-    # The kernel's forms follow witness._witness_forms' documented order, which
-    # the oracle spells out one Python float at a time from literal tables.
+    # The stacked reference, whose bits the kernel's magnitude columns give, and
+    # the kernel's maxima follow the documented order, which the float oracle
+    # spells out one Python float at a time from literal tables.
     weights = family_weights(ORACLE_ALPHAS)
     cells = _certificate_columns(weights, 1e-8)[0]
     assert all(cell[0] is not None for cell in cells)
     vectors = _vectors(np.array([cell[0] for cell in cells]))
     forms, maxima = witness_forms_float(weights, vectors)
     sq = vectors.real * vectors.real + vectors.imag * vectors.imag
-    assert _witness_forms(weights, vectors, sq).tobytes() == forms.tobytes()
+    assert witness_forms_stacked(weights, vectors, sq).tobytes() == forms.tobytes()
     assert np.array([cell[5:7] for cell in cells]).T.tobytes() == maxima.tobytes()
 
 
@@ -157,7 +184,7 @@ def test_witness_forms_are_the_guarded_quadratic_forms_within_the_rounding_bound
         for side, side_vectors in zip((mats, [partial_transpose_second(m) for m in mats]), vectors)
     ])
     x, y = vectors.real, vectors.imag
-    got = _witness_forms(w, vectors, x * x + y * y)
+    got = witness_forms_stacked(w, vectors, x * x + y * y)
     scale = 1.0 / (3.0 * w.sum(axis=1))[:, None]
     diag = (w[:, None, [0, 1, 2, 2, 0, 1, 1, 2, 0]] * (x * x + y * y)).sum(axis=-1)
     mags = [sum(np.abs(x[s][..., i] * x[s][..., j]) + np.abs(y[s][..., i] * y[s][..., j]) for i, j in pairs)
@@ -171,13 +198,70 @@ def test_forms_at_0_1_1_are_exactly_zero():
     # each term is exact, and scale comes last, so the forms vanish exactly.
     weights = np.array([[0.0, 1.0, 1.0]])
     vectors = _vectors(np.array([1.0]))
-    forms = _witness_forms(weights, vectors, vectors.real * vectors.real + vectors.imag * vectors.imag)
+    forms = witness_forms_stacked(weights, vectors, vectors.real * vectors.real + vectors.imag * vectors.imag)
     assert forms.tobytes() == np.zeros((2, 1, 9)).tobytes()
     for tol in (1e-17, 1e-300):
         cert = certify(MapParams(0, 1, 1), tol)
         d = cert.diagnostics
         assert (d.max_abs_expectation_w, d.max_abs_expectation_wgamma) == (0.0, 0.0)
         assert cert.verdict is Verdict.OPTIMAL_ONLY and cert.w_optimal and not cert.wgamma_optimal
+
+
+def _assert_kernel_is_the_stacked_reference(weights, tol, block):
+    # Every cell by repr, so that nan, signed zeros and every digit count; the
+    # determinants and flags byte for byte.  The reference runs in slices of 64.
+    with mock.patch.object(optimality, "KERNEL_BLOCK", block):
+        cells, dets, ok = _certificate_columns(weights, tol)
+    want_cells, want_dets, want_ok = certificate_columns_stacked(weights, tol)
+    assert repr(cells) == repr(want_cells)
+    assert dets.tobytes() == want_dets.tobytes()
+    assert ok.tobytes() == want_ok.tobytes()
+
+
+#: 10^-k inside both ends, k = 1..11, pi (t = 1) and both a = 1 ends.
+_EDGE_ALPHAS = [x for k in range(1, 12) for x in (ALPHA_MIN + 10.0**-k, ALPHA_MAX - 10.0**-k)] + [PI, ALPHA_MIN, ALPHA_MAX]
+_EQUIVALENCE_TOLS = [1e-17, 1e-8, 1e-4, 0.5]
+
+
+@pytest.mark.parametrize("block", [1, 7, 1024])
+@pytest.mark.parametrize("tol", _EQUIVALENCE_TOLS)
+def test_kernel_is_the_stacked_reference_near_the_ends_and_at_0_1_1(tol, block):
+    weights = np.vstack([family_weights(_EDGE_ALPHAS), [[0.0, 1.0, 1.0]]])
+    _assert_kernel_is_the_stacked_reference(weights, tol, block)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alphas=st.lists(st.floats(ALPHA_MIN, ALPHA_MAX, exclude_min=True, exclude_max=True), min_size=1, max_size=40),
+    tol=st.sampled_from(_EQUIVALENCE_TOLS),
+    block=st.sampled_from([1, 7, 1024]),
+)
+def test_kernel_is_the_stacked_reference_on_random_angles(alphas, tol, block):
+    _assert_kernel_is_the_stacked_reference(family_weights(alphas), tol, block)
+
+
+def test_span_matrices_of_one_side_come_from_their_points_alone(monkeypatch):
+    # At tol 1e-8 only M' near pi reaches the SVD, so the kernel builds the
+    # product vectors of those points alone, between points that need none.
+    # Their span matrices must give the ranks of the whole stack's.
+    calls = []
+
+    def counting(m, tol):
+        calls.append(np.array(m))
+        return rank_with_tol(m, tol)
+
+    monkeypatch.setattr(optimality, "rank_with_tol", counting)
+    alphas = [2.0, PI - 1e-3, 2.5, PI + 1e-5, PI, 4.0, PI + 1e-3, 1.2]
+    weights = family_weights(alphas)
+    cells = _certificate_columns(weights, 1e-8)[0]
+    assert [len(m) for m in calls] == [4]
+    # The M' matrices cut from the whole batch's stack, normalized as the former kernel did.
+    t = np.array([cell[0] for cell in cells])
+    vectors = _vectors(t)[1, [1, 3, 4, 6]]
+    norms = np.sqrt(sum(np.moveaxis(vectors.real * vectors.real + vectors.imag * vectors.imag, -1, 0)))
+    assert calls[0].tobytes() == (np.swapaxes(vectors, -1, -2) / norms[:, None, :]).tobytes()
+    assert [cell[3:5] for cell in cells] == list(zip(*span_ranks_svd(t, 1e-8).tolist()))
+    _assert_kernel_is_the_stacked_reference(weights, 1e-8, 1024)
 
 
 def test_span_matrix_columns():
