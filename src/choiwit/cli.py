@@ -53,7 +53,10 @@ def parse_alpha(text: str) -> float:
         if den == 0:
             raise ValueError(f"zero denominator in angle {text!r}")
         return num * math.pi / den
-    return float(s)
+    try:
+        return float(s)
+    except ValueError:
+        raise ValueError(f"cannot parse angle {text!r}") from None
 
 
 def parse_weight(text: str) -> float:

@@ -13,9 +13,9 @@ The whole test runs as one batched kernel on an array of weights.  Every
 entry of every product vector is +-m or +-m*1j for one of six reals m: 0,
 1, s, t, s*s and s*t, with s = sqrt(t).  So slices of KERNEL_BLOCK points
 take their column norms and witness expectations from those six magnitude
-columns, gathered through static tables derived from the pair codes, in
-real elementwise operations with the bits of the complex ones (no vector
-stack and no witness matrix is built), and write whole-batch columns.
+columns, gathered through two static tables read off the product vectors at
+t = 2, in real elementwise operations with the bits of the complex ones (no
+vector stack and no witness matrix is built), and write whole-batch columns.
 Only where no determinant proves rank 9 (_RANK9_DET_BOUND) are the product
 vectors of a point built, as span matrices for a stacked SVD.  The
 verdicts are decided once over the columns, and each point's record, the
@@ -123,7 +123,7 @@ def _check_t(t) -> float:
 
 #: Entry codes of the pair tables, psi then phi, row k - 1 for pair k: codes
 #: 0 to 4 stand for 0, 1, -1, 1j and -1j, codes 5, 6 and 7 for sqrt(t), t and
-#: -t*1j; code c + 8 stands for the conjugate of code c.
+#: -t*1j.
 _PAIR_CODES = np.array(
     [
         [[1, 1, 1], [1, 2, 1], [1, 3, 4], [0, 5, 1], [0, 5, 3],
@@ -134,23 +134,18 @@ _PAIR_CODES = np.array(
 )
 
 #: Entry 3*i + j of product vector k is psi_k[i] * phi_k[j]: the codes of its
-#: left factor, shared by both sides, and of its right one on each side.
+#: left factor and of its right one.
 _LEFT = np.repeat(_PAIR_CODES[0], 3, axis=-1)
-_RIGHT = np.tile(_PAIR_CODES[1], 3) + np.array([0, 8])[:, None, None]
+_RIGHT = np.tile(_PAIR_CODES[1], 3)
 
 
 def _entry_table(t: np.ndarray) -> np.ndarray:
-    """The (N, 16) complex values of the entry codes at each entry of t.
-
-    np.conjugate keeps signed zeros, so every entry is the same complex
-    number the one-point tables give, -0.0 parts included.
-    """
-    table = np.empty((len(t), 16), dtype=complex)
+    """The (N, 8) complex values of the entry codes at each entry of t."""
+    table = np.empty((len(t), 8), dtype=complex)
     table[:, :5] = (0, 1, -1, 1j, -1j)
     table[:, 5] = np.sqrt(t)
     table[:, 6] = t
     table[:, 7] = -t * 1j
-    np.conjugate(table[:, :8], out=table[:, 8:])
     return table
 
 
@@ -159,47 +154,38 @@ def _vectors(t: np.ndarray) -> np.ndarray:
 
     Axis 0 is the side: psi_k (x) phi_k, then psi_k (x) conj(phi_k), row k - 1
     for pair k.  The certificate kernel builds it only for the span matrices
-    that reach the SVD.  The right factors are gathered into the stack
-    (mode="clip": take does not buffer, and every code is in range) and
-    multiplied there in place.
+    that reach the SVD.  The right factors are gathered into side 0
+    (mode="clip": take does not buffer, and every code is in range),
+    conjugated into side 1 (np.conjugate keeps signed zeros), and both sides
+    are multiplied there in place by the left factors.
     """
     table = _entry_table(t)
-    left = np.take(table, _LEFT, axis=1)
     vectors = np.empty((2, len(t), 9, 9), dtype=complex)
-    for side, right in zip(vectors, _RIGHT):
-        np.take(table, right, axis=1, out=side, mode="clip")
-        np.multiply(left, side, out=side)
+    np.take(table, _RIGHT, axis=1, out=vectors[0], mode="clip")
+    np.conjugate(vectors[0], out=vectors[1])
+    np.multiply(np.take(table, _LEFT, axis=1), vectors, out=vectors)
     return vectors
 
 
-#: The product of a left factor 0, 1 or s (rows) and a right factor 0, 1, s or t (columns), as
-#: a row of _magnitudes: the kernel's magnitude columns are 0, 1, s, t, s*s and s*t.
-_PRODUCT_MAGNITUDE = np.array([[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 4, 5]])
-
-
-def _magnitude_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The kernel's static tables, from _PAIR_CODES through _entry_table and _vectors.
+def _magnitude_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's two static tables, read off the product vectors at t = 2.
 
     Every entry of every product vector is +-m or +-m*1j for a magnitude m in the
-    rows of _magnitudes, the rounded product of its two factors.  Returns the row of
-    m for each (entry, side, pair), (9, 2, 9); for each _OFF_ENTRIES pair p of each
-    side, the rows of m_i and m_j, (3, 2, 2, 9) as (p, i or j, side, pair); and the
-    sign of x_i x_j + y_i y_j with v = x + iy, (3, 2, 9, 1): +-1 where both entries
-    are real or both imaginary, 0 where one is real and the other imaginary.  At
-    t = 4 the factors 0, 1, s = 2 and t = 4 tell every code apart, and every
-    entry's part and sign show.
+    rows of _magnitudes.  At t = 2 the six magnitudes differ (s*s rounds to
+    2.0000000000000004), so |re| + |im| of an entry names its row.  Returns the row
+    of m for each (entry, side, pair), (9, 2, 9); and for each _OFF_ENTRIES pair p
+    of each side the rows of m_i and m_j, (3, 2, 2, 9) as (p, i or j, side, pair),
+    such that x_i x_j + y_i y_j with v = x + iy is m_i * m_j: m_i is row 0, the
+    zero column, where that term is 0, one entry real and the other imaginary.
     """
-    factor = np.searchsorted([0.0, 1.0, 2.0, 4.0], np.abs(_entry_table(np.array([4.0]))[0]))
-    rows = _PRODUCT_MAGNITUDE[factor[_LEFT], factor[_RIGHT]]
-    probe = _vectors(np.array([4.0]))[:, 0]
-    imag = probe.imag != 0
-    sign = np.sign(probe.real + probe.imag)
+    v = _vectors(np.array([2.0]))[:, 0]
+    rows = np.argmax((abs(v.real) + abs(v.imag))[..., None] == _magnitudes(np.array([2.0])).T, axis=-1)
     i, j = np.array(_OFF_ENTRIES).transpose(2, 1, 0)[..., None]  # (3, 2, 1) each: pair p, side
     sides, pairs = np.arange(2)[:, None], np.arange(9)
-    pair_rows = np.stack([rows[sides, pairs, i], rows[sides, pairs, j]], axis=1)
-    same_part = imag[sides, pairs, i] == imag[sides, pairs, j]
-    pair_sign = np.where(same_part, sign[sides, pairs, i] * sign[sides, pairs, j], 0.0)
-    return np.moveaxis(rows, -1, 0), pair_rows, pair_sign[..., None]
+    vi, vj = v[sides, pairs, i], v[sides, pairs, j]
+    term = vi.real * vj.real + vi.imag * vj.imag
+    pair_rows = np.stack([np.where(term == 0, 0, rows[sides, pairs, i]), rows[sides, pairs, j]], axis=1)
+    return np.moveaxis(rows, -1, 0), pair_rows
 
 
 def _magnitudes(t: np.ndarray) -> np.ndarray:
@@ -215,7 +201,7 @@ def _magnitudes(t: np.ndarray) -> np.ndarray:
     return mags
 
 
-_MAGNITUDE_ROWS, _PAIR_ROWS, _PAIR_SIGN = _magnitude_tables()
+_MAGNITUDE_ROWS, _PAIR_ROWS = _magnitude_tables()
 
 
 def product_vectors(t) -> list[ProductVectorPair]:
@@ -359,7 +345,8 @@ def _certificate_columns(weights: np.ndarray, tol: float) -> tuple[list[tuple], 
         # against W, then the conjugated pairs against W^Gamma; axis 1 for the pair
         # k and axis 2 for the slice's points.  Each product-vector entry is +-m or
         # +-m*1j, so its re*re + im*im is m*m and a pair's x_i x_j + y_i y_j is
-        # +-m_i*m_j or 0, the bits of the complex vectors' terms.
+        # m_i*m_j (m_i the zero row where one entry is real and the other imaginary),
+        # the bits of the complex vectors' terms.
         mags = _magnitudes(t[s])
         sqm = mags * mags
 
@@ -375,7 +362,7 @@ def _certificate_columns(weights: np.ndarray, tol: float) -> tuple[list[tuple], 
         # table order; the first part minus twice the second; times scale = 1/(3(a+b+c))
         # last, so that exact terms that cancel, as at (0, 1, 1), give 0.
         diag = sum(wk * (sq(e0) + sq(e1) + sq(e2)) for wk, (e0, e1, e2) in zip(weights[s].T, _WEIGHT_ENTRIES))
-        pairs = sum(sign * mags[i] * mags[j] for sign, (i, j) in zip(_PAIR_SIGN, _PAIR_ROWS))
+        pairs = sum(mags[i] * mags[j] for i, j in _PAIR_ROWS)
         witness_scale = 1.0 / (3.0 * (weights[s, 0] + weights[s, 1] + weights[s, 2]))
         # Each expectation is taken on the unit vector: |v|^2 grows like t^3.
         max_exp[:, s] = np.abs((diag - 2.0 * pairs) * witness_scale / norm2).max(axis=1)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -54,8 +55,9 @@ def test_parse_alpha():
     assert parse_alpha(".5pi") == 0.5 * math.pi
     assert parse_alpha("2*pi") == 2 * math.pi
     assert parse_alpha("1.25") == 1.25
-    with pytest.raises(ValueError):
-        parse_alpha("three")
+    for text in ("three", "2pi/"):
+        with pytest.raises(ValueError, match=f"^cannot parse angle '{text}'$"):
+            parse_alpha(text)
     for text in ("pi/0", "5pi/0.0"):
         with pytest.raises(ValueError, match="zero denominator"):
             parse_alpha(text)
@@ -239,12 +241,16 @@ def _certificate_records(alphas, tol):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.lists(SCAN_ALPHAS, max_size=2 * KERNEL_BLOCK + 5),
+    st.lists(SCAN_ALPHAS, max_size=25),
     st.sampled_from([1e-8, 1e-12, 1e-16, 0.5]),
+    st.sampled_from([1, 7, KERNEL_BLOCK]),
 )
-def test_scan_rows_equal_the_certificate_path(extra, tol):
+def test_scan_rows_equal_the_certificate_path(extra, tol, block):
+    # The scan's kernel runs in blocks of 1 or 7, so that a grid spans several,
+    # or in one default block; the certificates come from default blocks.
     alphas = sorted(extra + [ALPHA_MIN, ALPHA_MAX, math.pi])
-    values = _scan_values(alphas, tol)
+    with mock.patch.object(optimality, "KERNEL_BLOCK", block):
+        values = _scan_values(alphas, tol)
     records = _certificate_records(alphas, tol)
     csv = CSV_HEADER + "\n" + "".join(map(_csv_oracle, records))
     assert _scan_text(values, "csv") == csv
@@ -630,9 +636,9 @@ _USAGE_ERRORS = [
     (_SCAN + ("--steps", "3", "--tol", "1"), "--tol must be less than 1"),
     (_SCAN + ("--steps", "3", "--tol", "1e301"), "--tol must be less than 1"),
     (("scan", "--alpha-start", "three", "--alpha-end", "5pi/3", "--steps", "3"),
-     "could not convert string to float: 'three'"),
+     "cannot parse angle 'three'"),
     (("scan", "--alpha-start", "pi/3", "--alpha-end", "five", "--steps", "3"),
-     "could not convert string to float: 'five'"),
+     "cannot parse angle 'five'"),
     (("scan", "--alpha-start", "pi/0", "--alpha-end", "5pi/3", "--steps", "3"),
      "zero denominator in angle 'pi/0'"),
     (("scan", "--alpha-start", "0", "--alpha-end", "pi", "--steps", "3"), _ALPHA_RANGE),
@@ -681,11 +687,12 @@ _USAGE_ERRORS = [
      "not a family point: b*c = 1.0000100000000001e-300 differs from (1-a)^2 = 9.99999999990898e-11"),
     # A number part without a digit, or a '*' without a number, is not a fraction of pi.
     (("scan", "--alpha-start", ".pi", "--alpha-end", "5pi/3", "--steps", "3"),
-     "could not convert string to float: '.pi'"),
+     "cannot parse angle '.pi'"),
     (("scan", "--alpha-start", ".pi/3", "--alpha-end", "5pi/3", "--steps", "3"),
-     "could not convert string to float: '.pi/3'"),
+     "cannot parse angle '.pi/3'"),
     (("scan", "--alpha-start", "pi/3", "--alpha-end", "*pi", "--steps", "3"),
-     "could not convert string to float: '*pi'"),
+     "cannot parse angle '*pi'"),
+    (("scan", "--alpha-start", "abc", "--alpha-end", "5pi/3", "--steps", "3"), "cannot parse angle 'abc'"),
 ]
 
 

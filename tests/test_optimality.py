@@ -110,7 +110,8 @@ def test_product_vectors_match_the_former_outer_product(t):
 @pytest.mark.parametrize("t", [[1.0], [1e-300], [1e-160, 1e13], np.random.default_rng(3).lognormal(0, 8, 67)])
 def test_magnitude_columns_give_every_entry_and_pair_term(t):
     # Each complex entry is a magnitude column in its real or its imaginary
-    # part, 0 in the other; each pair's x_i x_j + y_i y_j is sign * m_i * m_j.
+    # part, 0 in the other; each pair's x_i x_j + y_i y_j is m_i * m_j, with m_i
+    # the zero row where one entry is real and the other imaginary.
     # The family's t lie within about 1e-162 and 1e13, where no product overflows.
     t = np.asarray(t, dtype=float)
     vectors = _vectors(t)
@@ -120,9 +121,9 @@ def test_magnitude_columns_give_every_entry_and_pair_term(t):
         assert np.all((x == 0) | (y == 0))
         assert np.array_equal(np.abs(x) + np.abs(y), np.moveaxis(mags[rows], -1, 1))
     x, y = vectors.real, vectors.imag
-    for sign, (i, j), entries in zip(optimality._PAIR_SIGN, optimality._PAIR_ROWS, zip(*optimality._OFF_ENTRIES)):
+    for (i, j), entries in zip(optimality._PAIR_ROWS, zip(*optimality._OFF_ENTRIES)):
         want = np.stack([xs[..., a] * xs[..., b] + ys[..., a] * ys[..., b] for xs, ys, (a, b) in zip(x, y, entries)])
-        assert np.array_equal(sign * mags[i] * mags[j], np.moveaxis(want, 1, -1))
+        assert np.array_equal(mags[i] * mags[j], np.moveaxis(want, 1, -1))
 
 
 #: Interior family angles: a grid, 10^-k inside both ends and on both sides of pi, and pi.
