@@ -60,17 +60,14 @@ def parse_alpha(text: str) -> float:
 
 
 def parse_weight(text: str) -> float:
-    """Parse a map weight given as a plain number or a simple fraction ('2/3')."""
-    try:
-        return float(text)
-    except ValueError:
-        num, sep, den = text.partition("/")
-        if not sep:
-            raise ValueError(f"cannot parse weight {text!r}") from None
-        divisor = float(den)
-        if divisor == 0:
-            raise ValueError(f"zero denominator in weight {text!r}")
-        return float(num) / divisor
+    """Parse a map weight given as a plain number or a simple fraction ('2/3'), one float per part."""
+    num, sep, den = text.partition("/")
+    if not sep:
+        return float(num)
+    divisor = float(den)
+    if divisor == 0:
+        raise ValueError(f"zero denominator in weight {text!r}")
+    return float(num) / divisor
 
 
 def _check_options(tol: float, samples: int = 1, seed: int = 0, steps: int = 2) -> None:

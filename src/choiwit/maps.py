@@ -7,9 +7,9 @@ For nonnegative weights (a, b, c) with a + b + c > 0 the map sends X to
                           b x00 + c x11 + a x22),  off-diagonal: -x_ij]
 
 The one-parameter slice of interest satisfies 0 <= a <= 1, a + b + c = 2 and
-b c = (1 - a)^2, parameterized by an angle alpha in [pi/3, 5*pi/3].  Away
-from the a = 1 boundary the slice is governed by the single positive scalar
-t = c / (1 - a).
+b c = (1 - a)^2, parameterized by an angle alpha in [pi/3, 5*pi/3], and a
+triple is on it within ON_FAMILY_TOL.  Away from the a = 1 boundary the
+slice is governed by the single positive scalar t = c / (1 - a).
 """
 
 from __future__ import annotations
@@ -30,6 +30,9 @@ ALPHA_MAX = 5 * math.pi / 3
 #: boundary).  Angle endpoints hit a = 1 exactly in closed form but only up
 #: to roundoff in floating point.
 BOUNDARY_TOL = 1e-12
+
+#: The family-membership tolerance of family_violation, on_family_check and the kernel's guard.
+ON_FAMILY_TOL = 1e-8
 
 #: pi - math.pi, rounded to a float: math.pi + _PI_LO is pi to about 1e-32.
 _PI_LO = 1.2246467991473532e-16
@@ -211,17 +214,18 @@ def family_weights(alphas) -> np.ndarray:
     r = sin((5*pi/3 - alpha)/2).  On the middle third [2pi/3, 4pi/3], where 1 - (4/3) s r
     cancels towards a = 0 at pi, a = (4/3) sin^2((pi - alpha)/2) instead, with pi - alpha
     as (math.pi - alpha) + _PI_LO: the difference is exact there (Sterbenz), and _PI_LO is
-    pi - math.pi rounded, so every printed digit of a holds up to pi.  The first offending
-    angle raises: OutOfRangeError, or ArithmeticError off the family.
+    pi - math.pi rounded, so every printed digit of a holds up to pi.  The first angle out
+    of range raises OutOfRangeError before any weight is computed; a row off the family, ArithmeticError.
     """
     x = np.asarray(alphas, dtype=float).reshape(-1)
     inside = (ALPHA_MIN - 1e-12 <= x) & (x <= ALPHA_MAX + 1e-12)
-    n = len(x) if inside.all() else int(np.argmin(inside))  # angles before the first out of range
-    half = np.array([x[:n] - ALPHA_MIN, ALPHA_MAX - x[:n]]) / 2
-    s, r = np.array([math.sin(v) for v in half.ravel().tolist()]).reshape(2, n)
-    w = np.empty((n, 3))
+    if not inside.all():
+        raise OutOfRangeError(f"alpha must lie in [pi/3, 5*pi/3], got {x[np.argmin(inside)].item()!r}")
+    half = np.array([x - ALPHA_MIN, ALPHA_MAX - x]) / 2
+    s, r = np.array([math.sin(v) for v in half.ravel().tolist()]).reshape(2, len(x))
+    w = np.empty((len(x), 3))
     w[:, 0] = 1.0 - (4.0 / 3.0) * s * r
-    middle = np.flatnonzero((2 * math.pi / 3 <= x[:n]) & (x[:n] <= 4 * math.pi / 3))
+    middle = np.flatnonzero((2 * math.pi / 3 <= x) & (x <= 4 * math.pi / 3))
     u = np.array([math.sin(v) for v in (((math.pi - x[middle]) + _PI_LO) / 2).tolist()])
     w[middle, 0] = (4.0 / 3.0) * u * u
     w[:, 1] = (4.0 / 3.0) * s * s
@@ -229,8 +233,6 @@ def family_weights(alphas) -> np.ndarray:
     off = _family_breaks(w, 1e-12) > 0
     if off.any():
         raise ArithmeticError(f"family conditions violated at alpha={x[np.argmax(off)].item()!r}")
-    if n < len(x):
-        raise OutOfRangeError(f"alpha must lie in [pi/3, 5*pi/3], got {x[n].item()!r}")
     return w
 
 
@@ -258,15 +260,13 @@ def _family_breaks(weights: np.ndarray, tol: float) -> np.ndarray:
     return np.where(sum_off, 1, np.where(above_one, 2, np.where(product_off, 3, 0)))
 
 
-def family_violation(p: MapParams, tol: float) -> str | None:
-    """The first family condition p breaks at tolerance tol, or None on the family.
+def family_violation(p: MapParams) -> str | None:
+    """The first family condition p breaks at ON_FAMILY_TOL, or None on the family.
 
     The conditions are a+b+c = 2, a <= 1 and sqrt(bc) = |1-a|, checked in
     that order; the returned text names the failing one with its values.
     """
-    if not (tol > 0):
-        raise ValueError("tol must be positive")
-    broken = _family_breaks(np.array([[p.a, p.b, p.c]]), tol)[0]
+    broken = _family_breaks(np.array([[p.a, p.b, p.c]]), ON_FAMILY_TOL)[0]
     if broken == 1:
         return f"a+b+c = {p.total!r} differs from 2"
     if broken == 2:
@@ -276,9 +276,9 @@ def family_violation(p: MapParams, tol: float) -> str | None:
     return None
 
 
-def on_family_check(p: MapParams, tol: float) -> bool:
-    """True when a+b+c = 2, a <= 1 and sqrt(bc) = |1-a| all hold within tol."""
-    return family_violation(p, tol) is None
+def on_family_check(p: MapParams) -> bool:
+    """True when a+b+c = 2, a <= 1 and sqrt(bc) = |1-a| all hold within ON_FAMILY_TOL."""
+    return family_violation(p) is None
 
 
 def t_param(p: MapParams) -> float:

@@ -9,17 +9,18 @@ certified indecomposable optimal.  The 9x9 matrices collecting the vectors
 as columns have analytic determinants; tests/test_exact.py proves them in
 exact integer arithmetic, and the certificates report them.
 
-The whole test runs as one batched kernel on an array of weights.  Every
-entry of every product vector is +-m or +-m*1j for one of six reals m: 0,
-1, s, t, s*s and s*t, with s = sqrt(t).  So slices of KERNEL_BLOCK points
-take their column norms and witness expectations from those six magnitude
-columns, gathered through two static tables read off the product vectors at
-t = 2, in real elementwise operations with the bits of the complex ones (no
-vector stack and no witness matrix is built), and write whole-batch columns.
-Only where no determinant proves rank 9 (_RANK9_DET_BOUND) are the product
-vectors of a point built, as span matrices for a stacked SVD.  The
-verdicts are decided once over the columns, and each point's record, the
-cells named by RECORD_KEYS, is built in one pass.  certify_many zips those
+The whole test runs as one batched kernel on an array of weights, after one
+family guard at maps.ON_FAMILY_TOL over the batch.  Every entry of every
+product vector is +-m or +-m*1j for one of six reals m: 0, 1, s, t, s*s and
+s*t, with s = sqrt(t).  So slices of KERNEL_BLOCK points take their column
+norms and witness expectations from those six magnitude columns, gathered
+through static tables read off the product vectors at t = 2, in real
+elementwise operations with the bits of the complex ones (no vector stack
+and no witness matrix is built), and write whole-batch columns.  Only where
+no determinant proves rank 9 (_RANK9_DET_BOUND) are the product vectors of
+a point built, as span matrices for a stacked SVD.  The verdicts are
+decided once over the columns, and each point's record, the cells named by
+RECORD_KEYS, is built in one pass.  certify_many zips those
 records and columns into Certificates, and certify is its one-point case;
 the scan command puts the angle and weights in front of them, and check
 prints the record of its point beside its Certificate.
@@ -35,11 +36,8 @@ import numpy as np
 
 from .errors import BoundaryCaseError, NonpositiveTError, OffFamilyError
 from .linalg import rank_with_tol
-from .maps import BOUNDARY_TOL, MapParams, _family_breaks, family_violation
+from .maps import BOUNDARY_TOL, ON_FAMILY_TOL, MapParams, _family_breaks, family_violation
 from .witness import _OFF_ENTRIES, _WEIGHT_ENTRIES, DensityMatrix
-
-#: Family-membership tolerance used by the guards in this module.
-ON_FAMILY_TOL = 1e-8
 
 #: Window around t = 1 inside which the conjugated span matrix is
 #: expected to be rank deficient (its determinant vanishes to third order).
@@ -202,6 +200,8 @@ def _magnitudes(t: np.ndarray) -> np.ndarray:
 
 
 _MAGNITUDE_ROWS, _PAIR_ROWS = _magnitude_tables()
+#: The rows of _MAGNITUDE_ROWS at the diagonal entries that carry a, then b, then c, (3, 3, 2, 9).
+_WEIGHT_ROWS = _MAGNITUDE_ROWS[_WEIGHT_ENTRIES]
 
 
 def product_vectors(t) -> list[ProductVectorPair]:
@@ -332,7 +332,7 @@ def _certificate_columns(weights: np.ndarray, tol: float) -> tuple[list[tuple], 
     if bad.any():
         i = int(np.argmax(bad))
         if broken[i]:  # family_violation of that row names the condition broken[i]
-            reason = family_violation(MapParams(*weights[i].tolist()), ON_FAMILY_TOL)
+            reason = family_violation(MapParams(*weights[i].tolist()))
             raise OffFamilyError(f"not a family point: {reason}")
         _check_t(t[i])  # t[i] is not a positive finite real
     t[~interior] = 2.0  # a stand-in for the boundary, both determinants clear of the SVD at tol 1e-8
@@ -349,10 +349,6 @@ def _certificate_columns(weights: np.ndarray, tol: float) -> tuple[list[tuple], 
         # the bits of the complex vectors' terms.
         mags = _magnitudes(t[s])
         sqm = mags * mags
-
-        def sq(e):
-            return sqm[_MAGNITUDE_ROWS[e]]
-
         # Squared column norms of the span matrices, entry by entry: a sum down each column.
         norm2 = sum(sqm[rows] for rows in _MAGNITUDE_ROWS)
         # The forms <v|W|v>, then <v|W^Gamma|v>: both witnesses are real symmetric, so
@@ -361,7 +357,7 @@ def _certificate_columns(weights: np.ndarray, tol: float) -> tuple[list[tuple], 
         # their weight, those three added a, b, c; the side's _OFF_ENTRIES pairs added in
         # table order; the first part minus twice the second; times scale = 1/(3(a+b+c))
         # last, so that exact terms that cancel, as at (0, 1, 1), give 0.
-        diag = sum(wk * (sq(e0) + sq(e1) + sq(e2)) for wk, (e0, e1, e2) in zip(weights[s].T, _WEIGHT_ENTRIES))
+        diag = sum(wk * (sqm[r0] + sqm[r1] + sqm[r2]) for wk, (r0, r1, r2) in zip(weights[s].T, _WEIGHT_ROWS))
         pairs = sum(mags[i] * mags[j] for i, j in _PAIR_ROWS)
         witness_scale = 1.0 / (3.0 * (weights[s, 0] + weights[s, 1] + weights[s, 2]))
         # Each expectation is taken on the unit vector: |v|^2 grows like t^3.

@@ -615,6 +615,7 @@ def state_dir(tmp_path_factory):
         "garbage.txt": "garbage\n",
         "badtoken.txt": ("x" + " 0" * 8 + "\n") * 9,
         "shortline.txt": "0 0\n" * 9,
+        "nan.txt": ("nan+0j" + " 0" * 8 + "\n") * 9,
     }
     for name, text in files.items():
         (root / name).write_text(text)
@@ -693,6 +694,7 @@ _USAGE_ERRORS = [
     (("scan", "--alpha-start", "pi/3", "--alpha-end", "*pi", "--steps", "3"),
      "cannot parse angle '*pi'"),
     (("scan", "--alpha-start", "abc", "--alpha-end", "5pi/3", "--steps", "3"), "cannot parse angle 'abc'"),
+    (("detect", "0", "1", "1", "nan.txt"), "state contains NaN or infinite entries"),
 ]
 
 

@@ -272,7 +272,7 @@ def test_expectation_rejects_non_hermitian():
 
 
 @pytest.mark.parametrize("delta", [2e-12, 2e-12j])
-def test_quadratic_forms_reject_a_stack_off_hermitian_by_2e_12(delta):
+def test_expectation_rejects_a_stack_off_hermitian_by_2e_12(delta):
     # W and W^Gamma at three points; expectation guards each one.
     w = [witness_matrix(MapParams(a, 1.0, 1.0)).mat for a in (0.0, 0.5, 1.0)]
     v = np.ones(9)
@@ -283,7 +283,7 @@ def test_quadratic_forms_reject_a_stack_off_hermitian_by_2e_12(delta):
             expectation(m, v)
 
 
-def test_quadratic_forms_core_keeps_every_guard():
+def test_expectation_core_keeps_every_guard():
     # The finite and shape checks of expectation, on a W^Gamma.
     wg = partial_transpose_second(witness_matrix(MapParams(0.5, 1.0, 1.0)).mat)
     v = np.arange(9) * (1 - 2j)
@@ -311,7 +311,7 @@ def test_quadratic_forms_core_keeps_every_guard():
     v_exp=st.floats(-3, 3),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_quadratic_forms_are_one_matvec_and_vdot_bit_for_bit(n, w_exp, v_exp, seed):
+def test_expectation_is_one_matvec_and_vdot_bit_for_bit(n, w_exp, v_exp, seed):
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     w = 10.0**w_exp * (g + g.conj().T) / 2.0  # exactly Hermitian
@@ -320,7 +320,7 @@ def test_quadratic_forms_are_one_matvec_and_vdot_bit_for_bit(n, w_exp, v_exp, se
     assert np.float64(expectation(w, v)).tobytes() == ref.tobytes()
 
 
-def test_quadratic_forms_reject_an_imaginary_part_beyond_the_roundoff_bound():
+def test_expectation_rejects_an_imaginary_part_beyond_the_roundoff_bound():
     # Anti-Hermitian by 8e-13, inside the Hermiticity tolerance, but
     # <v|W|v> = 400 * 8e-13j = 3.2e-10j against a bound of about 1e-10.
     w = np.array([[0.0, 4e-13j], [4e-13j, 0.0]])

@@ -22,6 +22,7 @@ from choiwit import (
     positivity_search,
     t_param,
 )
+from choiwit import maps
 from choiwit.maps import ALPHA_MAX, ALPHA_MIN, family_weights
 from oracles import falsifier_minimum, family_a_decimal, family_weights_decimal, family_weights_scalar
 
@@ -116,6 +117,16 @@ def test_positivity_search_settles_second_predicate_corner():
     with pytest.warns(RuntimeWarning, match="no violation"):
         result = positivity_search(MapParams(1.5, 0.3, 0.3), budget=200, seed=0)
     assert result.min_value >= -1e-9
+
+
+def test_positivity_search_warns_when_the_predicate_holds_but_a_violation_is_found(monkeypatch):
+    # (0.5, 1.45, 0.05) is not positive; with the printed condition forced to
+    # hold, the falsifier's violation contradicts it and the search says so.
+    monkeypatch.setattr(maps, "is_positive_predicate", lambda p: True)
+    message = r"^positivity condition holds for \(a,b,c\)=\(0\.5,1\.45,0\.05\) but the falsifier found a violation of -0\.0355$"
+    with pytest.warns(RuntimeWarning, match=message):
+        result = positivity_search(MapParams(0.5, 1.45, 0.05), 200, 0)
+    assert result.min_value < -1e-3
 
 
 def test_map_on_projector_ignores_diagonal_phases():
@@ -350,20 +361,18 @@ def test_family_weights_name_the_first_angle_out_of_range(bad):
 
 
 def test_on_family_check():
-    assert on_family_check(MapParams(0, 1, 1), 1e-12)
-    assert on_family_check(MapParams(1, 1, 0), 1e-12)
-    assert not on_family_check(MapParams(0.5, 1, 0.5), 1e-8)
+    assert on_family_check(MapParams(0, 1, 1))
+    assert on_family_check(MapParams(1, 1, 0))
+    assert not on_family_check(MapParams(0.5, 1, 0.5))
 
 
 def test_family_violation_names_the_first_failing_condition():
-    assert family_violation(MapParams(0, 1, 1), 1e-12) is None
-    assert family_violation(MapParams(1, 1, 1), 1e-8).startswith("a+b+c = 3.0")
-    assert family_violation(MapParams(1.5, 0.25, 0.25), 1e-8) == "a = 1.5 exceeds 1"
-    assert family_violation(MapParams(0.5, 1, 0.5), 1e-8).startswith("b*c = 0.5")
+    assert family_violation(MapParams(0, 1, 1)) is None
+    assert family_violation(MapParams(1, 1, 1)).startswith("a+b+c = 3.0")
+    assert family_violation(MapParams(1.5, 0.25, 0.25)) == "a = 1.5 exceeds 1"
+    assert family_violation(MapParams(0.5, 1, 0.5)).startswith("b*c = 0.5")
     # 1e-5 off the family, though b*c is within 1e-8 of (1-a)^2 = 1e-10.
-    assert family_violation(MapParams(0.99999, 1.00001, 1e-300), 1e-8).startswith("b*c = 1.00001")
-    with pytest.raises(ValueError):
-        family_violation(MapParams(0, 1, 1), 0.0)
+    assert family_violation(MapParams(0.99999, 1.00001, 1e-300)).startswith("b*c = 1.00001")
 
 
 def test_family_from_alpha_keeps_c_positive_near_upper_end():
@@ -377,7 +386,7 @@ def test_symmetric_triple_is_off_family():
     a = b = c = Fraction(2, 3)
     assert a + b + c == 2
     assert b * c != (1 - a) ** 2
-    assert not on_family_check(MapParams(2 / 3, 2 / 3, 2 / 3), 1e-8)
+    assert not on_family_check(MapParams(2 / 3, 2 / 3, 2 / 3))
 
 
 def test_t_param():

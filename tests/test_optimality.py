@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from choiwit import (
@@ -14,11 +14,13 @@ from choiwit import (
     OffFamilyError,
     Verdict,
     certify,
+    certify_many,
     det_closed_form,
     expectation,
     family_from_alpha,
     kron_vec,
     lu_det,
+    on_family_check,
     partial_transpose_second,
     ppt_state,
     product_vectors,
@@ -542,6 +544,36 @@ def test_verdict_follows_the_analytic_windows(alpha):
 def test_certify_rejects_off_family():
     with pytest.raises(OffFamilyError):
         certify(MapParams(1, 1, 1))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_certify_rejects_a_tolerance_that_is_not_positive(tol):
+    for run in (lambda: certify(MapParams(0, 1, 1), tol), lambda: certify_many([MapParams(0, 1, 1)], tol)):
+        with pytest.raises(ValueError, match="^tol must be positive$"):
+            run()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    alpha=st.floats(ALPHA_MIN, ALPHA_MAX),
+    shift=st.tuples(*[st.floats(-2e-8, 2e-8)] * 3),
+)
+@example(alpha=ALPHA_MIN, shift=(0.0, 0.0, 0.0))
+@example(alpha=ALPHA_MAX, shift=(0.0, 0.0, 0.0))
+@example(alpha=PI, shift=(0.0, 0.0, 0.0))
+@example(alpha=PI, shift=(0.0, 1e-8, -1e-8))
+def test_on_family_check_is_false_exactly_where_certify_rejects_the_triple(alpha, shift):
+    # Nonnegative triples within 2e-8 of a family point, on both sides of the
+    # ON_FAMILY_TOL = 1e-8 edge of each condition; at alpha = pi, t = 1.
+    p = MapParams(*[max(0.0, w + d) for w, d in zip(family_weights([alpha])[0].tolist(), shift)])
+    rejected = False
+    try:
+        certify(p)
+    except OffFamilyError:
+        rejected = True
+    except NonpositiveTError:  # on the family, with c = 0 and a clear of the a = 1 boundary
+        pass
+    assert on_family_check(p) is not rejected
 
 
 def test_certify_verdict_case_split():

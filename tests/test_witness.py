@@ -190,6 +190,15 @@ def test_detect_rejects_invalid_states():
         detect(w, indefinite)
 
 
+def test_density_matrix_rejects_a_wrong_shape_and_non_finite_entries():
+    with pytest.raises(InvalidStateError, match=r"^state must have shape \(9, 9\), got \(3, 3\)$"):
+        DensityMatrix(np.eye(3))
+    nan = np.eye(9) / 9
+    nan[4, 4] = np.nan
+    with pytest.raises(InvalidStateError, match="^state contains NaN or infinite entries$"):
+        DensityMatrix(nan)
+
+
 @pytest.mark.parametrize(
     "entries, message",
     [
@@ -268,6 +277,11 @@ def test_hermitian_coordinate_form_matches_vdot(seed):
     scale = np.vdot(x, x).real * np.vdot(y, y).real * np.linalg.norm(w, 2)
     assert abs(p @ _form_matrix(w) @ q - expected) <= 1e-14 * scale
     assert p[:3].sum() == pytest.approx(np.vdot(x, x).real, rel=1e-15)
+
+
+def test_separable_samples_need_at_least_one_sample():
+    with pytest.raises(ValueError, match="^n must be at least 1$"):
+        separable_sample_check(witness_matrix(MapParams(0, 1, 1)), n=0, seed=0)
 
 
 def test_separable_samples_reject_bad_witness():
