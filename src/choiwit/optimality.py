@@ -16,7 +16,10 @@ s*t, with s = sqrt(t).  So slices of KERNEL_BLOCK points take their column
 norms and witness expectations from those six magnitude columns, gathered
 through static tables read off the product vectors at t = 2, in real
 elementwise operations with the bits of the complex ones (no vector stack
-and no witness matrix is built), and write whole-batch columns.  Only where
+and no witness matrix is built), and write whole-batch columns.  The 18
+(side, pair) columns share their rows: each slice sums 4 distinct column
+norms, 4 weighted diagonals and 7 pair sums, evaluates 7 distinct forms, and
+expands only the norms back to the 18 columns.  Only where
 no determinant proves rank 9 (_RANK9_DET_BOUND) are the product vectors of
 a point built, as span matrices for a stacked SVD.  The verdicts are
 decided once over the columns, and each point's record, the cells named by
@@ -204,6 +207,65 @@ _MAGNITUDE_ROWS, _PAIR_ROWS = _magnitude_tables()
 _WEIGHT_ROWS = _MAGNITUDE_ROWS[_WEIGHT_ENTRIES]
 
 
+def _distinct(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D integer array, sorted, and the index of each row among them.
+
+    What np.unique(columns, axis=0, return_inverse=True) gives, without the
+    import of numpy.ma that np.unique makes on these paths (about 0.9 MB resident).
+    """
+    rows = [tuple(row) for row in columns.tolist()]
+    distinct = sorted(set(rows))
+    return np.array(distinct), np.array([distinct.index(row) for row in rows])
+
+
+def _distinct_tables(*tables: np.ndarray) -> tuple[list, list, np.ndarray, np.ndarray]:
+    """The distinct (side, pair) columns of (..., 2, 9) tables, and the distinct forms.
+
+    Returns each table's distinct columns as a (..., u) table; the (2, 9) index
+    of each (side, pair) column among them; the distinct forms, a column's
+    indices into the tables, as a (len(tables), f) table; and the (2, k) forms
+    of each side's nine columns.
+    """
+    distinct, index = [], []
+    for table in tables:
+        rows, inverse = _distinct(table.reshape(-1, 18).T)
+        distinct.append(rows.T.reshape(table.shape[:-2] + (-1,)))
+        index.append(inverse.reshape(2, 9))
+    forms, form_index = _distinct(np.reshape(index, (len(tables), 18)).T)
+    return distinct, index, forms.T, np.array([sorted(set(side)) for side in form_index.reshape(2, 9).tolist()])
+
+
+#: The distinct columns of the three tables, which the kernel sums: (9, 4) norm rows,
+#: (3, 3, 4) weight rows and (3, 2, 7) pair rows, with the (2, 9) index of each (side, pair)
+#: column among them.  _FORMS (3, 7) holds the seven distinct (norm, weight, pair) index
+#: triples, and _SIDE_FORMS (2, 4) the forms of each side's nine pairs: 1, 2, 4 and 5 on W,
+#: 0, 2, 3 and 6 on W^Gamma.
+(_NORM_SUMS, _DIAG_SUMS, _PAIR_SUMS), (_NORM_INDEX, _DIAG_INDEX, _PAIR_INDEX), _FORMS, _SIDE_FORMS = (
+    _distinct_tables(_MAGNITUDE_ROWS, _WEIGHT_ROWS, _PAIR_ROWS)
+)
+
+
+def _distinct_sums(mags: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sums of the distinct columns at (6, n) magnitudes and (n, 3) weights.
+
+    Returns the (4, n) squared column norms, the (4, n) weighted diagonal sums
+    sum_k w_k |v_k|^2 and the (7, n) pair sums sum_pairs (x_i x_j + y_i y_j) of
+    the columns of _NORM_SUMS, _DIAG_SUMS and _PAIR_SUMS.  Each product-vector
+    entry is +-m or +-m*1j, so its re*re + im*im is m*m and a pair's
+    x_i x_j + y_i y_j is m_i*m_j (m_i the zero row where one entry is real and
+    the other imaginary), the bits of the complex vectors' terms.  Each sum is
+    taken in this order: a norm entry by entry down the column; the three
+    |v_k|^2 of a, of b and of c added in index order and times their weight,
+    those three added a, b, c; a side's _OFF_ENTRIES pairs added in table order.
+    Each comes from one gather of its table, freed before the next.
+    """
+    sqm = mags * mags
+    norm2 = sum(sqm[_NORM_SUMS])
+    diag = sum(wk * (r0 + r1 + r2) for wk, (r0, r1, r2) in zip(weights.T, sqm[_DIAG_SUMS]))
+    pairs = sum(mi * mj for mi, mj in mags[_PAIR_SUMS])
+    return norm2, diag, pairs
+
+
 def product_vectors(t) -> list[ProductVectorPair]:
     """The nine product-vector pairs for a given t > 0."""
     psi, phi = _entry_table(np.array([_check_t(t)]))[0, _PAIR_CODES]
@@ -341,31 +403,23 @@ def _certificate_columns(weights: np.ndarray, tol: float) -> tuple[list[tuple], 
     ranks = np.full((2, len(t)), 9)
     for i in range(0, len(t), KERNEL_BLOCK):
         s = slice(i, i + KERNEL_BLOCK)
-        # Every (2, 9, n) column below has axis 0 for the side, the plain pairs
-        # against W, then the conjugated pairs against W^Gamma; axis 1 for the pair
-        # k and axis 2 for the slice's points.  Each product-vector entry is +-m or
-        # +-m*1j, so its re*re + im*im is m*m and a pair's x_i x_j + y_i y_j is
-        # m_i*m_j (m_i the zero row where one entry is real and the other imaginary),
-        # the bits of the complex vectors' terms.
         mags = _magnitudes(t[s])
-        sqm = mags * mags
-        # Squared column norms of the span matrices, entry by entry: a sum down each column.
-        norm2 = sum(sqm[rows] for rows in _MAGNITUDE_ROWS)
-        # The forms <v|W|v>, then <v|W^Gamma|v>: both witnesses are real symmetric, so
-        # each is scale * (sum_k w_k |v_k|^2 - 2 sum_pairs (x_i x_j + y_i y_j)) in this
-        # order: the three |v_k|^2 of a, of b and of c added in index order and times
-        # their weight, those three added a, b, c; the side's _OFF_ENTRIES pairs added in
-        # table order; the first part minus twice the second; times scale = 1/(3(a+b+c))
-        # last, so that exact terms that cancel, as at (0, 1, 1), give 0.
-        diag = sum(wk * (sqm[r0] + sqm[r1] + sqm[r2]) for wk, (r0, r1, r2) in zip(weights[s].T, _WEIGHT_ROWS))
-        pairs = sum(mags[i] * mags[j] for i, j in _PAIR_ROWS)
+        norm2, diag, pairs = _distinct_sums(mags, weights[s])
         witness_scale = 1.0 / (3.0 * (weights[s, 0] + weights[s, 1] + weights[s, 2]))
-        # Each expectation is taken on the unit vector: |v|^2 grows like t^3.
-        max_exp[:, s] = np.abs((diag - 2.0 * pairs) * witness_scale / norm2).max(axis=1)
+        # The forms <v|W|v>, then <v|W^Gamma|v>, once per distinct form: both witnesses
+        # are real symmetric, so each is scale * (sum_k w_k |v_k|^2 - 2 sum_pairs (x_i x_j
+        # + y_i y_j)), the first part minus twice the second, times scale = 1/(3(a+b+c))
+        # last, so that exact terms that cancel, as at (0, 1, 1), give 0.  Each is taken on
+        # the unit vector: |v|^2 grows like t^3.  max is exact, so a side's maximum over
+        # its distinct forms is the one over its nine pairs.
+        norm_of, diag_of, pair_of = _FORMS
+        forms = np.abs((diag[diag_of] - 2.0 * pairs[pair_of]) * witness_scale / norm2[norm_of])
+        max_exp[:, s] = forms[_SIDE_FORMS].max(axis=1)
         # det of a column-normalized span matrix = closed form / product of
         # its column norms, divided as reals.  Below t ~ 1e-108 both underflow
         # to 0; the determinant, of order t^1.5, is then 0 too.
-        norms = np.sqrt(norm2).transpose(0, 2, 1)  # (2, n, 9): a span matrix's nine in a row
+        # The (2, 9, n) norms, one take from the distinct roots, as (2, n, 9): a span matrix's nine in a row.
+        norms = np.sqrt(norm2).take(_NORM_INDEX, axis=0).transpose(0, 2, 1)
         m_scale, mp_scale = np.prod(norms, axis=-1)
         re, im, part = _det_parts(t[s], mags[2])
         for row, num, scale in zip(dets[:, s], (re, im, part, part), (m_scale, m_scale, mp_scale, mp_scale)):

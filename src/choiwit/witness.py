@@ -112,13 +112,20 @@ def detect(w: WitnessMatrix, rho) -> float:
 
     Negative values mean the witness detects the state.  ``rho`` may be a
     DensityMatrix or anything that validates as one; InvalidStateError is
-    raised otherwise.
+    raised otherwise.  The trace is taken on rho's Hermitian part, as the
+    eigenvalue check does; an imaginary part beyond roundoff of W's entries
+    raises ArithmeticError.
     """
     if not isinstance(rho, DensityMatrix):
         rho = DensityMatrix(rho)
-    value = complex(np.trace(w.mat @ rho.mat))
-    if abs(value.imag) > 1e-10:
-        raise ArithmeticError(f"tr(W rho) has imaginary part {value.imag:g}")
+    # A valid state is Hermitian only within STATE_TOL, which would leave tr(W rho) an
+    # imaginary part of up to STATE_TOL/2 * sum |W_ij|, far above roundoff at a large
+    # witness scale.  The Hermitian part is the state itself where that is Hermitian,
+    # and its sum cannot overflow: a valid state's entries are at most about 1.
+    value = complex(np.trace(w.mat @ ((rho.mat + rho.mat.conj().T) / 2.0)))
+    bound = 1e-10 * (1.0 + float(np.abs(w.mat).max()))
+    if abs(value.imag) > bound:
+        raise ArithmeticError(f"tr(W rho) has imaginary part {value.imag:g} beyond roundoff bound {bound:g}")
     return float(value.real)
 
 

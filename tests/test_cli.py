@@ -545,6 +545,26 @@ def test_detect_maximally_mixed(tmp_path, capsys):
     assert value == pytest.approx(1 / 9, abs=1e-10)
 
 
+def test_detect_evaluates_a_state_hermitian_only_within_tolerance(tmp_path, capsys):
+    # 5e-11j on both sides of three entry pairs leaves I/9 Hermitian within 1e-10, a
+    # valid state; against the witness scale 1/(3 * 0.001) its anti-Hermitian part
+    # alone would give tr(W rho) an imaginary part of -1e-7.  Its Hermitian part is I/9.
+    skew = np.eye(9, dtype=complex) / 9
+    for i, j in [(0, 4), (0, 8), (4, 8)]:
+        skew[i, j] = skew[j, i] = 5e-11j
+    state = tmp_path / "skew.txt"
+    state.write_text(state_file_text(skew))
+    mixed = tmp_path / "mixed.txt"
+    mixed.write_text(state_file_text(np.eye(9) / 9))
+    assert run_cli("detect", "0.001", "0", "0", str(state)) == 1
+    out = capsys.readouterr().out
+    assert run_cli("detect", "0.001", "0", "0", str(mixed)) == 1
+    assert out == capsys.readouterr().out
+    assert out.splitlines()[1] == "state not detected (nonnegative expectation)"
+    # The file keeps 12 decimals of 1/9.
+    assert float(out.splitlines()[0].split("=")[1]) == pytest.approx(1 / 9, abs=1e-12)
+
+
 def test_detect_rejects_a_weight_sum_too_small(tmp_path, capsys):
     # 1/(3(a+b+c)) overflows: a usage error, not a NaN expectation.
     state = tmp_path / "state.txt"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -109,7 +110,10 @@ def test_product_vectors_match_the_former_outer_product(t):
             _same_bits(mat, span_columns(want[side, i]))
 
 
-@pytest.mark.parametrize("t", [[1.0], [1e-300], [1e-160, 1e13], np.random.default_rng(3).lognormal(0, 8, 67)])
+_MAGNITUDE_T = [[1.0], [1e-300], [1e-160, 1e13], np.random.default_rng(3).lognormal(0, 8, 67)]
+
+
+@pytest.mark.parametrize("t", _MAGNITUDE_T)
 def test_magnitude_columns_give_every_entry_and_pair_term(t):
     # Each complex entry is a magnitude column in its real or its imaginary
     # part, 0 in the other; each pair's x_i x_j + y_i y_j is m_i * m_j, with m_i
@@ -126,6 +130,69 @@ def test_magnitude_columns_give_every_entry_and_pair_term(t):
     for (i, j), entries in zip(optimality._PAIR_ROWS, zip(*optimality._OFF_ENTRIES)):
         want = np.stack([xs[..., a] * xs[..., b] + ys[..., a] * ys[..., b] for xs, ys, (a, b) in zip(x, y, entries)])
         assert np.array_equal(mags[i] * mags[j], np.moveaxis(want, 1, -1))
+
+
+#: Each full table with its distinct columns and the index of each (side, pair) column among them.
+_DISTINCT = [
+    (optimality._MAGNITUDE_ROWS, optimality._NORM_SUMS, optimality._NORM_INDEX),
+    (optimality._WEIGHT_ROWS, optimality._DIAG_SUMS, optimality._DIAG_INDEX),
+    (optimality._PAIR_ROWS, optimality._PAIR_SUMS, optimality._PAIR_INDEX),
+]
+
+
+def test_distinct_columns_and_forms_are_those_of_the_eighteen_columns():
+    for (full, distinct, index), shape in zip(_DISTINCT, [(9, 4), (3, 3, 4), (3, 2, 7)]):
+        assert distinct.shape == shape
+        rows, inverse = np.unique(full.reshape(-1, 18).T, axis=0, return_inverse=True)
+        assert np.array_equal(distinct, rows.T.reshape(shape))
+        assert np.array_equal(index, inverse.reshape(2, 9))
+        for side, k in np.ndindex(2, 9):
+            assert np.array_equal(distinct[..., index[side, k]], full[..., side, k])
+        columns = distinct.reshape(-1, shape[-1]).T
+        assert len(np.unique(columns, axis=0)) == len(columns) == len(np.unique(index))
+    # A form is a column's (norm, weight, pair) indices; a side's are those of its nine pairs.
+    triples = np.stack([index for _, _, index in _DISTINCT])
+    forms = [tuple(form) for form in optimality._FORMS.T]
+    assert len(set(forms)) == len(forms) == 7
+    for side, side_forms in enumerate(optimality._SIDE_FORMS.tolist()):
+        assert sorted(side_forms) == side_forms
+        assert {forms[f] for f in side_forms} == {tuple(triples[:, side, k]) for k in range(9)}
+    assert optimality._SIDE_FORMS.tolist() == [[1, 2, 4, 5], [0, 2, 3, 6]]
+
+
+@pytest.mark.parametrize("t", _MAGNITUDE_T)
+def test_distinct_sums_expand_to_the_full_sums_bit_for_bit(t):
+    # The kernel's sums over its distinct columns, taken back to the 18 (side, pair)
+    # columns, are the sums over every column in the same order, as the kernel took them
+    # before: entry by entry; a, b, c groups in index order; pairs in table order.
+    t = np.asarray(t, dtype=float)
+    weights = np.random.default_rng(5).choice([0.0, 1.0, 2 / 3, 1e-5, 1.7], (len(t), 3))
+    mags = optimality._magnitudes(t)
+    sqm = mags * mags
+    want = (
+        sum(sqm[rows] for rows in optimality._MAGNITUDE_ROWS),
+        sum(wk * (sqm[r0] + sqm[r1] + sqm[r2]) for wk, (r0, r1, r2) in zip(weights.T, optimality._WEIGHT_ROWS)),
+        sum(mags[i] * mags[j] for i, j in optimality._PAIR_ROWS),
+    )
+    got = optimality._distinct_sums(mags, weights)
+    for sums, full, (_, _, index) in zip(got, want, _DISTINCT):
+        assert sums.shape == (index.max() + 1, len(t))
+        assert sums.take(index, axis=0).tobytes() == full.tobytes()
+
+
+def test_kernel_memory_on_the_1001_step_grid():
+    # Each distinct sum's gather is freed before the next one; a kernel that kept them
+    # to the end of its block peaked at 1,612 KB here, and the former per-column sums
+    # at 1,037 KB.
+    weights = family_weights(np.linspace(ALPHA_MIN, ALPHA_MAX, 1001))
+    _certificate_columns(weights, 1e-8)
+    tracemalloc.start()
+    try:
+        _certificate_columns(weights, 1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1037 * 1024
 
 
 #: Interior family angles: a grid, 10^-k inside both ends and on both sides of pi, and pi.

@@ -174,6 +174,24 @@ def test_detect_product_basis_state():
         assert detect(witness_matrix(p), rho) == pytest.approx(p.a / 6, abs=1e-14)
 
 
+@pytest.mark.parametrize("weight_sum", [1e-300, 1e-100, 1e-3, 1.0])
+def test_detect_is_real_within_roundoff_at_any_witness_scale(weight_sum):
+    # On an exactly Hermitian complex state the imaginary part of tr(W rho) is
+    # roundoff of the witness's entries, up to 1/(3 * weight_sum): above 1e-10 itself.
+    rng = np.random.default_rng(1)
+    g = rng.standard_normal((9, 18)) + 1j * rng.standard_normal((9, 18))
+    rho = parse_state_text(state_file_text(g @ g.conj().T / np.trace(g @ g.conj().T).real))
+    w = witness_matrix(MapParams(weight_sum, 0, 0))
+    want = trace_product(w.mat, rho.mat).real
+    assert detect(w, rho) == pytest.approx(want, rel=1e-13)
+
+
+def test_detect_rejects_a_witness_whose_trace_is_not_real():
+    w = WitnessMatrix(mat=1j * np.eye(9), params=MapParams(0, 1, 1), scale=1.0)
+    with pytest.raises(ArithmeticError, match=r"^tr\(W rho\) has imaginary part 1 beyond roundoff bound 2e-10$"):
+        detect(w, np.eye(9) / 9)
+
+
 def test_detect_rejects_invalid_states():
     w = witness_matrix(MapParams(0, 1, 1))
     with pytest.raises(InvalidStateError):
