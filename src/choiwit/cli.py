@@ -92,35 +92,29 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _scan_values(alphas: list[float], tol: float) -> list[tuple]:
-    """One tuple per angle, in CSV_HEADER order: alpha and the weights, then the kernel's cells.
+def _scan_values(alphas: list[float], tol: float) -> list[list]:
+    """The scan's columns in CSV_HEADER order: the angles and the weights, then the kernel's record columns.
 
-    One family_weights call and one kernel call cover the grid.  Each tuple
-    holds the values check's JSON gives under the same keys for that point.
+    One family_weights call and one kernel call cover the grid.  A row across
+    the columns holds the values check's JSON gives under the same keys.
     """
     weights = family_weights(alphas)
-    cells = _certificate_columns(weights, tol)[0]
-    return [(alpha, a, b, c, *cell) for alpha, a, b, c, cell in zip(alphas, *weights.T.tolist(), cells)]
+    return [alphas, *weights.T.tolist(), *_certificate_columns(weights, tol)[0]]
 
 
 #: A CSV row in CSV_HEADER order: floats as _fmt prints them, ranks as integers.
 _CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%d,%.17g,%.17g,%s\n"
-#: The a = 1 boundary row: alpha, a, b, c, seven empty cells, the verdict.
-_CSV_BOUNDARY_ROW = "%.17g,%.17g,%.17g,%.17g,,,,,,,,%s\n"
+#: The a = 1 boundary row: alpha, a, b, c, seven empty cells (each %.0s prints its None as nothing), the verdict.
+_CSV_BOUNDARY_ROW = "%.17g,%.17g,%.17g,%.17g," + "%.0s," * 7 + "%s\n"
 
 
-def _csv_row(values: tuple) -> str:
-    """One CSV line for a tuple of values in CSV_HEADER order, formatted in a single pass."""
-    if values[4] is None:  # the boundary: every diagnostic cell is empty
-        return _CSV_BOUNDARY_ROW % (values[:4] + values[-1:])
-    return _CSV_ROW % values
-
-
-def _scan_text(values: list[tuple], fmt: str) -> str:
-    """The scan output for _scan_values tuples: CSV, or JSON with one record per tuple."""
+def _scan_text(columns: list[list], fmt: str) -> str:
+    """The scan output for _scan_values columns: CSV, or JSON with one record per row, both from one zip."""
+    rows = zip(*columns)
     if fmt == "csv":
-        return CSV_HEADER + "\n" + "".join(map(_csv_row, values))
-    records = [dict(zip(_SCAN_KEYS, v)) for v in values]
+        templates = [_CSV_ROW if t is not None else _CSV_BOUNDARY_ROW for t in columns[4]]
+        return CSV_HEADER + "\n" + "".join(map(str.__mod__, templates, rows))
+    records = [dict(zip(_SCAN_KEYS, row)) for row in rows]
     return json.dumps({"records": records}, indent=2) + "\n"
 
 
@@ -149,19 +143,19 @@ def cmd_scan(args) -> int:
     _check_options(args.tol, steps=args.steps)
     if not (ALPHA_MIN - 1e-12 <= start < end <= ALPHA_MAX + 1e-12):
         raise ChoiwitError("need pi/3 <= alpha-start < alpha-end <= 5*pi/3")
-    values = _scan_values(np.linspace(start, end, args.steps).tolist(), args.tol)
-    return _write_output(_scan_text(values, args.format), args.out)
+    columns = _scan_values(np.linspace(start, end, args.steps).tolist(), args.tol)
+    return _write_output(_scan_text(columns, args.format), args.out)
 
 
 def cmd_check(args) -> int:
     _check_options(args.tol, args.samples, args.seed)
     params = MapParams(args.a, args.b, args.c)
-    (cert,), (cell,) = _certified([params], args.tol)
+    (cert,), columns = _certified([params], args.tol)
     sample_min = separable_sample_check(
         witness_matrix(params), n=args.samples, seed=args.seed
     )
     # The scan record of this point without the angle; both outputs read it.
-    record = dict(zip(_SCAN_KEYS[1:], (params.a, params.b, params.c, *cell)))
+    record = dict(zip(_SCAN_KEYS[1:], [params.a, params.b, params.c, *(value for (value,) in columns)]))
     note = cert.diagnostics.note
     if args.json:
         payload = dict(record, w_optimal=cert.w_optimal, wgamma_optimal=cert.wgamma_optimal, note=note,

@@ -22,11 +22,11 @@ norms, 4 weighted diagonals and 7 pair sums, evaluates 7 distinct forms, and
 expands only the norms back to the 18 columns.  Only where
 no determinant proves rank 9 (_RANK9_DET_BOUND) are the product vectors of
 a point built, as span matrices for a stacked SVD.  The verdicts are
-decided once over the columns, and each point's record, the cells named by
-RECORD_KEYS, is built in one pass.  certify_many zips those
-records and columns into Certificates, and certify is its one-point case;
-the scan command puts the angle and weights in front of them, and check
-prints the record of its point beside its Certificate.
+decided once over the columns, and the record, the values named by
+RECORD_KEYS, is returned as whole-batch columns, built once.  certify_many
+zips those columns into Certificates, and certify is its one-point case;
+the scan command puts the angle and weight columns in front of them, and
+check prints the record of its point beside its Certificate.
 """
 
 from __future__ import annotations
@@ -342,7 +342,7 @@ def zero_expectation_check(p: MapParams) -> ZeroExpectations:
 RECORD_KEYS = ("t", "abs_det_M", "abs_det_Mprime", "rank_M", "rank_Mprime",
                "max_expectation_W", "max_expectation_WGamma", "verdict")
 
-#: The cells of an a = 1 boundary point: no numbers at all, the Boundary verdict.
+#: The record of an a = 1 boundary point: no numbers at all, the Boundary verdict.
 _BOUNDARY_CELLS = (None,) * (len(RECORD_KEYS) - 1) + (Verdict.BOUNDARY.value,)
 
 
@@ -363,13 +363,13 @@ _VERDICT_BY_CODE = np.array(
 )
 
 
-def _certificate_columns(weights: np.ndarray, tol: float) -> tuple[list[tuple], np.ndarray, np.ndarray]:
+def _certificate_columns(weights: np.ndarray, tol: float) -> tuple[list[list], np.ndarray, np.ndarray]:
     """The certificate kernel on an (N, 3) array of valid MapParams weights.
 
-    Returns (cells, dets, ok).  cells is the one per-point record: a list of
-    N tuples (t, |det M|, |det M'|, rank_M, rank_M', max_W, max_WG, verdict),
-    the values of RECORD_KEYS, in plain Python numbers, with _BOUNDARY_CELLS
-    for a point on the a = 1 boundary.  dets (4, N) holds Re and Im of det M,
+    Returns (columns, dets, ok).  columns is the record: the eight columns of
+    RECORD_KEYS (t, |det M|, |det M'|, rank_M, rank_M', max_W, max_WG, verdict)
+    as lists of N plain Python numbers, with the _BOUNDARY_CELLS values at a
+    point on the a = 1 boundary.  dets (4, N) holds Re and Im of det M,
     then of det M'; ok (2, N) tells whether the W and the W^Gamma side are
     certified optimal, False on the boundary.  The family guard (at
     ON_FAMILY_TOL) and the t check run first, on all N: the first point that
@@ -379,7 +379,7 @@ def _certificate_columns(weights: np.ndarray, tol: float) -> tuple[list[tuple], 
     dropped, and the verdict is decided once, after the last slice.  A slice
     works on its (6, n) magnitude columns (_magnitudes) in real arithmetic and
     builds complex product vectors (_vectors) only for the points with a
-    span matrix whose |det| leaves rank 9 open; every cell, determinant and
+    span matrix whose |det| leaves rank 9 open; every value, determinant and
     flag has the bits of the complex evaluation (tests/oracles.py keeps it
     as certificate_columns_stacked).
     """
@@ -436,18 +436,19 @@ def _certificate_columns(weights: np.ndarray, tol: float) -> tuple[list[tuple], 
     # det 0 proves rank < 9, whatever the SVD counts at a tiny tol (M' at t = 1).
     ok = (max_exp <= tol) & (ranks == 9) & (abs_dets > 0) & interior
     verdicts = _VERDICT_BY_CODE[ok[0] * (1 + ok[1])]
-    rows = zip(t.tolist(), *abs_dets.tolist(), *ranks.tolist(), *max_exp.tolist(), verdicts)
-    cells = [row if inside else _BOUNDARY_CELLS for row, inside in zip(rows, interior.tolist())]
-    return cells, dets, ok
+    columns = [t.tolist(), *abs_dets.tolist(), *ranks.tolist(), *max_exp.tolist(), verdicts.tolist()]
+    for i in np.flatnonzero(~interior).tolist():
+        for column, value in zip(columns, _BOUNDARY_CELLS):
+            column[i] = value
+    return columns, dets, ok
 
 
-def _certified(points: list, tol: float) -> tuple[list[Certificate], list[tuple]]:
-    """certify_many's Certificates for a list of points, zipped from the kernel's columns, and its cells."""
+def _certified(points: list, tol: float) -> tuple[list[Certificate], list[list]]:
+    """certify_many's Certificates for a list of points, zipped from the kernel's columns, and its record columns."""
     weights = np.array([(p.a, p.b, p.c) for p in points], dtype=float).reshape(-1, 3)
-    cells, dets, ok = _certificate_columns(weights, tol)
-    certs = []
-    for p, cell, re_m, im_m, re_mp, im_mp, w_ok, wg_ok in zip(points, cells, *dets.tolist(), *ok.tolist()):
-        t, _, abs_det_mp, rank_m, rank_mp, max_w, max_wg, verdict = cell
+    columns, dets, ok = _certificate_columns(weights, tol)
+    certs, rows = [], zip(points, *columns, *dets.tolist(), *ok.tolist())
+    for p, t, _, abs_det_mp, rank_m, rank_mp, max_w, max_wg, verdict, re_m, im_m, re_mp, im_mp, w_ok, wg_ok in rows:
         if t is None:  # the a = 1 boundary: no determinants, neither side certified
             det_m = det_mp = note = None
         else:
@@ -460,7 +461,7 @@ def _certified(points: list, tol: float) -> tuple[list[Certificate], list[tuple]
                 det_m=det_m, det_mprime=det_mp, rank_m=rank_m, rank_mprime=rank_mp, note=note,
             ),
         ))
-    return certs, cells
+    return certs, columns
 
 
 def certify_many(params_seq, tol: float = 1e-8) -> list[Certificate]:

@@ -133,7 +133,7 @@ def test_certificates_do_not_depend_on_the_block_size(monkeypatch, tol):
     # a = 1 points on both edges of the first two blocks of 64, pi between
     # them.  The kernel runs them at a stand-in t, through the SVD at tol 0.5;
     # at tol 0.03 the stand-in's W side passes against W(1, 0, 1).  None of
-    # that may reach a cell, a flag or a Certificate.
+    # that may reach a record, a flag or a Certificate.
     params = [family_from_alpha(math.pi).params] * 128
     for i, alpha in zip((0, 63, 64, 127), (ALPHA_MIN, ALPHA_MAX, ALPHA_MAX, ALPHA_MIN)):
         params[i] = family_from_alpha(alpha).params
@@ -143,9 +143,9 @@ def test_certificates_do_not_depend_on_the_block_size(monkeypatch, tol):
     )
     expected = [_bits(replace(boundary, params=p) if p.a == 1 else certify(p, tol)) for p in params]
     runs = _at_every_block_size(monkeypatch, lambda: optimality._certified(params, tol))
-    for certs, cells in runs:
+    for certs, columns in runs:
         assert [_bits(cert) for cert in certs] == expected
-        assert [i for i, cell in enumerate(cells) if cell == optimality._BOUNDARY_CELLS] == [0, 63, 64, 127]
+        assert [i for i, record in enumerate(zip(*columns)) if record == optimality._BOUNDARY_CELLS] == [0, 63, 64, 127]
 
 
 def test_a_batch_fails_on_the_same_first_point_at_every_block_size(monkeypatch):

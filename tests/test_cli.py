@@ -29,7 +29,6 @@ from choiwit.cli import (
     CSV_HEADER,
     MAX_SAMPLES,
     MAX_STEPS,
-    _csv_row,
     _scan_text,
     _scan_values,
     main,
@@ -163,7 +162,8 @@ def _csv_oracle(rec):
 
 
 def _library_row(rec):
-    return _csv_row(tuple(rec.values()))
+    """The CSV line _scan_text prints for a one-row scan holding the values of rec."""
+    return _scan_text([[value] for value in rec.values()], "csv").removeprefix(CSV_HEADER + "\n")
 
 
 def test_csv_rows_match_the_per_cell_oracle_on_scan_records():
@@ -250,11 +250,11 @@ def test_scan_rows_equal_the_certificate_path(extra, tol, block):
     # or in one default block; the certificates come from default blocks.
     alphas = sorted(extra + [ALPHA_MIN, ALPHA_MAX, math.pi])
     with mock.patch.object(optimality, "KERNEL_BLOCK", block):
-        values = _scan_values(alphas, tol)
+        columns = _scan_values(alphas, tol)
     records = _certificate_records(alphas, tol)
     csv = CSV_HEADER + "\n" + "".join(map(_csv_oracle, records))
-    assert _scan_text(values, "csv") == csv
-    assert _scan_text(values, "json") == json.dumps({"records": records}, indent=2) + "\n"
+    assert _scan_text(columns, "csv") == csv
+    assert _scan_text(columns, "json") == json.dumps({"records": records}, indent=2) + "\n"
 
 
 def test_scan_rows_when_only_the_w_side_fails():
@@ -274,7 +274,7 @@ def test_scan_rows_when_only_the_w_side_fails():
     flags = certificate_flags(cert.t, d.max_abs_expectation_w, d.max_abs_expectation_wgamma, 9, 9, tol)
     assert flags == (False, True, "NotCertified")
     assert (cert.w_optimal, cert.wgamma_optimal, cert.verdict.value) == flags
-    assert _scan_values([alpha], tol)[0][-1] == "NotCertified"
+    assert _scan_values([alpha], tol)[-1] == ["NotCertified"]
 
 
 EXTREMES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e300, 1.7976931348623157e308, 1 / 3]
@@ -328,6 +328,45 @@ def test_scan_bytes_do_not_depend_on_the_block_size(monkeypatch, capsys):
     assert outputs[13, "csv"] == {(DATA / "scan_steps13.csv").read_text(encoding="utf-8")}
     assert outputs[13, "json"] == {(DATA / "scan_steps13.json").read_text(encoding="utf-8")}
 
+
+def test_a_scan_of_boundary_points_alone(capsys):
+    # All three points are within BOUNDARY_TOL of a = 1: every CSV row has seven
+    # empty cells before its verdict, every JSON record seven nulls.
+    argv = ("scan", "--alpha-start", "1.0471975511965976", "--alpha-end", "1.04719755119670", "--steps", "3")
+    assert run_cli(*argv) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert run_cli(*argv, "--format", "json") == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert header == CSV_HEADER and len(rows) == len(records) == 3
+    for row, record in zip(rows, records):
+        cells, values = row.split(","), list(record.values())
+        assert cells[4:] == [""] * 7 + ["Boundary"]
+        assert values[4:] == [None] * 7 + ["Boundary"]
+        assert [float(cell) for cell in cells[:4]] == values[:4]
+
+
+def test_scan_csv_and_json_agree_cell_for_cell_at_1001_steps(capsys):
+    assert run_cli(*_SCAN, "--steps", "1001") == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert run_cli(*_SCAN, "--steps", "1001", "--format", "json") == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    keys = header.split(",")
+    assert len(rows) == len(records) == 1001
+    empty = 0
+    for row, record in zip(rows, records):
+        cells = row.split(",")
+        assert list(record) == keys and len(cells) == len(keys)
+        for key, cell, value in zip(keys, cells, record.values()):
+            if cell == "":
+                assert value is None
+                empty += 1
+            elif key in ("rank_M", "rank_Mprime"):
+                assert type(value) is int and int(cell) == value
+            elif key == "verdict":
+                assert cell == value
+            else:
+                assert type(value) is float and repr(float(cell)) == repr(value)
+    assert empty == 2 * 7  # the two a = 1 ends
 
 def test_scan_unwritable_output(tmp_path):
     code = run_cli(

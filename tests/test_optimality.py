@@ -32,7 +32,7 @@ from choiwit import (
 )
 from choiwit import optimality
 from choiwit.maps import ALPHA_MAX, ALPHA_MIN, family_weights
-from choiwit.optimality import _PAIR_CODES, _RANK9_DET_BOUND, _certificate_columns, _entry_table, _vectors
+from choiwit.optimality import RECORD_KEYS, _PAIR_CODES, _RANK9_DET_BOUND, _certificate_columns, _entry_table, _vectors
 from oracles import (
     certificate_columns_stacked,
     pair_arrays_loop,
@@ -208,13 +208,13 @@ def test_kernel_forms_and_maxima_are_the_plain_float_oracle_bit_for_bit():
     # the kernel's maxima follow the documented order, which the float oracle
     # spells out one Python float at a time from literal tables.
     weights = family_weights(ORACLE_ALPHAS)
-    cells = _certificate_columns(weights, 1e-8)[0]
-    assert all(cell[0] is not None for cell in cells)
-    vectors = _vectors(np.array([cell[0] for cell in cells]))
+    columns = _certificate_columns(weights, 1e-8)[0]
+    assert None not in columns[0]
+    vectors = _vectors(np.array(columns[0]))
     forms, maxima = witness_forms_float(weights, vectors)
     sq = vectors.real * vectors.real + vectors.imag * vectors.imag
     assert witness_forms_stacked(weights, vectors, sq).tobytes() == forms.tobytes()
-    assert np.array([cell[5:7] for cell in cells]).T.tobytes() == maxima.tobytes()
+    assert np.array(columns[5:7]).tobytes() == maxima.tobytes()
 
 
 #: Roundings on the longest path of either evaluation of a form, at most: 13 in the
@@ -278,12 +278,14 @@ def test_forms_at_0_1_1_are_exactly_zero():
 
 
 def _assert_kernel_is_the_stacked_reference(weights, tol, block):
-    # Every cell by repr, so that nan, signed zeros and every digit count; the
-    # determinants and flags byte for byte.  The reference runs in slices of 64.
+    # Every point's record, read across the columns, against the reference's cells
+    # by repr, so that nan, signed zeros and every digit count; the determinants
+    # and flags byte for byte.  The reference runs in slices of 64.
     with mock.patch.object(optimality, "KERNEL_BLOCK", block):
-        cells, dets, ok = _certificate_columns(weights, tol)
+        columns, dets, ok = _certificate_columns(weights, tol)
     want_cells, want_dets, want_ok = certificate_columns_stacked(weights, tol)
-    assert repr(cells) == repr(want_cells)
+    assert [len(column) for column in columns] == [len(weights)] * len(RECORD_KEYS)
+    assert repr(list(zip(*columns))) == repr(want_cells)
     assert dets.tobytes() == want_dets.tobytes()
     assert ok.tobytes() == want_ok.tobytes()
 
@@ -323,14 +325,14 @@ def test_span_matrices_of_one_side_come_from_their_points_alone(monkeypatch):
     monkeypatch.setattr(optimality, "rank_with_tol", counting)
     alphas = [2.0, PI - 1e-3, 2.5, PI + 1e-5, PI, 4.0, PI + 1e-3, 1.2]
     weights = family_weights(alphas)
-    cells = _certificate_columns(weights, 1e-8)[0]
+    columns = _certificate_columns(weights, 1e-8)[0]
     assert [len(m) for m in calls] == [4]
     # The M' matrices cut from the whole batch's stack, normalized as the former kernel did.
-    t = np.array([cell[0] for cell in cells])
+    t = np.array(columns[0])
     vectors = _vectors(t)[1, [1, 3, 4, 6]]
     norms = np.sqrt(sum(np.moveaxis(vectors.real * vectors.real + vectors.imag * vectors.imag, -1, 0)))
     assert calls[0].tobytes() == (np.swapaxes(vectors, -1, -2) / norms[:, None, :]).tobytes()
-    assert [cell[3:5] for cell in cells] == list(zip(*span_ranks_svd(t, 1e-8).tolist()))
+    assert columns[3:5] == span_ranks_svd(t, 1e-8).tolist()
     _assert_kernel_is_the_stacked_reference(weights, 1e-8, 1024)
 
 
@@ -468,11 +470,12 @@ _ORACLE_ALPHAS = np.concatenate([
 
 @pytest.mark.parametrize("tol", [1e-300, 1e-17, 1e-16, 1e-12, 1e-8, 1e-4, 0.5, 0.99])
 def test_kernel_ranks_equal_an_svd_of_every_span_matrix(tol):
-    # The determinant bound decides most rank cells; each must still be the
+    # The determinant bound decides most ranks; each must still be the
     # count the SVD gives.
-    cells = [cell for cell in _certificate_columns(family_weights(_ORACLE_ALPHAS), tol)[0] if cell[0] is not None]
-    rank_m, rank_mp = span_ranks_svd(np.array([cell[0] for cell in cells]), tol).tolist()
-    assert [cell[3:5] for cell in cells] == list(zip(rank_m, rank_mp))
+    t, _, _, rank_m, rank_mp = _certificate_columns(family_weights(_ORACLE_ALPHAS), tol)[0][:5]
+    inside = [i for i, ti in enumerate(t) if ti is not None]
+    svd_m, svd_mp = span_ranks_svd(np.array([t[i] for i in inside]), tol).tolist()
+    assert ([rank_m[i] for i in inside], [rank_mp[i] for i in inside]) == (svd_m, svd_mp)
 
 
 def test_the_svd_runs_only_where_the_determinant_leaves_rank_open(monkeypatch):
@@ -494,12 +497,12 @@ def test_the_svd_runs_only_where_the_determinant_leaves_rank_open(monkeypatch):
     # Within the roundoff margin of the bound, rank 9 is not taken as proven:
     # 2 tol + 1e-12 exceeds |det M| by 5e-13, so M reaches the SVD with M'.
     weights = family_weights([2.0])
-    abs_det_m = _certificate_columns(weights, 1e-8)[0][0][1]
+    (abs_det_m,) = _certificate_columns(weights, 1e-8)[0][1]
     tol = (abs_det_m - 5e-13) / _RANK9_DET_BOUND
     calls.clear()
-    (cell,) = _certificate_columns(weights, tol)[0]
+    columns = _certificate_columns(weights, tol)[0]
     assert calls == [2]
-    assert list(cell[3:5]) == span_ranks_svd(np.array([cell[0]]), tol)[:, 0].tolist()
+    assert columns[3:5] == span_ranks_svd(np.array(columns[0]), tol).tolist()
 
 
 def test_zero_expectations_on_family():
