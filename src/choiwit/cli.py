@@ -186,8 +186,6 @@ def cmd_check(args) -> int:
 
 def cmd_vectors(args) -> int:
     pairs = product_vectors(args.t)  # raises NonpositiveTError unless t is positive and finite
-    if math.isinf(args.t * math.sqrt(args.t)):  # the largest span entry, t^1.5
-        raise ChoiwitError("t must be below about 3e205, where the span entries overflow")
     span = span_matrix(args.t, conjugated=args.conjugated)
     lines = []
     for pair in pairs:

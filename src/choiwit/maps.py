@@ -95,11 +95,18 @@ def _weight_rows(p: MapParams) -> np.ndarray:
 
 
 def phi_apply(p: MapParams, x) -> np.ndarray:
-    """Apply the map with weights p to a 3x3 matrix."""
+    """Apply the map with weights p to a 3x3 matrix.
+
+    ArithmeticError is raised when an output entry overflows the float range,
+    as it can at a weight sum near either float limit.
+    """
     xm = _as_complex(x, (3, 3), "x")
     s = p.total
-    out = -xm / s
-    out[np.diag_indices(3)] = (_weight_rows(p) @ np.diag(xm)) / s
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = -xm / s
+        out[np.diag_indices(3)] = (_weight_rows(p) @ np.diag(xm)) / s
+    if not np.isfinite(out).all():
+        raise ArithmeticError("map output overflows the float range")
     return out
 
 

@@ -17,9 +17,9 @@ norms and witness expectations from those six magnitude columns, gathered
 through static tables read off the product vectors at t = 2, in real
 elementwise operations with the bits of the complex ones (no vector stack
 and no witness matrix is built), and write whole-batch columns.  The 18
-(side, pair) columns share their rows: each slice sums 4 distinct column
-norms, 4 weighted diagonals and 7 pair sums, evaluates 7 distinct forms, and
-expands only the norms back to the 18 columns.  Only where
+(side, pair) columns have 7 distinct forms: each slice sums each form's
+column norm, weighted diagonal and pairs once, evaluates the 7 forms, and
+gathers only the norms back to the 18 columns.  Only where
 no determinant proves rank 9 (_RANK9_DET_BOUND) are the product vectors of
 a point built, as span matrices for a stacked SVD.  The verdicts are
 decided once over the columns, and the record, the values named by
@@ -37,7 +37,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import BoundaryCaseError, NonpositiveTError, OffFamilyError
+from .errors import BoundaryCaseError, ChoiwitError, NonpositiveTError, OffFamilyError
 from .linalg import rank_with_tol
 from .maps import BOUNDARY_TOL, ON_FAMILY_TOL, MapParams, _family_breaks, family_violation
 from .witness import _OFF_ENTRIES, _WEIGHT_ENTRIES, DensityMatrix
@@ -168,27 +168,6 @@ def _vectors(t: np.ndarray) -> np.ndarray:
     return vectors
 
 
-def _magnitude_tables() -> tuple[np.ndarray, np.ndarray]:
-    """The kernel's two static tables, read off the product vectors at t = 2.
-
-    Every entry of every product vector is +-m or +-m*1j for a magnitude m in the
-    rows of _magnitudes.  At t = 2 the six magnitudes differ (s*s rounds to
-    2.0000000000000004), so |re| + |im| of an entry names its row.  Returns the row
-    of m for each (entry, side, pair), (9, 2, 9); and for each _OFF_ENTRIES pair p
-    of each side the rows of m_i and m_j, (3, 2, 2, 9) as (p, i or j, side, pair),
-    such that x_i x_j + y_i y_j with v = x + iy is m_i * m_j: m_i is row 0, the
-    zero column, where that term is 0, one entry real and the other imaginary.
-    """
-    v = _vectors(np.array([2.0]))[:, 0]
-    rows = np.argmax((abs(v.real) + abs(v.imag))[..., None] == _magnitudes(np.array([2.0])).T, axis=-1)
-    i, j = np.array(_OFF_ENTRIES).transpose(2, 1, 0)[..., None]  # (3, 2, 1) each: pair p, side
-    sides, pairs = np.arange(2)[:, None], np.arange(9)
-    vi, vj = v[sides, pairs, i], v[sides, pairs, j]
-    term = vi.real * vj.real + vi.imag * vj.imag
-    pair_rows = np.stack([np.where(term == 0, 0, rows[sides, pairs, i]), rows[sides, pairs, j]], axis=1)
-    return np.moveaxis(rows, -1, 0), pair_rows
-
-
 def _magnitudes(t: np.ndarray) -> np.ndarray:
     """The (6, N) magnitude columns 0, 1, s, t, s*s and s*t at each entry of t, s = sqrt(t).
 
@@ -202,55 +181,47 @@ def _magnitudes(t: np.ndarray) -> np.ndarray:
     return mags
 
 
-_MAGNITUDE_ROWS, _PAIR_ROWS = _magnitude_tables()
-#: The rows of _MAGNITUDE_ROWS at the diagonal entries that carry a, then b, then c, (3, 3, 2, 9).
-_WEIGHT_ROWS = _MAGNITUDE_ROWS[_WEIGHT_ENTRIES]
+def _form_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kernel's static tables, read off the product vectors at t = 2.
 
-
-def _distinct(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a 2-D integer array, sorted, and the index of each row among them.
-
-    What np.unique(columns, axis=0, return_inverse=True) gives, without the
-    import of numpy.ma that np.unique makes on these paths (about 0.9 MB resident).
+    Every entry of every product vector is +-m or +-m*1j for a magnitude m in the
+    rows of _magnitudes.  At t = 2 the six magnitudes differ (s*s rounds to
+    2.0000000000000004), so |re| + |im| of an entry names its row.  A (side, pair)
+    column's form is the rows of m at its nine entries and, for each _OFF_ENTRIES
+    pair p of its side, the rows of m_i and m_j such that x_i x_j + y_i y_j with
+    v = x + iy is m_i * m_j: m_i is row 0, the zero column, where that term is 0,
+    one entry real and the other imaginary.  Returns the 7 distinct forms, sorted,
+    as entry rows (9, 7) and pair rows (3, 2, 7), and the form of each column (2, 9).
     """
-    rows = [tuple(row) for row in columns.tolist()]
-    distinct = sorted(set(rows))
-    return np.array(distinct), np.array([distinct.index(row) for row in rows])
+    v = _vectors(np.array([2.0]))[:, 0]
+    rows = np.argmax((abs(v.real) + abs(v.imag))[..., None] == _magnitudes(np.array([2.0])).T, axis=-1)
+    i, j = np.array(_OFF_ENTRIES).transpose(2, 1, 0)[..., None]  # (3, 2, 1) each: pair p, side
+    sides, pairs = np.arange(2)[:, None], np.arange(9)
+    vi, vj = v[sides, pairs, i], v[sides, pairs, j]
+    term = vi.real * vj.real + vi.imag * vj.imag
+    pair_rows = np.stack([np.where(term == 0, 0, rows[sides, pairs, i]), rows[sides, pairs, j]], axis=1)
+    # What np.unique(axis=0, return_inverse=True) gives, without its import of numpy.ma (about 0.9 MB).
+    columns = [tuple(c) for c in np.concatenate([rows.reshape(18, 9), pair_rows.reshape(6, 18).T], axis=1).tolist()]
+    forms = sorted(set(columns))
+    table = np.array(forms).T
+    return table[:9], table[9:].reshape(3, 2, -1), np.array([forms.index(c) for c in columns]).reshape(2, 9)
 
 
-def _distinct_tables(*tables: np.ndarray) -> tuple[list, list, np.ndarray, np.ndarray]:
-    """The distinct (side, pair) columns of (..., 2, 9) tables, and the distinct forms.
-
-    Returns each table's distinct columns as a (..., u) table; the (2, 9) index
-    of each (side, pair) column among them; the distinct forms, a column's
-    indices into the tables, as a (len(tables), f) table; and the (2, k) forms
-    of each side's nine columns.
-    """
-    distinct, index = [], []
-    for table in tables:
-        rows, inverse = _distinct(table.reshape(-1, 18).T)
-        distinct.append(rows.T.reshape(table.shape[:-2] + (-1,)))
-        index.append(inverse.reshape(2, 9))
-    forms, form_index = _distinct(np.reshape(index, (len(tables), 18)).T)
-    return distinct, index, forms.T, np.array([sorted(set(side)) for side in form_index.reshape(2, 9).tolist()])
+#: The seven distinct forms of the 18 (side, pair) columns: their (9, 7) entry rows and (3, 2, 7)
+#: pair rows, which the kernel sums, and the (2, 9) form of each (side, pair) column.
+_ENTRY_ROWS, _PAIR_ROWS, _FORM_OF = _form_tables()
+#: The entry rows at the diagonal entries that carry a, then b, then c, (3, 3, 7).
+_WEIGHT_ROWS = _ENTRY_ROWS[_WEIGHT_ENTRIES]
+#: The forms of each side's nine pairs, (2, 4): 1, 2, 4 and 5 on W, 0, 2, 3 and 6 on W^Gamma.
+_SIDE_FORMS = np.array([sorted(set(side)) for side in _FORM_OF.tolist()])
 
 
-#: The distinct columns of the three tables, which the kernel sums: (9, 4) norm rows,
-#: (3, 3, 4) weight rows and (3, 2, 7) pair rows, with the (2, 9) index of each (side, pair)
-#: column among them.  _FORMS (3, 7) holds the seven distinct (norm, weight, pair) index
-#: triples, and _SIDE_FORMS (2, 4) the forms of each side's nine pairs: 1, 2, 4 and 5 on W,
-#: 0, 2, 3 and 6 on W^Gamma.
-(_NORM_SUMS, _DIAG_SUMS, _PAIR_SUMS), (_NORM_INDEX, _DIAG_INDEX, _PAIR_INDEX), _FORMS, _SIDE_FORMS = (
-    _distinct_tables(_MAGNITUDE_ROWS, _WEIGHT_ROWS, _PAIR_ROWS)
-)
+def _form_sums(mags: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sums of the seven forms at (6, n) magnitudes and (n, 3) weights.
 
-
-def _distinct_sums(mags: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sums of the distinct columns at (6, n) magnitudes and (n, 3) weights.
-
-    Returns the (4, n) squared column norms, the (4, n) weighted diagonal sums
-    sum_k w_k |v_k|^2 and the (7, n) pair sums sum_pairs (x_i x_j + y_i y_j) of
-    the columns of _NORM_SUMS, _DIAG_SUMS and _PAIR_SUMS.  Each product-vector
+    Returns the (7, n) squared column norms, weighted diagonal sums
+    sum_k w_k |v_k|^2 and pair sums sum_pairs (x_i x_j + y_i y_j) of the forms
+    of _ENTRY_ROWS, _WEIGHT_ROWS and _PAIR_ROWS.  Each product-vector
     entry is +-m or +-m*1j, so its re*re + im*im is m*m and a pair's
     x_i x_j + y_i y_j is m_i*m_j (m_i the zero row where one entry is real and
     the other imaginary), the bits of the complex vectors' terms.  Each sum is
@@ -260,9 +231,9 @@ def _distinct_sums(mags: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, n
     Each comes from one gather of its table, freed before the next.
     """
     sqm = mags * mags
-    norm2 = sum(sqm[_NORM_SUMS])
-    diag = sum(wk * (r0 + r1 + r2) for wk, (r0, r1, r2) in zip(weights.T, sqm[_DIAG_SUMS]))
-    pairs = sum(mi * mj for mi, mj in mags[_PAIR_SUMS])
+    norm2 = sum(sqm[_ENTRY_ROWS])
+    diag = sum(wk * (r0 + r1 + r2) for wk, (r0, r1, r2) in zip(weights.T, sqm[_WEIGHT_ROWS]))
+    pairs = sum(mi * mj for mi, mj in mags[_PAIR_ROWS])
     return norm2, diag, pairs
 
 
@@ -273,8 +244,13 @@ def product_vectors(t) -> list[ProductVectorPair]:
 
 
 def span_matrix(t, conjugated: bool) -> SpanMatrix:
-    """Assemble the 9x9 span matrix for t; columns follow the pair order k = 1..9."""
+    """Assemble the 9x9 span matrix for t; columns follow the pair order k = 1..9.
+
+    Raises ChoiwitError for a t whose largest entry, t*sqrt(t), overflows.
+    """
     t = _check_t(t)
+    if math.isinf(t * math.sqrt(t)):
+        raise ChoiwitError("t must be below about 3e205, where the span entries overflow")
     mat = _vectors(np.array([t]))[int(conjugated), 0].T.copy()
     return SpanMatrix(mat=mat, t=t, conjugated=conjugated)
 
@@ -297,11 +273,16 @@ def det_closed_form(t, conjugated: bool) -> complex:
     """Analytic determinant of the span matrix as a function of t.
 
     The conjugated variant vanishes only at t = 1 (to third order in t - 1);
-    the plain variant is nonzero for every t > 0.
+    the plain variant is nonzero for every t > 0.  ArithmeticError is raised
+    when the determinant overflows the float range, as it does above about 9e40.
     """
     t = _check_t(t)
-    re, im, part = _det_parts(t, np.sqrt(t))
-    return complex(part, part) if conjugated else complex(re, im)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        re, im, part = _det_parts(t, np.sqrt(t))
+    det = complex(part, part) if conjugated else complex(re, im)
+    if not np.isfinite(det):
+        raise ArithmeticError("determinant overflows the float range")
+    return det
 
 
 def ppt_state(t) -> DensityMatrix:
@@ -404,22 +385,21 @@ def _certificate_columns(weights: np.ndarray, tol: float) -> tuple[list[list], n
     for i in range(0, len(t), KERNEL_BLOCK):
         s = slice(i, i + KERNEL_BLOCK)
         mags = _magnitudes(t[s])
-        norm2, diag, pairs = _distinct_sums(mags, weights[s])
+        norm2, diag, pairs = _form_sums(mags, weights[s])
         witness_scale = 1.0 / (3.0 * (weights[s, 0] + weights[s, 1] + weights[s, 2]))
         # The forms <v|W|v>, then <v|W^Gamma|v>, once per distinct form: both witnesses
         # are real symmetric, so each is scale * (sum_k w_k |v_k|^2 - 2 sum_pairs (x_i x_j
         # + y_i y_j)), the first part minus twice the second, times scale = 1/(3(a+b+c))
         # last, so that exact terms that cancel, as at (0, 1, 1), give 0.  Each is taken on
         # the unit vector: |v|^2 grows like t^3.  max is exact, so a side's maximum over
-        # its distinct forms is the one over its nine pairs.
-        norm_of, diag_of, pair_of = _FORMS
-        forms = np.abs((diag[diag_of] - 2.0 * pairs[pair_of]) * witness_scale / norm2[norm_of])
+        # its forms is the one over its nine pairs.
+        forms = np.abs((diag - 2.0 * pairs) * witness_scale / norm2)
         max_exp[:, s] = forms[_SIDE_FORMS].max(axis=1)
         # det of a column-normalized span matrix = closed form / product of
         # its column norms, divided as reals.  Below t ~ 1e-108 both underflow
         # to 0; the determinant, of order t^1.5, is then 0 too.
-        # The (2, 9, n) norms, one take from the distinct roots, as (2, n, 9): a span matrix's nine in a row.
-        norms = np.sqrt(norm2).take(_NORM_INDEX, axis=0).transpose(0, 2, 1)
+        # The (2, 9, n) norms, one gather from the forms' roots, as (2, n, 9): a span matrix's nine in a row.
+        norms = np.sqrt(norm2)[_FORM_OF].transpose(0, 2, 1)
         m_scale, mp_scale = np.prod(norms, axis=-1)
         re, im, part = _det_parts(t[s], mags[2])
         for row, num, scale in zip(dets[:, s], (re, im, part, part), (m_scale, m_scale, mp_scale, mp_scale)):

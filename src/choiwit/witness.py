@@ -72,18 +72,26 @@ def max_ent_projector() -> np.ndarray:
     return np.outer(omega, omega.conj())
 
 
-def witness_matrix(p: MapParams) -> WitnessMatrix:
-    """The witness for weights p, filled from _DIAG_WEIGHT and the W side of _OFF_ENTRIES.
+def _witness_scale(p: MapParams) -> float:
+    """The witness scale 1/(3(a+b+c)) of weights p.
 
-    Raises ValueError when the scale 1/(3(a+b+c)) is not finite, as for a
-    weight sum below about 2e-309, or is zero, as for a weight sum whose
-    triple overflows.
+    Raises ValueError when it is not finite, as for a weight sum below about
+    2e-309, or is zero, as for a weight sum whose triple overflows.
     """
     scale = 1.0 / (3.0 * (p.a + p.b + p.c))  # float division: inf or 0.0 at the extremes, no warning
     if np.isinf(scale):
         raise ValueError("the witness scale 1/(3(a+b+c)) is not finite; the weight sum is too small")
     if not scale:
         raise ValueError("the witness scale 1/(3(a+b+c)) is zero; the weight sum overflows")
+    return scale
+
+
+def witness_matrix(p: MapParams) -> WitnessMatrix:
+    """The witness for weights p, filled from _DIAG_WEIGHT and the W side of _OFF_ENTRIES.
+
+    Raises ValueError where the scale is not finite or is zero (_witness_scale).
+    """
+    scale = _witness_scale(p)
     mat = np.diag(np.array([p.a, p.b, p.c])[_DIAG_WEIGHT] * scale).astype(complex)
     rows, cols = np.array(_OFF_ENTRIES[0]).T
     mat[rows, cols] = mat[cols, rows] = -scale
@@ -95,16 +103,16 @@ def witness_from_map(p: MapParams) -> WitnessMatrix:
 
     The projector is viewed as a 3x3 grid of 3x3 blocks and the map acts on
     the grid structure (the first tensor factor); this is the construction
-    whose matrix matches witness_matrix entrywise.
+    whose matrix matches witness_matrix entrywise.  Raises ValueError where
+    witness_matrix does, before the map is applied.
     """
+    scale = _witness_scale(p)
     proj = max_ent_projector().reshape(3, 3, 3, 3)
     out = np.empty_like(proj)
     for k in range(3):
         for l in range(3):
             out[:, k, :, l] = phi_apply(p, proj[:, k, :, l])
-    return WitnessMatrix(
-        mat=out.reshape(9, 9), params=p, scale=1.0 / (3.0 * p.total)
-    )
+    return WitnessMatrix(mat=out.reshape(9, 9), params=p, scale=scale)
 
 
 def detect(w: WitnessMatrix, rho) -> float:

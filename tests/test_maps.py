@@ -70,6 +70,18 @@ def test_phi_apply_linear_and_trace_preserving():
         assert abs(np.trace(phi_apply(p, x)) - np.trace(x)) <= 1e-12
 
 
+def test_phi_apply_rejects_an_output_that_overflows_without_a_warning():
+    # A weight sum near either float limit: 1/1e-320 overflows, and 2e308 is inf,
+    # whose quotients are NaN.  A finite output near those limits is returned.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for weights in ((1e-320, 0.0, 0.0), (1e308, 1e308, 0.0)):
+            with pytest.raises(ArithmeticError, match="map output overflows the float range"):
+                phi_apply(MapParams(*weights), np.eye(3))
+        for weights in ((1e308, 0.0, 0.0), (1e-300, 0.0, 0.0)):
+            np.testing.assert_allclose(phi_apply(MapParams(*weights), np.eye(3)), np.eye(3), atol=1e-15)
+
+
 @pytest.mark.parametrize(
     "triple,expected",
     [

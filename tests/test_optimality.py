@@ -113,6 +113,12 @@ def test_product_vectors_match_the_former_outer_product(t):
 _MAGNITUDE_T = [[1.0], [1e-300], [1e-160, 1e13], np.random.default_rng(3).lognormal(0, 8, 67)]
 
 
+#: The rows of each (side, pair) column, reached through its form: (9, 2, 9) entry rows and
+#: (3, 2, 2, 9) pair rows, as (p, i or j, side, pair).
+_COLUMN_ENTRY_ROWS = optimality._ENTRY_ROWS[:, optimality._FORM_OF]
+_COLUMN_PAIR_ROWS = optimality._PAIR_ROWS[..., optimality._FORM_OF]
+
+
 @pytest.mark.parametrize("t", _MAGNITUDE_T)
 def test_magnitude_columns_give_every_entry_and_pair_term(t):
     # Each complex entry is a magnitude column in its real or its imaginary
@@ -122,66 +128,56 @@ def test_magnitude_columns_give_every_entry_and_pair_term(t):
     t = np.asarray(t, dtype=float)
     vectors = _vectors(t)
     mags = optimality._magnitudes(t)
-    for e, rows in enumerate(optimality._MAGNITUDE_ROWS):
+    for e, rows in enumerate(_COLUMN_ENTRY_ROWS):
         x, y = vectors[..., e].real, vectors[..., e].imag
         assert np.all((x == 0) | (y == 0))
         assert np.array_equal(np.abs(x) + np.abs(y), np.moveaxis(mags[rows], -1, 1))
     x, y = vectors.real, vectors.imag
-    for (i, j), entries in zip(optimality._PAIR_ROWS, zip(*optimality._OFF_ENTRIES)):
+    for (i, j), entries in zip(_COLUMN_PAIR_ROWS, zip(*optimality._OFF_ENTRIES)):
         want = np.stack([xs[..., a] * xs[..., b] + ys[..., a] * ys[..., b] for xs, ys, (a, b) in zip(x, y, entries)])
         assert np.array_equal(mags[i] * mags[j], np.moveaxis(want, 1, -1))
 
 
-#: Each full table with its distinct columns and the index of each (side, pair) column among them.
-_DISTINCT = [
-    (optimality._MAGNITUDE_ROWS, optimality._NORM_SUMS, optimality._NORM_INDEX),
-    (optimality._WEIGHT_ROWS, optimality._DIAG_SUMS, optimality._DIAG_INDEX),
-    (optimality._PAIR_ROWS, optimality._PAIR_SUMS, optimality._PAIR_INDEX),
-]
-
-
 def test_distinct_columns_and_forms_are_those_of_the_eighteen_columns():
-    for (full, distinct, index), shape in zip(_DISTINCT, [(9, 4), (3, 3, 4), (3, 2, 7)]):
-        assert distinct.shape == shape
-        rows, inverse = np.unique(full.reshape(-1, 18).T, axis=0, return_inverse=True)
-        assert np.array_equal(distinct, rows.T.reshape(shape))
-        assert np.array_equal(index, inverse.reshape(2, 9))
-        for side, k in np.ndindex(2, 9):
-            assert np.array_equal(distinct[..., index[side, k]], full[..., side, k])
-        columns = distinct.reshape(-1, shape[-1]).T
-        assert len(np.unique(columns, axis=0)) == len(columns) == len(np.unique(index))
-    # A form is a column's (norm, weight, pair) indices; a side's are those of its nine pairs.
-    triples = np.stack([index for _, _, index in _DISTINCT])
-    forms = [tuple(form) for form in optimality._FORMS.T]
-    assert len(set(forms)) == len(forms) == 7
+    # A column's form is its 9 entry rows and its 6 pair rows; the weight rows are
+    # the entry rows regrouped by a, b and c, so they add nothing to it.
+    assert optimality._ENTRY_ROWS.shape == (9, 7)
+    assert optimality._PAIR_ROWS.shape == (3, 2, 7)
+    assert optimality._FORM_OF.shape == (2, 9)
+    columns = np.concatenate([_COLUMN_ENTRY_ROWS.reshape(9, 18), _COLUMN_PAIR_ROWS.reshape(6, 18)]).T
+    forms, inverse = np.unique(columns, axis=0, return_inverse=True)
+    assert len(forms) == 7
+    assert np.array_equal(forms.T, np.concatenate([optimality._ENTRY_ROWS, optimality._PAIR_ROWS.reshape(6, 7)]))
+    assert np.array_equal(inverse.reshape(2, 9), optimality._FORM_OF)
+    # A side's forms are those of its nine pairs.
     for side, side_forms in enumerate(optimality._SIDE_FORMS.tolist()):
-        assert sorted(side_forms) == side_forms
-        assert {forms[f] for f in side_forms} == {tuple(triples[:, side, k]) for k in range(9)}
+        assert side_forms == sorted(set(optimality._FORM_OF[side].tolist()))
     assert optimality._SIDE_FORMS.tolist() == [[1, 2, 4, 5], [0, 2, 3, 6]]
 
 
 @pytest.mark.parametrize("t", _MAGNITUDE_T)
 def test_distinct_sums_expand_to_the_full_sums_bit_for_bit(t):
-    # The kernel's sums over its distinct columns, taken back to the 18 (side, pair)
+    # The kernel's sums over its seven forms, taken back to the 18 (side, pair)
     # columns, are the sums over every column in the same order, as the kernel took them
     # before: entry by entry; a, b, c groups in index order; pairs in table order.
     t = np.asarray(t, dtype=float)
     weights = np.random.default_rng(5).choice([0.0, 1.0, 2 / 3, 1e-5, 1.7], (len(t), 3))
     mags = optimality._magnitudes(t)
     sqm = mags * mags
+    weight_rows = _COLUMN_ENTRY_ROWS[optimality._WEIGHT_ENTRIES]
     want = (
-        sum(sqm[rows] for rows in optimality._MAGNITUDE_ROWS),
-        sum(wk * (sqm[r0] + sqm[r1] + sqm[r2]) for wk, (r0, r1, r2) in zip(weights.T, optimality._WEIGHT_ROWS)),
-        sum(mags[i] * mags[j] for i, j in optimality._PAIR_ROWS),
+        sum(sqm[rows] for rows in _COLUMN_ENTRY_ROWS),
+        sum(wk * (sqm[r0] + sqm[r1] + sqm[r2]) for wk, (r0, r1, r2) in zip(weights.T, weight_rows)),
+        sum(mags[i] * mags[j] for i, j in _COLUMN_PAIR_ROWS),
     )
-    got = optimality._distinct_sums(mags, weights)
-    for sums, full, (_, _, index) in zip(got, want, _DISTINCT):
-        assert sums.shape == (index.max() + 1, len(t))
-        assert sums.take(index, axis=0).tobytes() == full.tobytes()
+    got = optimality._form_sums(mags, weights)
+    for sums, full in zip(got, want):
+        assert sums.shape == (7, len(t))
+        assert sums[optimality._FORM_OF].tobytes() == full.tobytes()
 
 
 def test_kernel_memory_on_the_1001_step_grid():
-    # Each distinct sum's gather is freed before the next one; a kernel that kept them
+    # Each form sum's gather is freed before the next one; a kernel that kept them
     # to the end of its block peaked at 1,612 KB here, and the former per-column sums
     # at 1,037 KB.
     weights = family_weights(np.linspace(ALPHA_MIN, ALPHA_MAX, 1001))
@@ -359,6 +355,28 @@ def test_det_closed_form_values():
     assert det_closed_form(1.0, conjugated=True) == 0
     assert det_closed_form(1.0, conjugated=False) == pytest.approx(32j)
     assert det_closed_form(4.0, conjugated=True) == pytest.approx(-110592 - 110592j)
+
+
+def test_det_closed_form_rejects_a_determinant_that_overflows_without_a_warning():
+    # Re det M grows like 16 t^7.5 and each part of det M' like 8 t^7.5: they overflow near 8.7e40 and 9.6e40.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (1e41, 1e60, 1e300):
+            for conjugated in (False, True):
+                with pytest.raises(ArithmeticError, match="determinant overflows the float range"):
+                    det_closed_form(t, conjugated)
+        assert np.isfinite(det_closed_form(1e40, False)) and np.isfinite(det_closed_form(1e40, True))
+
+
+def test_span_matrix_rejects_t_whose_entries_overflow_without_a_warning():
+    # The largest span entry is t * sqrt(t), finite up to about 3.2e205.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (3.3e205, 1e300, 1.7976931348623157e308):
+            for conjugated in (False, True):
+                with pytest.raises(ValueError, match="t must be below about 3e205, where the span entries overflow"):
+                    span_matrix(t, conjugated)
+        assert np.isfinite(span_matrix(3.1e205, True).mat).all()
 
 
 def test_det_closed_form_matches_lu_det():

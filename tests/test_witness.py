@@ -109,23 +109,26 @@ def test_witness_pair_stack_is_the_stack_and_its_partial_transpose(triples, at):
 
 
 def test_witness_stack_rejects_a_weight_sum_too_small():
-    # 1/(3 * 5e-324) overflows; 0 * inf would put NaN in the witness.
+    # 1/(3 * 5e-324) overflows; 0 * inf would put NaN in the witness.  The map
+    # construction takes the same guard before it applies the map.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for weights in ((5e-324, 0.0, 0.0), (0.0, 0.0, 1e-320)):
-            with pytest.raises(ValueError, match="not finite; the weight sum is too small"):
-                witness_matrix(MapParams(*weights))
-        assert np.isfinite(witness_matrix(MapParams(1e-300, 0, 0)).mat).all()
+        for build in (witness_matrix, witness_from_map):
+            for weights in ((5e-324, 0.0, 0.0), (0.0, 0.0, 1e-320), (1e-320, 0.0, 0.0)):
+                with pytest.raises(ValueError, match="not finite; the weight sum is too small"):
+                    build(MapParams(*weights))
+            assert np.isfinite(build(MapParams(1e-300, 0, 0)).mat).all()
 
 
 def test_witness_stack_rejects_a_weight_sum_that_overflows():
     # 3(a+b+c) overflows to inf, so the scale would be 0 and the witness all zeros.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for weights in ((1e308, 1e308, 0.0), (1e308, 0.0, 0.0)):
-            with pytest.raises(ValueError, match="is zero; the weight sum overflows"):
-                witness_matrix(MapParams(*weights))
-        assert witness_matrix(MapParams(1e307, 0, 0)).scale > 0
+        for build in (witness_matrix, witness_from_map):
+            for weights in ((1e308, 1e308, 0.0), (1e308, 0.0, 0.0)):
+                with pytest.raises(ValueError, match="is zero; the weight sum overflows"):
+                    build(MapParams(*weights))
+            assert build(MapParams(1e307, 0, 0)).scale > 0
 
 
 @pytest.mark.parametrize("triple", [(1, 1, 0), (0, 1, 1), (2 / 3, 2 / 3, 2 / 3)])
