@@ -170,25 +170,31 @@ def positivity_search(p: MapParams, budget: int, seed: int) -> PositivitySearchR
 
     A warning is emitted when the outcome contradicts the printed
     positivity condition in either direction; the search never decides
-    which side is right.
+    which side is right.  ArithmeticError is raised, with no numpy warning,
+    when a value of the descent overflows or is not a number, as it can
+    for weights of about 1e103 and above.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     rng = np.random.default_rng(seed)
     shift = p.total / 3.0
-    shifted = _weight_rows(p) + np.eye(3) - shift
     angles = rng.uniform(0.0, math.pi / 2, size=(budget, 2)).T.copy()
-    best = _min_eigs(shifted, shift, angles)
     starts = np.arange(budget)
     step = 0.4
-    for _ in range(30):
-        trials = angles[:, None] + step * _MOVES
-        values = _min_eigs(shifted, shift, trials)
-        move = np.argmin(values, axis=0)
-        value = values[move, starts]
-        angles = np.where(value < best, trials[:, move, starts], angles)
-        best = np.minimum(best, value)
-        step *= 0.65
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            shifted = _weight_rows(p) + np.eye(3) - shift
+            best = _min_eigs(shifted, shift, angles)
+            for _ in range(30):
+                trials = angles[:, None] + step * _MOVES
+                values = _min_eigs(shifted, shift, trials)
+                move = np.argmin(values, axis=0)
+                value = values[move, starts]
+                angles = np.where(value < best, trials[:, move, starts], angles)
+                best = np.minimum(best, value)
+                step *= 0.65
+    except FloatingPointError as exc:
+        raise ArithmeticError("falsifier values overflow the float range") from exc
     # Descent can carry the angles out of [0, pi/2]; sign flips of entries
     # do not change the spectrum, so the canonical gauge is |x|.
     t1, t2 = angles[:, np.argmin(best)].tolist()

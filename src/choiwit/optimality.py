@@ -274,7 +274,9 @@ def det_closed_form(t, conjugated: bool) -> complex:
 
     The conjugated variant vanishes only at t = 1 (to third order in t - 1);
     the plain variant is nonzero for every t > 0.  ArithmeticError is raised
-    when the determinant overflows the float range, as it does above about 9e40.
+    when the determinant overflows the float range, as it does above about 9e40,
+    and when its modulus falls below the smallest normal float, as it does below
+    about 2e-69, except for the conjugated variant's exact zero at t = 1.
     """
     t = _check_t(t)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
@@ -282,6 +284,8 @@ def det_closed_form(t, conjugated: bool) -> complex:
     det = complex(part, part) if conjugated else complex(re, im)
     if not np.isfinite(det):
         raise ArithmeticError("determinant overflows the float range")
+    if abs(det) < np.finfo(float).tiny and not (conjugated and t == 1.0):
+        raise ArithmeticError("determinant underflows the float range")
     return det
 
 

@@ -158,7 +158,7 @@ def _hermitian_basis() -> np.ndarray:
 _HERM_BASIS = _hermitian_basis()
 
 #: Product states per block of separable_sample_check.  Blocks keep the
-#: temporaries small enough to be reused from block to block; whole-n
+#: buffers small enough to be reused from block to block; whole-n
 #: temporaries cost fresh pages on every call.  Values do not depend on it.
 SAMPLE_BLOCK = 2048
 
@@ -173,13 +173,30 @@ def _form_matrix(mat: np.ndarray) -> np.ndarray:
     return (_HERM_BASIS @ v @ _HERM_BASIS.T).real
 
 
-def _hermitian_coords(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """Coordinates of conj(z) z^T for z = re + i im; components on axis -2."""
-    i, k = _UPPER
-    ri, rk, si, sk = re[..., i, :], re[..., k, :], im[..., i, :], im[..., k, :]
-    return np.concatenate(
-        [re * re + im * im, ri * rk + si * sk, ri * sk - si * rk], axis=-2
-    )
+def _pair_products(u: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
+    """u_i v_k on the _UPPER pairs (i, k) of axis -2, into out: one product per pair."""
+    for a, (i, k) in enumerate(zip(*_UPPER)):
+        np.multiply(u[..., i, :], v[..., k, :], out=out[..., a, :])
+
+
+def _hermitian_coords(re: np.ndarray, im: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Coordinates of conj(z) z^T for z = re + i im, components on axis -2, written into out.
+
+    re and im hold the 3 components on axis -2 and out the 9; work, of re's
+    shape, holds the second product of each sum.  The coordinates are
+    re*re + im*im, then ri*rk + si*sk and ri*sk - si*rk on the _UPPER pairs,
+    each product and sum a numpy loop on basic slices.  Returns out.
+    """
+    diag, real, imag = out[..., :3, :], out[..., 3:6, :], out[..., 6:, :]
+    np.multiply(re, re, out=diag)
+    np.add(diag, np.multiply(im, im, out=work), out=diag)
+    _pair_products(re, re, real)
+    _pair_products(im, im, work)
+    np.add(real, work, out=real)
+    _pair_products(re, im, imag)
+    _pair_products(im, re, work)
+    np.subtract(imag, work, out=imag)
+    return out
 
 
 def separable_sample_check(w: WitnessMatrix, n: int, seed: int) -> float:
@@ -194,17 +211,28 @@ def separable_sample_check(w: WitnessMatrix, n: int, seed: int) -> float:
     and K a real 9x9 matrix built from W, then divided by |x|^2 |y|^2
     (the form has degree 2 in x and in y).  The draws are the documented
     ones, and the value equals the complex evaluation up to roundoff.
+
+    The draw is taken in blocks of SAMPLE_BLOCK samples.  The buffers are
+    allocated once per call, and each block uses a C-contiguous prefix of
+    each: the (re/im, x/y, 3, m) planes, copied from the draw in one
+    np.copyto, the (x/y, 9, m) coordinates, the K q product and |x|^2, |y|^2.
+    Every value is the one a block of fresh arrays gives, bit for bit.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     k = _form_matrix(_as_complex(w.mat, (9, 9), "witness"))
     g = np.random.default_rng(seed).standard_normal((2, 2, n, 3))  # [x, y] x [re, im]
+    size = min(n, SAMPLE_BLOCK)
+    planes, coords, work, kq, norms = (np.empty(rows * size) for rows in (12, 18, 6, 9, 2))
     low = np.inf
     for lo in range(0, n, SAMPLE_BLOCK):
-        re, im = g[:, :, lo : lo + SAMPLE_BLOCK].transpose(1, 0, 3, 2)
-        p, q = _hermitian_coords(re, im)  # (9, m) each; p[:3].sum() is |x|^2
-        values = np.einsum("an,an->n", p, k @ q) / (p[:3].sum(axis=0) * q[:3].sum(axis=0))
-        low = min(low, float(values.min()))
+        m = min(SAMPLE_BLOCK, n - lo)
+        block = planes[: 12 * m].reshape(2, 2, 3, m)
+        np.copyto(block, g[:, :, lo : lo + m].transpose(1, 0, 3, 2))
+        xy = _hermitian_coords(*block, coords[: 18 * m].reshape(2, 9, m), work[: 6 * m].reshape(2, 3, m))
+        sq = np.add.reduce(xy[:, :3], axis=1, out=norms[: 2 * m].reshape(2, m))  # |x|^2, |y|^2
+        values = np.einsum("an,an->n", xy[0], np.matmul(k, xy[1], out=kq[: 9 * m].reshape(9, m)))
+        low = min(low, float((values / (sq[0] * sq[1])).min()))
     return low
 
 

@@ -7,6 +7,9 @@ uses LAPACK through np.linalg.eigvalsh), traces by explicit double loops.
 The exceptions are former library routines kept verbatim as references:
 - separable_sample_min_einsum, the complex sampler that the library's
   Hermitian-coordinate one must match up to roundoff;
+- separable_sample_min_blocked, the former Hermitian-coordinate sampler on
+  fresh arrays in every block, which the library's sampler on reused block
+  buffers must match bit for bit;
 - witness_matrix_loop, pair_arrays_loop and record_to_csv_row, the
   per-point witness, the per-entry pair tables and the per-cell CSV row
   that witness_matrix, the pair-table gather and the scan row formatter
@@ -55,7 +58,7 @@ import numpy as np
 from choiwit import DensityMatrix, InvalidStateError, rank_with_tol
 from choiwit.maps import BOUNDARY_TOL
 from choiwit.optimality import _BOUNDARY_CELLS, _RANK9_DET_BOUND, _VERDICT_BY_CODE, _det_parts, _vectors
-from choiwit.witness import _OFF_ENTRIES, _WEIGHT_ENTRIES
+from choiwit.witness import _OFF_ENTRIES, _UPPER, _WEIGHT_ENTRIES, SAMPLE_BLOCK, _form_matrix
 
 
 def rank_row_reduction(mat, tol=1e-8):
@@ -95,6 +98,26 @@ def separable_sample_min_einsum(w, n, seed):
     v = np.einsum("ni,nj->nij", x, y).reshape(n, 9)
     values = np.einsum("ni,ij,nj->n", v.conj(), np.asarray(w, dtype=complex), v).real
     return float(values.min())
+
+
+def separable_sample_min_blocked(w, n, seed):
+    """The former witness.separable_sample_check on a 9x9 matrix w, block by block on fresh arrays.
+
+    The same draw and blocks of SAMPLE_BLOCK samples; each block takes its coordinates
+    from strided views of the draw, four fancy-index copies, nine products and sums and
+    one np.concatenate, then K q, the einsum and the norms as fresh arrays.
+    """
+    form = _form_matrix(np.asarray(w, dtype=complex))
+    g = np.random.default_rng(seed).standard_normal((2, 2, n, 3))  # [x, y] x [re, im]
+    i, k = _UPPER
+    low = np.inf
+    for lo in range(0, n, SAMPLE_BLOCK):
+        re, im = g[:, :, lo : lo + SAMPLE_BLOCK].transpose(1, 0, 3, 2)
+        ri, rk, si, sk = re[..., i, :], re[..., k, :], im[..., i, :], im[..., k, :]
+        p, q = np.concatenate([re * re + im * im, ri * rk + si * sk, ri * sk - si * rk], axis=-2)
+        values = np.einsum("an,an->n", p, form @ q) / (p[:3].sum(axis=0) * q[:3].sum(axis=0))
+        low = min(low, float(values.min()))
+    return low
 
 
 def witness_matrix_loop(p):

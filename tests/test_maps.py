@@ -82,6 +82,18 @@ def test_phi_apply_rejects_an_output_that_overflows_without_a_warning():
             np.testing.assert_allclose(phi_apply(MapParams(*weights), np.eye(3)), np.eye(3), atol=1e-15)
 
 
+def test_positivity_search_rejects_descent_values_that_overflow_without_a_warning():
+    # At a weight sum of inf the descent's values are NaN, while the map's output at the
+    # final argmin is all zeros and finite; at (1e120, 0, 0) the cubic's determinant
+    # overflows.  Each once returned a minimum (0.0 and 0.1198) that was not the least
+    # eigenvalue, with dozens of RuntimeWarnings.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for weights in ((1e308, 1e308, 0.0), (1e120, 0.0, 0.0)):
+            with pytest.raises(ArithmeticError, match="^falsifier values overflow the float range$"):
+                positivity_search(MapParams(*weights), 20, 0)
+
+
 @pytest.mark.parametrize(
     "triple,expected",
     [

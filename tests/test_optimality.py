@@ -368,6 +368,20 @@ def test_det_closed_form_rejects_a_determinant_that_overflows_without_a_warning(
         assert np.isfinite(det_closed_form(1e40, False)) and np.isfinite(det_closed_form(1e40, True))
 
 
+def test_det_closed_form_rejects_a_determinant_that_underflows_without_a_warning():
+    # Near t = 0, |det M| is about 16 t^4.5 and |det M'| about 11 t^4.5: both fall below the
+    # smallest normal float near t = 2e-69, to a subnormal at 1e-70 and to zero at 1e-80.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (1e-70, 1e-80):
+            for conjugated in (False, True):
+                with pytest.raises(ArithmeticError, match="^determinant underflows the float range$"):
+                    det_closed_form(t, conjugated)
+        for conjugated in (False, True):
+            assert abs(det_closed_form(1e-68, conjugated)) >= np.finfo(float).tiny
+        assert det_closed_form(1.0, conjugated=True) == 0
+
+
 def test_span_matrix_rejects_t_whose_entries_overflow_without_a_warning():
     # The largest span entry is t * sqrt(t), finite up to about 3.2e205.
     with warnings.catch_warnings():
