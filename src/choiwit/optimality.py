@@ -134,11 +134,6 @@ _PAIR_CODES = np.array(
     ]
 )
 
-#: Entry 3*i + j of product vector k is psi_k[i] * phi_k[j]: the codes of its
-#: left factor and of its right one.
-_LEFT = np.repeat(_PAIR_CODES[0], 3, axis=-1)
-_RIGHT = np.tile(_PAIR_CODES[1], 3)
-
 
 def _entry_table(t: np.ndarray) -> np.ndarray:
     """The (N, 8) complex values of the entry codes at each entry of t."""
@@ -154,18 +149,14 @@ def _vectors(t: np.ndarray) -> np.ndarray:
     """The product vectors at each entry of t, as a C-contiguous (2, N, 9, 9) stack.
 
     Axis 0 is the side: psi_k (x) phi_k, then psi_k (x) conj(phi_k), row k - 1
-    for pair k.  The certificate kernel builds it only for the span matrices
-    that reach the SVD.  The right factors are gathered into side 0
-    (mode="clip": take does not buffer, and every code is in range),
-    conjugated into side 1 (np.conjugate keeps signed zeros), and both sides
-    are multiplied there in place by the left factors.
+    for pair k.  It is one broadcast outer product of the pair tables that
+    product_vectors reads: entry 3*i + j is psi_k[i] * phi_k[j], with
+    np.conjugate(phi_k), which keeps signed zeros, on side 1.  The certificate
+    kernel builds it only for the span matrices that reach the SVD.
     """
-    table = _entry_table(t)
-    vectors = np.empty((2, len(t), 9, 9), dtype=complex)
-    np.take(table, _RIGHT, axis=1, out=vectors[0], mode="clip")
-    np.conjugate(vectors[0], out=vectors[1])
-    np.multiply(np.take(table, _LEFT, axis=1), vectors, out=vectors)
-    return vectors
+    psi, phi = np.swapaxes(_entry_table(t)[:, _PAIR_CODES], 0, 1)
+    outer = np.multiply(psi[..., :, None], np.stack([phi, np.conjugate(phi)])[..., None, :], order="C")
+    return outer.reshape(2, len(t), 9, 9)
 
 
 def _magnitudes(t: np.ndarray) -> np.ndarray:
@@ -244,7 +235,7 @@ def product_vectors(t) -> list[ProductVectorPair]:
 
 
 def span_matrix(t, conjugated: bool) -> SpanMatrix:
-    """Assemble the 9x9 span matrix for t; columns follow the pair order k = 1..9.
+    """Assemble the 9x9 span matrix for t: the rows k = 1..9 of one side of _vectors as columns.
 
     Raises ChoiwitError for a t whose largest entry, t*sqrt(t), overflows.
     """
@@ -298,10 +289,13 @@ def ppt_state(t) -> DensityMatrix:
     on {|ik>, |ki>} have determinant 0; on the family tr(W rho) = -a*lam/2,
     negative for every t != 1.  A decomposable witness is nonnegative on
     every PPT state, so this proves indecomposability without a tolerance
-    (tests/test_exact.py checks it in exact arithmetic).
+    (tests/test_exact.py checks it in exact arithmetic).  ArithmeticError is
+    raised where 3(1 + t + 1/t) overflows, below about 1.7e-308 and above 6e307.
     """
     t = _check_t(t)
     lam = 1 / (3 * (1 + t + 1 / t))
+    if lam == 0:
+        raise ArithmeticError("normalization of rho(t) overflows the float range")
     mat = np.zeros((9, 9))
     mat[np.ix_([0, 4, 8], [0, 4, 8])] = lam
     mat[[1, 5, 6], [1, 5, 6]] = lam * t
@@ -331,9 +325,9 @@ RECORD_KEYS = ("t", "abs_det_M", "abs_det_Mprime", "rank_M", "rank_Mprime",
 _BOUNDARY_CELLS = (None,) * (len(RECORD_KEYS) - 1) + (Verdict.BOUNDARY.value,)
 
 
-#: Points per stacked pass of the certificate kernel.  A pass holds a few (2, 9, n)
-#: float columns, 147 KB each at n = 1024; a 1001-step scan peaks within 0.1 MB of
-#: its peak at blocks of 64.  No result depends on the block size.
+#: Points per stacked pass of the certificate kernel.  Its largest arrays, one at a time, are
+#: (9, 7, n) and (3, 3, 7, n) float gathers, 504 KiB each at n = 1024; the kernel peaks at 960 KiB
+#: on the 1001-step grid, under its memory test's 1,037 KiB bound.  No result depends on the block size.
 KERNEL_BLOCK = 1024
 
 #: sigma_min / sigma_max >= |det A| / this for a 9x9 A with unit columns: |det A| / (sigma_min /

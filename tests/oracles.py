@@ -14,10 +14,11 @@ The exceptions are former library routines kept verbatim as references:
   per-point witness, the per-entry pair tables and the per-cell CSV row
   that witness_matrix, the pair-table gather and the scan row formatter
   must match bit for bit and byte for byte;
-- product_vectors_outer and span_columns, the certificate kernel's former
-  construction of the product vectors (one broadcast outer product of the
-  pair tables) and of the C-contiguous span matrices, which the kernel's
-  single gather must match bit for bit, signed zeros included;
+- product_vectors_outer and span_columns, the product vectors as one
+  broadcast outer product of pair_arrays_loop's tables and the C-contiguous
+  span matrices, which optimality._vectors, the same outer product of the
+  library's gathered pair tables, and span_matrix must match bit for bit,
+  signed zeros included;
 - scan_record, the record of one certificate, which the scan rows zipped
   from the certificate kernel's columns must equal value for value;
 - certificate_flags, the per-point verdict rule that the certificate

@@ -41,6 +41,8 @@ from oracles import certificate_flags, record_to_csv_row, scan_record
 
 DATA = Path(__file__).parent / "data"
 
+pytestmark = pytest.mark.bit_for_bit
+
 
 def run_cli(*argv):
     return main(list(argv))

@@ -52,6 +52,8 @@ from choiwit.optimality import _det_parts
 
 DATA = Path(__file__).parent / "data"
 
+pytestmark = pytest.mark.bit_for_bit
+
 SCAN = ["scan", "--alpha-start", "pi/3", "--alpha-end", "5pi/3"]
 
 

@@ -1,7 +1,10 @@
+import csv
+import json
 import math
 import warnings
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +30,8 @@ from choiwit.maps import ALPHA_MAX, ALPHA_MIN, family_weights
 from oracles import falsifier_minimum, family_a_decimal, family_weights_decimal, family_weights_scalar
 
 PI = math.pi
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_map_params_validation():
@@ -319,12 +324,11 @@ def test_family_from_alpha_out_of_range(alpha):
         family_from_alpha(alpha)
 
 
-def _assert_rows_are_accurate(alphas):
+def _assert_rows_are_accurate(alphas, rows):
     # Within 2 eps of the 40-digit values at the same float angle: absolutely
     # for a, and on the scale w + sqrt(w) for b and c, so that the tiny b and
     # c near the ends keep their leading digits.  The sqrt(w) term covers the
     # rounding of pi/3 and 5pi/3 themselves, about eps/2 in the angle.
-    rows = family_weights(alphas)
     assert rows.shape == (len(alphas), 3)
     eps = Decimal(np.finfo(float).eps)
     for alpha, (a, b, c) in zip(alphas, rows.tolist()):
@@ -337,8 +341,9 @@ def _assert_rows_are_accurate(alphas):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(ALPHA_MIN - 1e-12, ALPHA_MAX + 1e-12), max_size=70))
 def test_family_weights_are_accurate(alphas):
-    _assert_rows_are_accurate(alphas)
-    for alpha, row in zip(alphas, family_weights(alphas).tolist()):
+    rows = family_weights(alphas)
+    _assert_rows_are_accurate(alphas, rows)
+    for alpha, row in zip(alphas, rows.tolist()):
         point = family_from_alpha(alpha)
         a, b, c = row
         assert (point.params.a, point.params.b, point.params.c) == (a, b, c)
@@ -350,13 +355,14 @@ def test_family_weights_are_accurate_at_the_ends():
     # up to roundoff; then 10^-k inside each end and on both sides of pi.
     ends = [ALPHA_MIN - 1e-12, ALPHA_MIN, ALPHA_MIN + 1e-12, ALPHA_MAX - 1e-12, ALPHA_MAX, ALPHA_MAX + 1e-12]
     steps = [10.0**-k for k in range(1, 16)]
-    near = [x for d in steps for x in (ALPHA_MIN + d, ALPHA_MAX - d, PI - d, PI + d)]
-    _assert_rows_are_accurate(ends + near + [PI])
+    alphas = ends + [x for d in steps for x in (ALPHA_MIN + d, ALPHA_MAX - d, PI - d, PI + d)] + [PI]
+    _assert_rows_are_accurate(alphas, family_weights(alphas))
     assert family_weights([]).shape == (0, 3)
 
 
 def test_family_weights_are_accurate_on_a_grid():
-    _assert_rows_are_accurate(np.linspace(ALPHA_MIN, ALPHA_MAX, 4001).tolist())
+    alphas = np.linspace(ALPHA_MIN, ALPHA_MAX, 4001).tolist()
+    _assert_rows_are_accurate(alphas, family_weights(alphas))
 
 
 @settings(max_examples=100, deadline=None)
@@ -369,10 +375,29 @@ def test_a_keeps_every_digit_on_the_middle_third(alphas):
     # doubles those 4u, and 4/3 and the two products round once each: 11u.
     near_pi = [x for k in range(1, 16) for x in (PI - 10.0**-k, PI + 10.0**-k)]
     alphas = alphas + near_pi + [PI, math.nextafter(PI, 0.0), math.nextafter(PI, 4.0)]
+    _assert_a_keeps_every_digit(alphas, family_weights(alphas)[:, 0].tolist())
+
+
+def _assert_a_keeps_every_digit(alphas, a_cells):
+    # Within 5.5 eps relative of the 60-digit a at the same float angle, on the middle third.
     bound = Decimal(5.5) * Decimal(np.finfo(float).eps)
-    for alpha, a in zip(alphas, family_weights(alphas)[:, 0].tolist()):
+    for alpha, a in zip(alphas, a_cells):
         ref = family_a_decimal(alpha)
         assert abs(Decimal(a) - ref) <= bound * ref, alpha
+
+
+@pytest.mark.parametrize("golden", ["scan_steps13.csv", "scan_steps1001.csv", "scan_steps101_tol1e-4.csv", "scan_steps13.json"])
+def test_golden_weight_cells_match_the_decimal_oracles(golden):
+    # Every row's printed a, b and c, boundary rows included, at its printed alpha,
+    # within the bounds that family_weights itself is held to.
+    with open(DATA / golden, newline="", encoding="utf-8") as f:
+        records = json.load(f)["records"] if golden.endswith(".json") else list(csv.DictReader(f))
+    alphas = [float(r["alpha"]) for r in records]
+    rows = np.array([[float(r[key]) for key in "abc"] for r in records])
+    _assert_rows_are_accurate(alphas, rows)
+    middle = [(alpha, a) for alpha, a in zip(alphas, rows[:, 0].tolist()) if 2 * PI / 3 <= alpha <= 4 * PI / 3]
+    assert middle
+    _assert_a_keeps_every_digit(*zip(*middle))
 
 
 @pytest.mark.parametrize("bad", [ALPHA_MIN - 2e-12, ALPHA_MAX + 2e-12, 0.0, 7.0, math.nan, -math.inf])

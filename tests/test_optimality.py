@@ -73,7 +73,17 @@ def test_product_vectors_rejects_bad_t(t):
         ppt_state(t)
 
 
-_FORMER_T = [[1.0], [1e-300], [1e200], [1.0, 1e-300, 1e200], np.random.default_rng(3).lognormal(0, 8, 67)]
+@pytest.mark.parametrize("t", [1e-309, 1e-308, 6e307, 1e308])
+def test_ppt_state_rejects_t_whose_normalization_overflows(t):
+    # _check_t accepts each t, but 3(1 + t + 1/t) overflows, so lam would be 0
+    # and the state's trace 0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match="float range"):
+            ppt_state(t)
+
+
+_FORMER_T = [[1.0], [1e-300], [1e200], [1.0, 1e-300, 1e200], np.random.default_rng(3).lognormal(0, 8, 67), []]
 
 
 def _same_bits(got, want):
@@ -92,11 +102,12 @@ def test_pair_arrays_match_the_former_loop(t):
         _same_bits(got[:, side], want)
 
 
+@pytest.mark.bit_for_bit
 @pytest.mark.parametrize("t", _FORMER_T)
 def test_product_vectors_match_the_former_outer_product(t):
-    # One gather from the entry table, conjugates included, must give the
-    # former outer product of the pair tables, in the C-contiguous layout
-    # that the span matrices and the stacked reference read.
+    # The outer product of the gathered pair tables, conjugates included, must
+    # give the one of the per-entry tables bit for bit, in the C-contiguous
+    # layout that the span matrices and the stacked reference read.
     t = np.asarray(t, dtype=float)
     got = _vectors(t)
     want = product_vectors_outer(t)
@@ -119,6 +130,7 @@ _COLUMN_ENTRY_ROWS = optimality._ENTRY_ROWS[:, optimality._FORM_OF]
 _COLUMN_PAIR_ROWS = optimality._PAIR_ROWS[..., optimality._FORM_OF]
 
 
+@pytest.mark.bit_for_bit
 @pytest.mark.parametrize("t", _MAGNITUDE_T)
 def test_magnitude_columns_give_every_entry_and_pair_term(t):
     # Each complex entry is a magnitude column in its real or its imaginary
@@ -138,6 +150,7 @@ def test_magnitude_columns_give_every_entry_and_pair_term(t):
         assert np.array_equal(mags[i] * mags[j], np.moveaxis(want, 1, -1))
 
 
+@pytest.mark.bit_for_bit
 def test_distinct_columns_and_forms_are_those_of_the_eighteen_columns():
     # A column's form is its 9 entry rows and its 6 pair rows; the weight rows are
     # the entry rows regrouped by a, b and c, so they add nothing to it.
@@ -155,6 +168,7 @@ def test_distinct_columns_and_forms_are_those_of_the_eighteen_columns():
     assert optimality._SIDE_FORMS.tolist() == [[1, 2, 4, 5], [0, 2, 3, 6]]
 
 
+@pytest.mark.bit_for_bit
 @pytest.mark.parametrize("t", _MAGNITUDE_T)
 def test_distinct_sums_expand_to_the_full_sums_bit_for_bit(t):
     # The kernel's sums over its seven forms, taken back to the 18 (side, pair)
@@ -199,6 +213,7 @@ ORACLE_ALPHAS = (
 )
 
 
+@pytest.mark.bit_for_bit
 def test_kernel_forms_and_maxima_are_the_plain_float_oracle_bit_for_bit():
     # The stacked reference, whose bits the kernel's magnitude columns give, and
     # the kernel's maxima follow the documented order, which the float oracle
@@ -291,6 +306,7 @@ _EDGE_ALPHAS = [x for k in range(1, 12) for x in (ALPHA_MIN + 10.0**-k, ALPHA_MA
 _EQUIVALENCE_TOLS = [1e-17, 1e-8, 1e-4, 0.5]
 
 
+@pytest.mark.bit_for_bit
 @pytest.mark.parametrize("block", [1, 7, 1024])
 @pytest.mark.parametrize("tol", _EQUIVALENCE_TOLS)
 def test_kernel_is_the_stacked_reference_near_the_ends_and_at_0_1_1(tol, block):
@@ -298,6 +314,7 @@ def test_kernel_is_the_stacked_reference_near_the_ends_and_at_0_1_1(tol, block):
     _assert_kernel_is_the_stacked_reference(weights, tol, block)
 
 
+@pytest.mark.bit_for_bit
 @settings(max_examples=60, deadline=None)
 @given(
     alphas=st.lists(st.floats(ALPHA_MIN, ALPHA_MAX, exclude_min=True, exclude_max=True), min_size=1, max_size=40),

@@ -289,6 +289,7 @@ def test_separable_samples_match_einsum_oracle(seed, n, alpha, complex_witness):
     assert abs(separable_sample_check(w, n, seed) - expected) <= 1e-14
 
 
+@pytest.mark.bit_for_bit
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
