@@ -13,16 +13,17 @@ The whole test runs as one batched kernel on an array of weights, after one
 family guard at maps.ON_FAMILY_TOL over the batch.  Every entry of every
 product vector is +-m or +-m*1j for one of six reals m: 0, 1, s, t, s*s and
 s*t, with s = sqrt(t).  So slices of KERNEL_BLOCK points take their column
-norms and witness expectations from those six magnitude columns, gathered
-through static tables read off the product vectors at t = 2, in real
+norms and witness expectations from those six magnitude columns, in real
 elementwise operations with the bits of the complex ones (no vector stack
-and no witness matrix is built), and write whole-batch columns.  The 18
-(side, pair) columns have 7 distinct forms: each slice sums each form's
-column norm, weighted diagonal and pairs once, evaluates the 7 forms, and
-gathers only the norms back to the 18 columns.  Only where
-no determinant proves rank 9 (_RANK9_DET_BOUND) are the product vectors of
-a point built, as span matrices for a stacked SVD.  The verdicts are
-decided once over the columns, and the record, the values named by
+and no witness matrix is built), and write whole-batch columns.  Three
+tables read off the product vectors at t = 2 say which magnitudes enter:
+the 18 (side, pair) columns have 7 distinct forms, with entry rows
+_ENTRY_ROWS and pair rows _PAIR_ROWS, and _FORM_OF names each column's
+form.  A slice sums each form once (_form_sums), evaluates the 7 forms, and
+takes the side maxima and the 18 column norms back through _FORM_OF.
+Only where no determinant proves rank 9 (_RANK9_DET_BOUND) are the product
+vectors of a point built, as span matrices for a stacked SVD.  The verdicts
+are decided once over the columns, and the record, the values named by
 RECORD_KEYS, is returned as whole-batch columns, built once.  certify_many
 zips those columns into Certificates, and certify is its one-point case;
 the scan command puts the angle and weight columns in front of them, and
@@ -201,29 +202,27 @@ def _form_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 #: The seven distinct forms of the 18 (side, pair) columns: their (9, 7) entry rows and (3, 2, 7)
 #: pair rows, which the kernel sums, and the (2, 9) form of each (side, pair) column.
 _ENTRY_ROWS, _PAIR_ROWS, _FORM_OF = _form_tables()
-#: The entry rows at the diagonal entries that carry a, then b, then c, (3, 3, 7).
-_WEIGHT_ROWS = _ENTRY_ROWS[_WEIGHT_ENTRIES]
-#: The forms of each side's nine pairs, (2, 4): 1, 2, 4 and 5 on W, 0, 2, 3 and 6 on W^Gamma.
-_SIDE_FORMS = np.array([sorted(set(side)) for side in _FORM_OF.tolist()])
 
 
 def _form_sums(mags: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The sums of the seven forms at (6, n) magnitudes and (n, 3) weights.
 
     Returns the (7, n) squared column norms, weighted diagonal sums
-    sum_k w_k |v_k|^2 and pair sums sum_pairs (x_i x_j + y_i y_j) of the forms
-    of _ENTRY_ROWS, _WEIGHT_ROWS and _PAIR_ROWS.  Each product-vector
-    entry is +-m or +-m*1j, so its re*re + im*im is m*m and a pair's
-    x_i x_j + y_i y_j is m_i*m_j (m_i the zero row where one entry is real and
-    the other imaginary), the bits of the complex vectors' terms.  Each sum is
-    taken in this order: a norm entry by entry down the column; the three
-    |v_k|^2 of a, of b and of c added in index order and times their weight,
-    those three added a, b, c; a side's _OFF_ENTRIES pairs added in table order.
-    Each comes from one gather of its table, freed before the next.
+    sum_k w_k |v_k|^2 and pair sums sum_pairs (x_i x_j + y_i y_j).  Each
+    product-vector entry is +-m or +-m*1j, so its re*re + im*im is m*m and a
+    pair's x_i x_j + y_i y_j is m_i*m_j (m_i the zero row where one entry is
+    real and the other imaginary), the bits of the complex vectors' terms.
+    Each sum is taken in this order: a norm entry by entry down the column;
+    the three |v_k|^2 of a, of b and of c (witness._WEIGHT_ENTRIES) added in
+    index order and times their weight, those three added a, b, c; a side's
+    _OFF_ENTRIES pairs added in table order.  The norms and the diagonal read
+    one gather of the squares through _ENTRY_ROWS, freed before the gather
+    of the magnitudes through _PAIR_ROWS.
     """
-    sqm = mags * mags
-    norm2 = sum(sqm[_ENTRY_ROWS])
-    diag = sum(wk * (r0 + r1 + r2) for wk, (r0, r1, r2) in zip(weights.T, sqm[_WEIGHT_ROWS]))
+    sq = (mags * mags)[_ENTRY_ROWS]
+    norm2 = sum(sq)
+    diag = sum(wk * (sq[i] + sq[j] + sq[k]) for wk, (i, j, k) in zip(weights.T, _WEIGHT_ENTRIES))
+    del sq
     pairs = sum(mi * mj for mi, mj in mags[_PAIR_ROWS])
     return norm2, diag, pairs
 
@@ -325,9 +324,9 @@ RECORD_KEYS = ("t", "abs_det_M", "abs_det_Mprime", "rank_M", "rank_Mprime",
 _BOUNDARY_CELLS = (None,) * (len(RECORD_KEYS) - 1) + (Verdict.BOUNDARY.value,)
 
 
-#: Points per stacked pass of the certificate kernel.  Its largest arrays, one at a time, are
-#: (9, 7, n) and (3, 3, 7, n) float gathers, 504 KiB each at n = 1024; the kernel peaks at 960 KiB
-#: on the 1001-step grid, under its memory test's 1,037 KiB bound.  No result depends on the block size.
+#: Points per stacked pass of the certificate kernel.  Its largest arrays are _form_sums' gathers,
+#: (9, 7, n) then (3, 2, 7, n) floats, 504 and 336 KiB at n = 1024; the kernel peaks at 905 KiB on
+#: the 1001-step grid, under its memory test's 1,037 KiB bound.  No result depends on the block size.
 KERNEL_BLOCK = 1024
 
 #: sigma_min / sigma_max >= |det A| / this for a 9x9 A with unit columns: |det A| / (sigma_min /
@@ -348,19 +347,20 @@ def _certificate_columns(weights: np.ndarray, tol: float) -> tuple[list[list], n
     Returns (columns, dets, ok).  columns is the record: the eight columns of
     RECORD_KEYS (t, |det M|, |det M'|, rank_M, rank_M', max_W, max_WG, verdict)
     as lists of N plain Python numbers, with the _BOUNDARY_CELLS values at a
-    point on the a = 1 boundary.  dets (4, N) holds Re and Im of det M,
-    then of det M'; ok (2, N) tells whether the W and the W^Gamma side are
-    certified optimal, False on the boundary.  The family guard (at
-    ON_FAMILY_TOL) and the t check run first, on all N: the first point that
-    fails either raises, OffFamilyError before NonpositiveTError.  The
-    numerical passes then fill whole-batch columns a slice of KERNEL_BLOCK
-    points at a time, a boundary point at a stand-in t = 2 whose results are
-    dropped, and the verdict is decided once, after the last slice.  A slice
-    works on its (6, n) magnitude columns (_magnitudes) in real arithmetic and
-    builds complex product vectors (_vectors) only for the points with a
-    span matrix whose |det| leaves rank 9 open; every value, determinant and
-    flag has the bits of the complex evaluation (tests/oracles.py keeps it
-    as certificate_columns_stacked).
+    point on the a = 1 boundary.  dets (3, N) holds Re and Im of det M, then
+    the one value Re det M' = Im det M' (_det_parts); ok (2, N) tells whether
+    the W and the W^Gamma side are certified optimal, False on the boundary.
+    The family guard (at ON_FAMILY_TOL) and the t check run first, on all N:
+    the first point that fails either raises, OffFamilyError before
+    NonpositiveTError.  The numerical passes then fill whole-batch columns a
+    slice of KERNEL_BLOCK points at a time, a boundary point at a stand-in
+    t = 2 whose results are dropped, and the verdict is decided once, after
+    the last slice.  A slice works on its (6, n) magnitude columns
+    (_magnitudes) in real arithmetic and builds complex product vectors
+    (_vectors) only for the points with a span matrix whose |det| leaves
+    rank 9 open; every value, determinant and flag has the bits of the
+    complex evaluation (tests/oracles.py keeps it as
+    certificate_columns_stacked).
     """
     if not (tol > 0):
         raise ValueError("tol must be positive")
@@ -377,7 +377,7 @@ def _certificate_columns(weights: np.ndarray, tol: float) -> tuple[list[list], n
             raise OffFamilyError(f"not a family point: {reason}")
         _check_t(t[i])  # t[i] is not a positive finite real
     t[~interior] = 2.0  # a stand-in for the boundary, both determinants clear of the SVD at tol 1e-8
-    dets = np.zeros((4, len(t)))  # Re, Im of det M, then of det M'
+    dets = np.zeros((3, len(t)))  # Re, Im of det M, then Re det M' = Im det M'
     abs_dets, max_exp = np.empty((2, 2, len(t)))
     ranks = np.full((2, len(t)), 9)
     for i in range(0, len(t), KERNEL_BLOCK):
@@ -389,10 +389,9 @@ def _certificate_columns(weights: np.ndarray, tol: float) -> tuple[list[list], n
         # are real symmetric, so each is scale * (sum_k w_k |v_k|^2 - 2 sum_pairs (x_i x_j
         # + y_i y_j)), the first part minus twice the second, times scale = 1/(3(a+b+c))
         # last, so that exact terms that cancel, as at (0, 1, 1), give 0.  Each is taken on
-        # the unit vector: |v|^2 grows like t^3.  max is exact, so a side's maximum over
-        # its forms is the one over its nine pairs.
+        # the unit vector: |v|^2 grows like t^3.  A side's maximum is over its nine pairs' forms.
         forms = np.abs((diag - 2.0 * pairs) * witness_scale / norm2)
-        max_exp[:, s] = forms[_SIDE_FORMS].max(axis=1)
+        max_exp[:, s] = forms[_FORM_OF].max(axis=1)
         # det of a column-normalized span matrix = closed form / product of
         # its column norms, divided as reals.  Below t ~ 1e-108 both underflow
         # to 0; the determinant, of order t^1.5, is then 0 too.
@@ -400,9 +399,9 @@ def _certificate_columns(weights: np.ndarray, tol: float) -> tuple[list[list], n
         norms = np.sqrt(norm2)[_FORM_OF].transpose(0, 2, 1)
         m_scale, mp_scale = np.prod(norms, axis=-1)
         re, im, part = _det_parts(t[s], mags[2])
-        for row, num, scale in zip(dets[:, s], (re, im, part, part), (m_scale, m_scale, mp_scale, mp_scale)):
+        for row, num, scale in zip(dets[:, s], (re, im, part), (m_scale, m_scale, mp_scale)):
             np.divide(num, scale, out=row, where=scale > 0)
-        np.hypot(dets[0::2, s], dets[1::2, s], out=abs_dets[:, s])
+        np.hypot(dets[0::2, s], dets[1:, s], out=abs_dets[:, s])  # |det M'| is hypot(p, p) of its row
         # Above tol by a roundoff margin, |det| / _RANK9_DET_BOUND proves rank 9.
         need = ~(abs_dets[:, s] > _RANK9_DET_BOUND * tol + 1e-12)
         if need.any():
@@ -426,11 +425,11 @@ def _certified(points: list, tol: float) -> tuple[list[Certificate], list[list]]
     weights = np.array([(p.a, p.b, p.c) for p in points], dtype=float).reshape(-1, 3)
     columns, dets, ok = _certificate_columns(weights, tol)
     certs, rows = [], zip(points, *columns, *dets.tolist(), *ok.tolist())
-    for p, t, _, abs_det_mp, rank_m, rank_mp, max_w, max_wg, verdict, re_m, im_m, re_mp, im_mp, w_ok, wg_ok in rows:
+    for p, t, _, abs_det_mp, rank_m, rank_mp, max_w, max_wg, verdict, re_m, im_m, part, w_ok, wg_ok in rows:
         if t is None:  # the a = 1 boundary: no determinants, neither side certified
             det_m = det_mp = note = None
         else:
-            det_m, det_mp = complex(re_m, im_m), complex(re_mp, im_mp)
+            det_m, det_mp = complex(re_m, im_m), complex(part, part)
             note = _T1_NOTE if abs(t - 1.0) <= T_ONE_WINDOW and (rank_mp < 9 or abs_det_mp == 0) else None
         certs.append(Certificate(
             params=p, t=t, w_optimal=w_ok, wgamma_optimal=wg_ok, verdict=Verdict(verdict),

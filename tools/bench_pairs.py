@@ -13,7 +13,10 @@ output line (the JSON result) is kept, with the scan CSV sha256 it prints.
 The summary gives, per workload and end-to-end metric of the change's
 BENCHMARK.json, both sides' medians and interquartile ranges, the relative
 change of the medians, the pairs the change won and whether the change stays
-within the metric's bound.  The file is rewritten after every run, so an
+within the metric's bound.  A metric is unresolved where the parent's
+interquartile range over its median is wider than the bound and not every
+change run reads better than every parent run: its spread hides a change of
+the bound's size.  The file is rewritten after every run, so an
 interrupted session leaves the pairs it finished.
 """
 
@@ -72,11 +75,14 @@ def summarise(runs: list[dict], bounds: dict) -> dict:
             sign = 1.0 if better == "lower" else -1.0
             rel = med["change"] / med["parent"] - 1.0
             wins = sum(sign * (c - p) < 0 for p, c in zip(series["parent"], series["change"]))
+            iqr = {s: _iqr(series[s]) for s in SIDES}
+            separated = all(sign * (c - p) < 0 for p in series["parent"] for c in series["change"])
             entry[name] = {
-                **{s: {"median": med[s], "iqr": _iqr(series[s])} for s in SIDES},
+                **{s: {"median": med[s], "iqr": iqr[s]} for s in SIDES},
                 "rel_change": rel,
                 "change_wins": wins,
                 "within_bound": sign * rel <= bound,
+                "unresolved": iqr["parent"] / med["parent"] > bound and not separated,
                 "parent_runs": series["parent"],
                 "change_runs": series["change"],
             }
