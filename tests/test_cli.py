@@ -24,7 +24,7 @@ from choiwit import (
     max_ent_projector,
     state_file_text,
 )
-from choiwit import optimality
+from choiwit import cli, optimality
 from choiwit.cli import (
     CSV_HEADER,
     MAX_SAMPLES,
@@ -37,6 +37,7 @@ from choiwit.cli import (
 )
 from choiwit.maps import ALPHA_MAX, ALPHA_MIN
 from choiwit.optimality import KERNEL_BLOCK
+from choiwit.witness import STATE_FILE_MAX_BYTES
 from oracles import certificate_flags, record_to_csv_row, scan_record
 
 DATA = Path(__file__).parent / "data"
@@ -677,6 +678,8 @@ def state_dir(tmp_path_factory):
         "badtoken.txt": ("x" + " 0" * 8 + "\n") * 9,
         "shortline.txt": "0 0\n" * 9,
         "nan.txt": ("nan+0j" + " 0" * 8 + "\n") * 9,
+        # A valid state that blank lines carry one byte past the size cap.
+        "big.txt": state_file_text(max_ent_projector()) + "\n" * STATE_FILE_MAX_BYTES,
     }
     for name, text in files.items():
         (root / name).write_text(text)
@@ -756,6 +759,9 @@ _USAGE_ERRORS = [
      "cannot parse angle '*pi'"),
     (("scan", "--alpha-start", "abc", "--alpha-end", "5pi/3", "--steps", "3"), "cannot parse angle 'abc'"),
     (("detect", "0", "1", "1", "nan.txt"), "state contains NaN or infinite entries"),
+    # A file past the size cap, or one without end, is refused after the cap's worth of bytes.
+    (("detect", "0", "1", "1", "big.txt"), f"state file is larger than {STATE_FILE_MAX_BYTES} bytes"),
+    (("detect", "0", "1", "1", "/dev/zero"), f"state file is larger than {STATE_FILE_MAX_BYTES} bytes"),
 ]
 
 
@@ -880,3 +886,48 @@ def test_main_never_raises(argv, state_dir):
     assert code in (0, 1, 2)
     assert [str(w.message) for w in caught] == []
     assert err == "" or err.startswith(("error: ", "usage: "))
+
+
+def _subcommand_arguments(parser):
+    """The dests of each subparser's actions, by subcommand name."""
+    (subparsers,) = parser._subparsers._group_actions
+    return {name: [action.dest for action in sub._actions] for name, sub in subparsers.choices.items()}
+
+
+def test_build_parser_gives_arguments_to_the_named_subcommand_alone():
+    full = _subcommand_arguments(cli.build_parser())
+    assert list(full) == ["scan", "check", "vectors", "detect"]
+    assert full["detect"] == ["help", "a", "b", "c", "state"]
+    for command in full:
+        assert _subcommand_arguments(cli.build_parser(command)) == {
+            name: dests if name == command else ["help"] for name, dests in full.items()
+        }
+
+
+def _assert_the_full_tree_gives_the_same_bytes(argv):
+    """main on argv gives the exit code, stdout and stderr it gives when build_parser builds every subcommand."""
+    build_full_tree = cli.build_parser
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):  # help wraps at the terminal's width
+        shipped = _run_quietly(list(argv))[:3]
+        with mock.patch.object(cli, "build_parser", lambda command=None: build_full_tree()):
+            assert _run_quietly(list(argv))[:3] == shipped
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (), ("--help",), ("-h",), ("scan", "-h"), ("check", "-h"), ("vectors", "-h"), ("detect", "-h"),
+        ("bogus",), ("-h", "scan"), ("scan", "check"),
+        ("--", "scan", "--alpha-start", "pi/3", "--alpha-end", "pi", "--steps", "3"),
+    ],
+)
+def test_help_and_parser_errors_are_those_of_the_full_tree(argv):
+    _assert_the_full_tree_gives_the_same_bytes(argv)
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=ARGV)
+def test_every_argv_reads_as_against_the_full_tree(argv, state_dir):
+    _assert_the_full_tree_gives_the_same_bytes(
+        [str(state_dir / word) if word in _STATES else word for word in argv]
+    )

@@ -15,6 +15,7 @@ from choiwit import (
     detect,
     family_from_alpha,
     max_ent_projector,
+    parse_state_file,
     parse_state_text,
     partial_transpose_second,
     separable_sample_check,
@@ -26,6 +27,7 @@ from choiwit.witness import (
     _DIAG_WEIGHT,
     _OFF_ENTRIES,
     SAMPLE_BLOCK,
+    STATE_FILE_MAX_BYTES,
     _form_matrix,
     _hermitian_coords,
     format_complex,
@@ -375,6 +377,19 @@ def test_state_file_rejects_malformed_input():
     truncated = "\n".join(good.splitlines()[:5])
     with pytest.raises(InvalidStateError):
         parse_state_text(truncated)
+
+
+def test_a_state_file_reads_up_to_its_size_cap(tmp_path):
+    # Blank lines pad a valid state to the cap exactly; one more byte refuses it unparsed.
+    text = state_file_text(max_ent_projector())
+    padded = tmp_path / "padded.txt"
+    padded.write_text(text + "\n" * (STATE_FILE_MAX_BYTES - len(text)))
+    assert padded.stat().st_size == STATE_FILE_MAX_BYTES
+    assert parse_state_file(padded).mat.tobytes() == parse_state_text(text).mat.tobytes()
+    with padded.open("a") as handle:
+        handle.write("\n")
+    with pytest.raises(InvalidStateError, match=f"^state file is larger than {STATE_FILE_MAX_BYTES} bytes$"):
+        parse_state_file(padded)
 
 
 def _parsed(parse, text):
