@@ -1,11 +1,11 @@
-"""Command-line front end: family scans, single-point certificates, vector dumps
-and state detection, with reproducible CSV/JSON output.
+"""Command-line front end: family scans, single-point certificates, vector dumps and state
+detection, with reproducible CSV/JSON output.  check builds one payload, which --json dumps
+and whose text is the lines of _CHECK_LINES, so a new field is one entry there.
 
-Exit codes: 0 success or affirmative result, 1 negative result, 2 usage or
-validation error, 3 I/O failure.  The subcommands raise on bad input or an
-unreadable file; main alone reports it, as ``error: <message>`` on stderr
-with exit 2.  Every subcommand writes its output through _write_output,
-which reports a failed write to stdout or --out and returns 3.
+Exit codes: 0 success or affirmative result, 1 negative result, 2 usage or validation error,
+3 I/O failure.  The subcommands raise on bad input or an unreadable file; main alone reports
+it, as ``error: <message>`` on stderr with exit 2.  Every subcommand writes its output through
+_write_output, which reports a failed write to stdout or --out and returns 3.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .errors import ChoiwitError
-from .maps import ALPHA_MAX, ALPHA_MIN, MapParams, family_weights
+from .maps import ALPHA_RANGE, MapParams, family_weights
 from .optimality import RECORD_KEYS, _certificate_columns, _certified
 from .optimality import product_vectors, span_matrix
 from .witness import (
@@ -142,49 +142,47 @@ def cmd_scan(args) -> int:
     start = parse_alpha(args.alpha_start)
     end = parse_alpha(args.alpha_end)
     _check_options(args.tol, steps=args.steps)
-    if not (ALPHA_MIN - 1e-12 <= start < end <= ALPHA_MAX + 1e-12):
+    if not (ALPHA_RANGE[0] <= start < end <= ALPHA_RANGE[1]):
         raise ChoiwitError("need pi/3 <= alpha-start < alpha-end <= 5*pi/3")
     columns = _scan_values(np.linspace(start, end, args.steps).tolist(), args.tol)
     return _write_output(_scan_text(columns, args.format), args.out)
+
+
+#: check's text, line by line: a label template and the payload keys that fill it, each value printed by _SHOW.
+#: A line with a None value is left out, except t's, which reads "(boundary, undefined)" at a = 1.
+_CHECK_LINES = (
+    ("witness weights: a={} b={} c={}", ("a", "b", "c")),
+    ("t: {}", ("t",)),
+    ("verdict: {}", ("verdict",)),
+    ("witness side optimal: {}", ("w_optimal",)),
+    ("partial-transpose side optimal: {}", ("wgamma_optimal",)),
+    ("max |expectation| on the nine pairs (W): {}", ("max_expectation_W",)),
+    ("max |expectation| on the nine pairs (W^G): {}", ("max_expectation_WGamma",)),
+    ("rank of span matrices: {} / {}", ("rank_M", "rank_Mprime")),
+    ("|det| of column-normalized span matrices: {} / {}", ("abs_det_M", "abs_det_Mprime")),
+    ("note: {}", ("note",)),
+    ("separable sample min (n={}, seed={}): {}", ("samples", "seed", "separable_sample_min")),
+)
+_SHOW = {bool: lambda flag: "yes" if flag else "no", float: _fmt, int: str, str: str}  # exact types: True is an int
 
 
 def cmd_check(args) -> int:
     _check_options(args.tol, args.samples, args.seed)
     params = MapParams(args.a, args.b, args.c)
     (cert,), columns = _certified([params], args.tol)
-    sample_min = separable_sample_check(
-        witness_matrix(params), n=args.samples, seed=args.seed
-    )
-    # The scan record of this point without the angle; both outputs read it.
-    record = dict(zip(_SCAN_KEYS[1:], [params.a, params.b, params.c, *(value for (value,) in columns)]))
-    note = cert.diagnostics.note
+    sample_min = separable_sample_check(witness_matrix(params), n=args.samples, seed=args.seed)
+    payload = dict(zip(_SCAN_KEYS[1:], [params.a, params.b, params.c, *(value for (value,) in columns)]),
+                   w_optimal=cert.w_optimal, wgamma_optimal=cert.wgamma_optimal, note=cert.diagnostics.note,
+                   separable_sample_min=sample_min, samples=args.samples, seed=args.seed)
     if args.json:
         import json
 
-        payload = dict(record, w_optimal=cert.w_optimal, wgamma_optimal=cert.wgamma_optimal, note=note,
-                       separable_sample_min=sample_min, samples=args.samples, seed=args.seed)
-        lines = [json.dumps(payload, indent=2)]
+        text = json.dumps(payload, indent=2)
     else:
-        t = record["t"]
-        lines = [
-            f"witness weights: a={_fmt(record['a'])} b={_fmt(record['b'])} c={_fmt(record['c'])}",
-            f"t: {'(boundary, undefined)' if t is None else _fmt(t)}",
-            f"verdict: {record['verdict']}",
-            f"witness side optimal: {'yes' if cert.w_optimal else 'no'}",
-            f"partial-transpose side optimal: {'yes' if cert.wgamma_optimal else 'no'}",
-        ]
-        if t is not None:  # the record's numbers between t and the verdict
-            det_m, det_mp, rank_m, rank_mp, max_w, max_wg = map(record.get, RECORD_KEYS[1:-1])
-            lines += [
-                f"max |expectation| on the nine pairs (W): {_fmt(max_w)}",
-                f"max |expectation| on the nine pairs (W^G): {_fmt(max_wg)}",
-                f"rank of span matrices: {rank_m} / {rank_mp}",
-                f"|det| of column-normalized span matrices: {_fmt(det_m)} / {_fmt(det_mp)}",
-            ]
-        if note:
-            lines.append(f"note: {note}")
-        lines.append(f"separable sample min (n={args.samples}, seed={args.seed}): {_fmt(sample_min)}")
-    return _write_output("\n".join(lines) + "\n", None) or (0 if cert.w_optimal else 1)
+        shown = {key: _SHOW[type(value)](value) for key, value in payload.items() if value is not None}
+        shown.setdefault("t", "(boundary, undefined)")
+        text = "\n".join(line.format(*map(shown.get, keys)) for line, keys in _CHECK_LINES if shown.keys() >= {*keys})
+    return _write_output(text + "\n", None) or (0 if cert.w_optimal else 1)
 
 
 def cmd_vectors(args) -> int:

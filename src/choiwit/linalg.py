@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NotHermitianError
 
-#: Absolute entrywise tolerance for Hermiticity checks.
+#: Entrywise tolerance for Hermiticity checks, relative to the largest entry once it exceeds 1.
 HERMITICITY_TOL = 1e-12
 
 
@@ -42,10 +42,11 @@ def _as_square(x, name, batched=False):
 
 
 def _require_hermitian(m):
-    """Raise NotHermitianError unless the square matrix m is Hermitian within HERMITICITY_TOL."""
+    """Raise NotHermitianError unless max|M - M^dagger| <= HERMITICITY_TOL * max(1, largest |Re| or |Im| in M)."""
+    scale = max(1.0, float(np.maximum(np.abs(m.real), np.abs(m.imag)).max()))
     # Near the float limit the difference may overflow to inf or NaN, which fail the test.
     with np.errstate(over="ignore", invalid="ignore"):
-        if not float(np.abs(m - m.conj().T).max()) <= HERMITICITY_TOL:
+        if not float(np.abs(m - m.conj().T).max()) <= HERMITICITY_TOL * scale:
             raise NotHermitianError(f"matrix is not Hermitian within {HERMITICITY_TOL:g}")
 
 
@@ -125,8 +126,8 @@ def rank_with_tol(m, tol):
 def herm_eig_min(m):
     """Smallest eigenvalue of a Hermitian matrix, by np.linalg.eigvalsh.
 
-    The input must satisfy max|M - M^dagger| <= 1e-12, otherwise
-    NotHermitianError is raised; the Hermitian part M/2 + M^dagger/2,
+    The input must satisfy max|M - M^dagger| <= 1e-12 * max(1, max|M|),
+    otherwise NotHermitianError is raised; the Hermitian part M/2 + M^dagger/2,
     halved before the sum so that the sum cannot overflow, is what gets
     diagonalized.  ArithmeticError is raised when the eigenvalue overflows
     the float range.
@@ -142,7 +143,7 @@ def herm_eig_min(m):
 def expectation(w, v):
     """Real quadratic form <v|W|v> of a Hermitian matrix, as np.vdot(v, W @ v).
 
-    W must be Hermitian within 1e-12.  ArithmeticError is raised when the
+    W must be Hermitian within 1e-12 * max(1, max|W|).  ArithmeticError is raised when the
     form overflows the float range, or when its imaginary part exceeds a
     scale-aware roundoff bound; the imaginary part is then discarded.
     """

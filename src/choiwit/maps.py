@@ -25,6 +25,7 @@ from .linalg import _as_complex
 
 ALPHA_MIN = math.pi / 3
 ALPHA_MAX = 5 * math.pi / 3
+ALPHA_RANGE = (ALPHA_MIN - 1e-12, ALPHA_MAX + 1e-12)  # the accepted angles, with slack for a rounded endpoint
 
 #: Absolute threshold below which 1 - a is treated as zero (the t = c/(1-a)
 #: boundary).  Angle endpoints hit a = 1 exactly in closed form but only up
@@ -231,7 +232,7 @@ def family_weights(alphas) -> np.ndarray:
     of range raises OutOfRangeError before any weight is computed; a row off the family, ArithmeticError.
     """
     x = np.asarray(alphas, dtype=float).reshape(-1)
-    inside = (ALPHA_MIN - 1e-12 <= x) & (x <= ALPHA_MAX + 1e-12)
+    inside = (ALPHA_RANGE[0] <= x) & (x <= ALPHA_RANGE[1])
     if not inside.all():
         raise OutOfRangeError(f"alpha must lie in [pi/3, 5*pi/3], got {x[np.argmin(inside)].item()!r}")
     half = np.array([x - ALPHA_MIN, ALPHA_MAX - x]) / 2

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -234,6 +235,84 @@ def test_check_prints_the_scan_record_of_its_point(alpha, tol):
     payload = json.loads(out)
     assert list(payload.items())[:11] == list(record.items())
     assert code == (0 if record["verdict"] in ("IndecomposableOptimal", "OptimalOnly") else 1)
+
+
+# check's text lines in order: each label with the --json keys whose values fill its {} fields.
+_CHECK_TEXT_FIELDS = [
+    ("witness weights: a={} b={} c={}", ("a", "b", "c")),
+    ("t: {}", ("t",)),
+    ("verdict: {}", ("verdict",)),
+    ("witness side optimal: {}", ("w_optimal",)),
+    ("partial-transpose side optimal: {}", ("wgamma_optimal",)),
+    ("max |expectation| on the nine pairs (W): {}", ("max_expectation_W",)),
+    ("max |expectation| on the nine pairs (W^G): {}", ("max_expectation_WGamma",)),
+    ("rank of span matrices: {} / {}", ("rank_M", "rank_Mprime")),
+    ("|det| of column-normalized span matrices: {} / {}", ("abs_det_M", "abs_det_Mprime")),
+    ("note: {}", ("note",)),
+    ("separable sample min (n={}, seed={}): {}", ("samples", "seed", "separable_sample_min")),
+]
+
+
+def _as_check_prints(value):
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+
+def _read_check_text(text):
+    """[(label, {key: printed value})] of check's text, each line matched to one _CHECK_TEXT_FIELDS label."""
+    fields = []
+    for line in text.splitlines():
+        matches = [
+            (label, dict(zip(keys, m.groups())))
+            for label, keys in _CHECK_TEXT_FIELDS
+            if (m := re.fullmatch(re.escape(label).replace(r"\{\}", "(.*?)"), line))
+        ]
+        assert len(matches) == 1, line
+        fields += matches
+    return fields
+
+
+CHECK_ALPHAS = st.one_of(
+    SCAN_ALPHAS,
+    st.sampled_from([ALPHA_MIN, ALPHA_MAX, math.pi]),  # both a = 1 ends and t = 1
+    st.floats(math.pi - 1e-6, math.pi + 1e-6),  # the t = 1 window
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    CHECK_ALPHAS,
+    st.sampled_from([1e-8, 1e-4, 1e-12, 1e-17]),
+    st.integers(1, 40),
+    st.sampled_from([0, 0, 1, 2, 12345]),
+)
+@example(ALPHA_MIN, 1e-8, 1, 0)
+@example(math.pi, 1e-8, 3, 0)
+@example(math.pi + 1e-7, 1e-8, 1, 1)
+def test_check_text_and_json_agree_field_by_field(alpha, tol, samples, seed):
+    # Every text line reads back as the --json values of its keys, printed
+    # as check prints them; a line is missing exactly when a value is None,
+    # except t's, which then reads "(boundary, undefined)".
+    p = family_from_alpha(alpha).params
+    argv = ["check", "--tol", repr(tol), "--samples", str(samples), "--seed", str(seed)]
+    argv += [repr(p.a), repr(p.b), repr(p.c)]
+    code, text, err, _ = _run_quietly(argv)
+    json_code, out, json_err, _ = _run_quietly(argv + ["--json"])
+    assert (code, err) == (json_code, json_err)
+    if code == 2:
+        assert text == out == "" and err.startswith("error: ")
+        return
+    payload = json.loads(out)
+    expected = []
+    for label, keys in _CHECK_TEXT_FIELDS:
+        values = [payload[key] for key in keys]
+        if None not in values:
+            expected.append((label, {key: _as_check_prints(value) for key, value in zip(keys, values)}))
+        elif keys == ("t",):
+            expected.append((label, {"t": "(boundary, undefined)"}))
+    assert _read_check_text(text) == expected
+    assert (payload["samples"], payload["seed"]) == (samples, seed)
 
 
 def _certificate_records(alphas, tol):

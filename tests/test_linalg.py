@@ -258,6 +258,26 @@ def test_hermiticity_guards_near_the_float_limit_raise_no_warning():
             expectation(m, np.ones(3))
 
 
+@pytest.mark.parametrize("scale", [1e0, 1e2, 1e4, 1e5, 1e6, 1e8])
+def test_hermiticity_is_judged_relative_to_the_entries(scale):
+    # M = Q diag(d) Q^H in floats is Hermitian to roundoff relative to its
+    # entries; an absolute 1e-12 test rejected it from about 1e4 up.  One off
+    # by 2e-12 of its scale is still rejected.
+    rng = np.random.default_rng(15)
+    v = np.ones(9)
+    for _ in range(50):
+        q, _ = np.linalg.qr(rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)))
+        d = scale * rng.uniform(-1.0, 1.0, 9)
+        m = (q * d) @ q.conj().T
+        assert herm_eig_min(m) == pytest.approx(d.min(), rel=0, abs=1e-12 * scale)
+        assert expectation(m, v) == pytest.approx(np.vdot(v, m @ v).real, rel=1e-15)
+        m[3, 7] += 2e-12 * scale
+        with pytest.raises(NotHermitianError, match="not Hermitian within 1e-12"):
+            herm_eig_min(m)
+        with pytest.raises(NotHermitianError, match="not Hermitian within 1e-12"):
+            expectation(m, v)
+
+
 def test_expectation_identity():
     v = np.zeros(9)
     v[0] = 1.0
