@@ -20,8 +20,6 @@ import numpy as np
 
 from .errors import ChoiwitError
 from .maps import ALPHA_RANGE, MapParams, family_weights
-from .optimality import RECORD_KEYS, _certificate_columns, _certified
-from .optimality import product_vectors, span_matrix
 from .witness import (
     detect,
     format_complex,
@@ -30,6 +28,9 @@ from .witness import (
     witness_matrix,
 )
 
+#: The names of the certificate kernel's record columns, in order: the scan columns after alpha, a, b and c.
+RECORD_KEYS = ("t", "abs_det_M", "abs_det_Mprime", "rank_M", "rank_Mprime",
+               "max_expectation_W", "max_expectation_WGamma", "verdict")
 #: The keys of a scan record: the angle and the weights, then the certificate record's.
 _SCAN_KEYS = ("alpha", "a", "b", "c") + RECORD_KEYS
 CSV_HEADER = ",".join(_SCAN_KEYS)
@@ -97,6 +98,8 @@ def _scan_values(alphas: list[float], tol: float) -> list[list]:
     One family_weights call and one kernel call cover the grid.  A row across
     the columns holds the values check's JSON gives under the same keys.
     """
+    from .optimality import _certificate_columns  # here, in check and in vectors alone: detect never loads it
+
     weights = family_weights(alphas)
     return [alphas, *weights.T.tolist(), *_certificate_columns(weights, tol)[0]]
 
@@ -167,6 +170,8 @@ _SHOW = {bool: lambda flag: "yes" if flag else "no", float: _fmt, int: str, str:
 
 
 def cmd_check(args) -> int:
+    from .optimality import _certified
+
     _check_options(args.tol, args.samples, args.seed)
     params = MapParams(args.a, args.b, args.c)
     (cert,), columns = _certified([params], args.tol)
@@ -186,6 +191,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_vectors(args) -> int:
+    from .optimality import product_vectors, span_matrix
+
     pairs = product_vectors(args.t)  # raises NonpositiveTError unless t is positive and finite
     span = span_matrix(args.t, conjugated=args.conjugated)
     lines = []

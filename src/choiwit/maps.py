@@ -149,6 +149,9 @@ def _min_eigs(shifted: np.ndarray, shift: float, angles: np.ndarray) -> np.ndarr
     return shift + 2.0 * radius * np.cos(np.arccos(cos3) / 3.0 + 2.0 * math.pi / 3.0)
 
 
+#: A falsifier minimum below -this is a violation: the warnings compare the outcome with the predicate at it.
+_VIOLATION_SLACK = 1e-9
+
 # Unit moves of the two angles, (angle, move, 1), scored together in each sweep.
 _MOVES = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]])[:, :, None]
 
@@ -203,14 +206,14 @@ def positivity_search(p: MapParams, budget: int, seed: int) -> PositivitySearchR
     min_value = float(np.linalg.eigvalsh(phi_apply(p, np.outer(x, x)))[0])
 
     predicate = is_positive_predicate(p)
-    if predicate and min_value < -1e-9:
+    if predicate and min_value < -_VIOLATION_SLACK:
         warnings.warn(
             f"positivity condition holds for (a,b,c)=({p.a:g},{p.b:g},{p.c:g}) "
             f"but the falsifier found a violation of {min_value:g}",
             RuntimeWarning,
             stacklevel=2,
         )
-    elif not predicate and min_value >= -1e-9:
+    elif not predicate and min_value >= -_VIOLATION_SLACK:
         warnings.warn(
             f"positivity condition fails for (a,b,c)=({p.a:g},{p.b:g},{p.c:g}) "
             f"but no violation was found within budget {budget}",

@@ -24,7 +24,7 @@ takes the side maxima and the 18 column norms back through _FORM_OF.
 Only where no determinant proves rank 9 (_RANK9_DET_BOUND) are the product
 vectors of a point built, as span matrices for a stacked SVD.  The verdicts
 are decided once over the columns, and the record, the values named by
-RECORD_KEYS, is returned as whole-batch columns, built once.  certify_many
+cli.RECORD_KEYS, is returned as whole-batch columns, built once.  certify_many
 zips those columns into Certificates, and certify is its one-point case;
 the scan command puts the angle and weight columns in front of them, and
 check prints the record of its point beside its Certificate.
@@ -316,12 +316,8 @@ def zero_expectation_check(p: MapParams) -> ZeroExpectations:
     )
 
 
-#: The names of a certificate record's cells, in order: the scan columns after alpha, a, b and c.
-RECORD_KEYS = ("t", "abs_det_M", "abs_det_Mprime", "rank_M", "rank_Mprime",
-               "max_expectation_W", "max_expectation_WGamma", "verdict")
-
-#: The record of an a = 1 boundary point: no numbers at all, the Boundary verdict.
-_BOUNDARY_CELLS = (None,) * (len(RECORD_KEYS) - 1) + (Verdict.BOUNDARY.value,)
+#: The record of an a = 1 boundary point: none of its seven numeric cells, then the Boundary verdict.
+_BOUNDARY_CELLS = (None,) * 7 + (Verdict.BOUNDARY.value,)
 
 
 #: Points per stacked pass of the certificate kernel.  Its largest arrays are _form_sums' gathers,
@@ -345,7 +341,7 @@ def _certificate_columns(weights: np.ndarray, tol: float) -> tuple[list[list], n
     """The certificate kernel on an (N, 3) array of valid MapParams weights.
 
     Returns (columns, dets, ok).  columns is the record: the eight columns of
-    RECORD_KEYS (t, |det M|, |det M'|, rank_M, rank_M', max_W, max_WG, verdict)
+    cli.RECORD_KEYS (t, |det M|, |det M'|, rank_M, rank_M', max_W, max_WG, verdict)
     as lists of N plain Python numbers, with the _BOUNDARY_CELLS values at a
     point on the a = 1 boundary.  dets (3, N) holds Re and Im of det M, then
     the one value Re det M' = Im det M' (_det_parts); ok (2, N) tells whether

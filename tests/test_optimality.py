@@ -31,8 +31,9 @@ from choiwit import (
     zero_expectation_check,
 )
 from choiwit import optimality
+from choiwit.cli import RECORD_KEYS
 from choiwit.maps import ALPHA_MAX, ALPHA_MIN, family_weights
-from choiwit.optimality import RECORD_KEYS, _PAIR_CODES, _RANK9_DET_BOUND, _certificate_columns, _entry_table, _vectors
+from choiwit.optimality import _PAIR_CODES, _RANK9_DET_BOUND, _certificate_columns, _entry_table, _vectors
 from oracles import (
     certificate_columns_stacked,
     pair_arrays_loop,

@@ -25,7 +25,8 @@ interrupted session leaves the pairs it finished.
 side from its checkout's ``src``, sharing one bytecode cache in a temporary
 directory that an untimed first run of each side and path fills.  Each path's
 wall-time medians and interquartile ranges go under ``"fresh"``, with whether
-both sides gave the same exit code and output.
+both sides gave the same exit code and output, and beside them the same for
+the child's CPU time, user plus system, from ``os.wait4``.
 """
 
 from __future__ import annotations
@@ -125,42 +126,60 @@ def fresh_pairs(checkouts: dict, count: int, report: dict, out: Path) -> None:
                  for path, words in FRESH_PATHS.items()}
 
         def run(path, side):
-            t0 = time.perf_counter()
-            proc = subprocess.run(argvs[path], cwd=tmp, env=env[side], capture_output=True)
-            return (time.perf_counter() - t0) * 1e3, (proc.returncode, proc.stdout, proc.stderr)
+            """(wall ms, CPU ms), and (exit code, stdout, stderr): the child writes to files, so it is reaped by wait4."""
+            with tempfile.TemporaryFile(dir=tmp) as out, tempfile.TemporaryFile(dir=tmp) as err:
+                t0 = time.perf_counter()
+                proc = subprocess.Popen(argvs[path], cwd=tmp, env=env[side], stdout=out, stderr=err)
+                _, status, usage = os.wait4(proc.pid, 0)
+                wall = (time.perf_counter() - t0) * 1e3
+                proc.returncode = os.waitstatus_to_exitcode(status)
+                out.seek(0)
+                err.seek(0)
+                result = (proc.returncode, out.read(), err.read())
+            return (wall, (usage.ru_utime + usage.ru_stime) * 1e3), result
 
         outputs = {path: {run(path, side)[1] for side in SIDES} for path in FRESH_PATHS}  # fills the cache
         times = {path: {side: [] for side in SIDES} for path in FRESH_PATHS}
+        cpu = {path: {side: [] for side in SIDES} for path in FRESH_PATHS}
         for pair in range(count):
             for path in FRESH_PATHS:
                 for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-                    ms, result = run(path, side)
+                    (ms, cpu_ms), result = run(path, side)
                     times[path][side].append(ms)
+                    cpu[path][side].append(cpu_ms)
                     outputs[path].add(result)
             report["fresh"] = {
                 "command": f"{Path(sys.executable).name} -m choiwit <argv>, PYTHONPATH=<checkout>/src, "
                            "one PYTHONPYCACHEPREFIX for both sides, filled by an untimed first run",
                 "pairs": pair + 1,
-                "paths": {path: _fresh_summary(FRESH_PATHS[path], times[path], outputs[path]) for path in FRESH_PATHS},
+                "paths": {path: _fresh_summary(FRESH_PATHS[path], times[path], cpu[path], outputs[path])
+                          for path in FRESH_PATHS},
             }
             out.write_text(json.dumps(report, indent=1) + "\n")
             print(f"fresh pair {pair}: " + ", ".join(
-                f"{path} {times[path]['parent'][-1]:.1f}/{times[path]['change'][-1]:.1f} ms" for path in FRESH_PATHS
+                f"{path} {times[path]['parent'][-1]:.1f}/{times[path]['change'][-1]:.1f} ms wall, "
+                f"{cpu[path]['parent'][-1]:.1f}/{cpu[path]['change'][-1]:.1f} ms CPU" for path in FRESH_PATHS
             ), flush=True)
 
 
-def _fresh_summary(words: list, times: dict, outputs: set) -> dict:
-    """Medians and interquartile ranges of one path's wall times; same_output when every run gave one result."""
+def _fresh_summary(words: list, times: dict, cpu: dict, outputs: set) -> dict:
+    """Medians, interquartile ranges and wins of one path's wall and CPU times; same_output when every run gave one result."""
     med = {side: statistics.median(times[side]) for side in SIDES}
+    cpu_med = {side: statistics.median(cpu[side]) for side in SIDES}
     return {
         "argv": words,
-        **{side: {"median_ms": med[side], "iqr_ms": _iqr(times[side])} for side in SIDES},
+        **{side: {"median_ms": med[side], "iqr_ms": _iqr(times[side]),
+                  "cpu_median_ms": cpu_med[side], "cpu_iqr_ms": _iqr(cpu[side])} for side in SIDES},
         "rel_change": med["change"] / med["parent"] - 1.0,
         "change_wins": sum(c < p for p, c in zip(times["parent"], times["change"])),
+        "cpu_rel_change": cpu_med["change"] / cpu_med["parent"] - 1.0,
+        "cpu_change_wins": sum(c < p for p, c in zip(cpu["parent"], cpu["change"])),
         "same_output": len(outputs) == 1,
         "exit_codes": sorted({code for code, _, _ in outputs}),
         "parent_runs_ms": times["parent"],
         "change_runs_ms": times["change"],
+        "parent_cpu_ms": cpu["parent"],
+        "change_cpu_ms": cpu["change"],
     }
 
 
